@@ -59,7 +59,7 @@ class RunContext:
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
         self.run_id = run_id or f"{command}-{stamp}"
         self.dir = Path(out) / self.run_id
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.dir.mkdir(parents=True)
         self.manifest = {
             "schema_version": 1,
             "command": command,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidKeypoints, InvalidSplit
+from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
 from .npyio import load_keypoints
 from .rng import STREAM_SPLIT, make_rng
 
@@ -205,3 +205,13 @@ def eligible_classes(pool: dict[int, list], k_shot: int, q_query: int) -> list[i
         raise ValueError("k_shot and q_query must be >= 1")
     need = k_shot + q_query
     return sorted(c for c, samples in pool.items() if len(samples) >= need)
+
+
+def eligible_pool(pool: dict[int, list], k_shot: int, q_query: int, n_way: int) -> dict[int, list]:
+    """The classes of ``pool`` with at least K+Q samples; raises if fewer than ``n_way``."""
+    eligible = eligible_classes(pool, k_shot, q_query)
+    if len(eligible) < n_way:
+        raise InsufficientClasses(
+            f"{len(eligible)} classes have >= {k_shot + q_query} samples, need {n_way}"
+        )
+    return {c: pool[c] for c in eligible}

@@ -1,10 +1,14 @@
 """Episode evaluation, baselines, ablation, multi-seed aggregation.
 
-Episodes are evaluated across a thread pool (capped by the
-GEOMSHOT_THREADS environment variable); results are keyed by episode
-index and aggregated in index order, so the report is identical for any
-worker count. Report JSON is emitted with sorted keys and no timestamps,
-making back-to-back runs byte-identical.
+The protocol draws all of its seeded episodes first, embeds every row
+they touch once (one eval-mode forward over the union of their support
+and query rows), then scores each episode by indexing into those
+embeddings. The input-space path scores on the feature matrix itself.
+Episodes are scored across a thread pool (capped by the GEOMSHOT_THREADS
+environment variable); results are aggregated in episode index order, so
+the report is identical for any worker count. Report JSON is emitted
+with sorted keys and no timestamps, making back-to-back runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import eligible_classes
-from .episodes import EpisodeSpec, sample_episode
-from .errors import DegenerateProblem, InsufficientClasses
+from .dataio import eligible_pool
+from .episodes import Episode, EpisodeSpec, sample_episode
+from .errors import DegenerateProblem
 from .features import FeaturePool
 from .fewshot import classify, compute_prototypes
 from .nnet import MLPEncoder
@@ -95,63 +99,64 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _identity_embed(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _proto_predict(emb_s, labels_s, emb_q, n_way):
+def proto_predict(emb_s, labels_s, emb_q, n_way):
     protos = compute_prototypes(emb_s, labels_s, n_way)
     return classify(emb_q, protos)
 
 
-def _episode_result(embed_fn, predict_fn, fp: FeaturePool, pool, spec: EvalSpec, index: int):
-    ep = sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, index))
-    emb_s = embed_fn(fp.X[ep.support_items])
-    emb_q = embed_fn(fp.X[ep.query_items])
-    pred = predict_fn(emb_s, ep.support_labels, emb_q, spec.n_way)
-    correct = pred == ep.query_labels
-    originals = ep.original_classes
-    per_class: dict[int, list[int]] = {}
-    confusion: dict[tuple[int, int], int] = {}
-    for true_rel, pred_rel, ok in zip(ep.query_labels, pred, correct):
-        t, p = originals[int(true_rel)], originals[int(pred_rel)]
-        stats = per_class.setdefault(t, [0, 0])
-        stats[0] += int(ok)
-        stats[1] += 1
-        confusion[(t, p)] = confusion.get((t, p), 0) + 1
-    return float(correct.mean()), per_class, confusion
+def episode_rows(episodes: list[Episode]) -> np.ndarray:
+    """Ascending rows that any of the episodes uses as support or query."""
+    return np.unique([row for ep in episodes for row in ep.support_items + ep.query_items])
+
+
+def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Eval-mode embeddings of ``X[rows]`` from one forward, at their row indices.
+
+    In eval mode the model maps each row on its own (BatchNorm uses its
+    running statistics, dropout is off), so this equals embedding each
+    episode's rows separately. Rows not in ``rows`` are zero.
+    """
+    out = model.forward(X[rows], train=False)
+    emb = np.zeros((X.shape[0], out.shape[1]))
+    emb[rows] = out
+    return emb
+
+
+def predict_episode(emb: np.ndarray, ep: Episode, predict_fn) -> np.ndarray:
+    """Relabelled predictions for the episode's queries, scored on row embeddings."""
+    return predict_fn(emb[ep.support_items], ep.support_labels, emb[ep.query_items], len(ep.class_map))
 
 
 def _run_protocol(
-    embed_fn, predict_fn, fp: FeaturePool, spec: EvalSpec, config_echo: dict
+    encoder: MLPEncoder | None, predict_fn, fp: FeaturePool, spec: EvalSpec, config_echo: dict
 ) -> EvalReport:
-    eligible = eligible_classes(fp.pool, spec.k_shot, spec.q_query)
-    if len(eligible) < spec.n_way:
-        raise InsufficientClasses(
-            f"{len(eligible)} classes have >= {spec.k_shot + spec.q_query} "
-            f"samples, need {spec.n_way}"
-        )
-    pool = {c: fp.pool[c] for c in eligible}
-    indexes = range(spec.episodes)
-    task = lambda i: _episode_result(embed_fn, predict_fn, fp, pool, spec, i)
+    pool = eligible_pool(fp.pool, spec.k_shot, spec.q_query, spec.n_way)
+    episodes = [
+        sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
+        for i in range(spec.episodes)
+    ]
+    emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
+    task = lambda ep: predict_episode(emb, ep, predict_fn)
     workers = worker_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(task, indexes))
+            preds = list(ex.map(task, episodes))
     else:
-        results = [task(i) for i in indexes]
+        preds = [task(ep) for ep in episodes]
 
-    accuracies = [r[0] for r in results]
+    accuracies = []
     class_correct: dict[int, int] = {}
     class_total: dict[int, int] = {}
     confusion: dict[tuple[int, int], int] = {}
-    for _, per_class, conf in results:
-        for cls, (ok, tot) in per_class.items():
-            class_correct[cls] = class_correct.get(cls, 0) + ok
-            class_total[cls] = class_total.get(cls, 0) + tot
-        for key, count in conf.items():
-            confusion[key] = confusion.get(key, 0) + count
-    per_class_acc = {c: class_correct.get(c, 0) / t for c, t in sorted(class_total.items())}
+    for ep, pred in zip(episodes, preds):
+        accuracies.append(float((pred == ep.query_labels).mean()))
+        originals = ep.original_classes
+        for true_rel, pred_rel in zip(ep.query_labels, pred):
+            t, p = originals[int(true_rel)], originals[int(pred_rel)]
+            class_correct[t] = class_correct.get(t, 0) + int(t == p)
+            class_total[t] = class_total.get(t, 0) + 1
+            confusion[(t, p)] = confusion.get((t, p), 0) + 1
+    per_class_acc = {c: class_correct[c] / t for c, t in sorted(class_total.items())}
     mean = float(np.mean(accuracies))
     config = {
         "n_way": spec.n_way,
@@ -174,17 +179,12 @@ def evaluate(
 ) -> EvalReport:
     """Prototype-classification evaluation over seeded episodes.
 
-    ``encoder=None`` evaluates directly in feature space (identity
-    embedding); otherwise embeddings come from eval-mode forward passes.
+    ``encoder=None`` evaluates directly in feature space; otherwise the
+    embeddings come from one eval-mode forward over the episodes' rows.
     """
     echo = dict(config_echo or {})
-    if encoder is None:
-        embed_fn = _identity_embed
-        echo.setdefault("encoder", "none")
-    else:
-        embed_fn = lambda x: encoder.forward(x, train=False)
-        echo.setdefault("encoder", "mlp")
-    return _run_protocol(embed_fn, _proto_predict, fp, spec, echo)
+    echo.setdefault("encoder", "none" if encoder is None else "mlp")
+    return _run_protocol(encoder, proto_predict, fp, spec, echo)
 
 
 def input_space_baseline(fp: FeaturePool, spec: EvalSpec, config_echo: dict | None = None) -> EvalReport:
@@ -237,7 +237,6 @@ def episode_linear_baseline(
     l2: float = 1e-3,
 ) -> EvalReport:
     """Per-episode softmax regression fitted on the support embeddings."""
-    embed_fn = lambda x: encoder.forward(x, train=False)
 
     def predict(emb_s, labels_s, emb_q, n_way):
         W, b = fit_softmax_regression(emb_s, labels_s, n_way, iters=iters, lr=lr, l2=l2)
@@ -246,7 +245,7 @@ def episode_linear_baseline(
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "mlp")
     echo.setdefault("classifier", "episode_linear")
-    return _run_protocol(embed_fn, predict, fp, spec, echo)
+    return _run_protocol(encoder, predict, fp, spec, echo)
 
 
 def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:

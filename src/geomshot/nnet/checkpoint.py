@@ -11,6 +11,7 @@ reproduces values bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +57,28 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpoint(f"{path}: bad header ({e})") from e
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CorruptCheckpoint(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
         raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')}")
+    meta = header.get("meta", {})
+    entries = header.get("tensors", [])
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise CorruptCheckpoint(f"{path}: meta must be an object and tensors a list")
     tensors: dict[str, np.ndarray] = {}
     expected_end = 0
-    for entry in header.get("tensors", []):
-        name = entry["name"]
-        if entry["dtype"] != "<f8":
-            raise CorruptCheckpoint(f"{path}: tensor {name} has dtype {entry['dtype']}")
-        shape = tuple(int(d) for d in entry["shape"])
-        start = int(entry["byte_offset"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        end = start + nbytes
+    for entry in entries:
+        try:
+            name, dtype = entry["name"], entry["dtype"]
+            shape = tuple(int(d) for d in entry["shape"])
+            start = int(entry["byte_offset"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CorruptCheckpoint(f"{path}: malformed tensor entry ({e!r})") from e
+        if dtype != "<f8":
+            raise CorruptCheckpoint(f"{path}: tensor {name} has dtype {dtype}")
+        if start < 0 or any(d < 0 for d in shape):
+            raise CorruptCheckpoint(f"{path}: tensor {name} has a negative offset or shape")
+        end = start + math.prod(shape) * 8
         if end > len(blob):
             raise CorruptCheckpoint(
                 f"{path}: tensor {name} needs bytes [{start}, {end}) "
@@ -81,4 +90,4 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CorruptCheckpoint(
             f"{path}: payload has {len(blob)} bytes, header accounts for {expected_end}"
         )
-    return header.get("meta", {}), tensors
+    return meta, tensors

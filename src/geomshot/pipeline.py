@@ -6,27 +6,28 @@ loss over all episode embeddings, backpropagate, and take one AdamW step.
 The learning rate follows a cosine schedule over epochs. After each epoch
 a monitor accuracy is computed on held-out episodes drawn from the train
 split under a disjoint seed stream; early stopping keeps the best-monitor
-parameters and halts after ``patience`` non-improving epochs.
+parameters and halts after ``patience`` non-improving epochs. The monitor
+episodes are the same every epoch, so they are drawn once per run, and
+each epoch embeds the rows they touch in one eval-mode forward.
+
+Head-only adaptation (``target_supervised``) trains the final projection
+of a frozen encoder: the backbone runs once over the eligible train rows,
+and the head trains on those cached features.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataio import eligible_classes
-from .episodes import EpisodeSpec, sample_episode
-from .errors import ConfigMismatch, InsufficientClasses
+from .dataio import eligible_pool
+from .episodes import Episode, EpisodeSpec, sample_episode
+from .errors import ConfigMismatch, CorruptCheckpoint
+from .evaluation import embed_rows, episode_rows, predict_episode, proto_predict
 from .features import FeaturePool
-from .fewshot import (
-    LossBreakdown,
-    classify,
-    compute_prototypes,
-    protonet_loss_and_grads,
-    supcon_loss_and_grad,
-)
+from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
 from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
 from .nnet.checkpoint import load_checkpoint, save_checkpoint
 from .rng import STREAM_DROPOUT, make_rng
@@ -80,58 +81,31 @@ class TrainResult:
     meta: dict
 
 
-def _eligible_pool(fp: FeaturePool, k_shot: int, q_query: int, n_way: int) -> dict[int, list[int]]:
-    eligible = eligible_classes(fp.pool, k_shot, q_query)
-    if len(eligible) < n_way:
-        raise InsufficientClasses(
-            f"{len(eligible)} classes have >= {k_shot + q_query} samples, need {n_way}"
-        )
-    return {c: fp.pool[c] for c in eligible}
-
-
-def _monitor_accuracy(
-    embed_fn, fp: FeaturePool, pool: dict[int, list[int]], cfg: TrainConfig
-) -> float:
+def _monitor_accuracy(model, X: np.ndarray, episodes: list[Episode], rows: np.ndarray) -> float:
+    emb = embed_rows(model, X, rows)
     correct = 0
     total = 0
-    for j in range(cfg.monitor_episodes):
-        spec = EpisodeSpec(
-            cfg.n_way, cfg.k_shot, cfg.q_query,
-            cfg.base_seed + MONITOR_SEED_OFFSET, j,
-        )
-        ep = sample_episode(pool, spec)
-        emb_s = embed_fn(fp.X[ep.support_items])
-        emb_q = embed_fn(fp.X[ep.query_items])
-        protos = compute_prototypes(emb_s, ep.support_labels, cfg.n_way)
-        pred = classify(emb_q, protos)
+    for ep in episodes:
+        pred = predict_episode(emb, ep, proto_predict)
         correct += int((pred == ep.query_labels).sum())
         total += len(ep.query_labels)
     return correct / total
 
 
 def _episode_step(
-    encoder: MLPEncoder,
+    model,
     optimizer: AdamW,
-    fp: FeaturePool,
+    X: np.ndarray,
     pool: dict[int, list[int]],
     cfg: TrainConfig,
     episode_index: int,
-    head_only: bool = False,
 ) -> LossBreakdown:
     spec = EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, cfg.base_seed, episode_index)
     ep = sample_episode(pool, spec)
-    X = np.vstack([fp.X[ep.support_items], fp.X[ep.query_items]])
     labels = np.concatenate([ep.support_labels, ep.query_labels])
     n_support = len(ep.support_labels)
-
-    if head_only:
-        # Backbone stays in eval mode (running stats and dropout frozen);
-        # only the final projection sees gradients.
-        feats = encoder.backbone_forward(X)
-        emb = encoder.head.forward(feats, train=True)
-    else:
-        rng = make_rng(STREAM_DROPOUT, cfg.base_seed, episode_index)
-        emb = encoder.forward(X, train=True, rng=rng)
+    rng = make_rng(STREAM_DROPOUT, cfg.base_seed, episode_index)
+    emb = model.forward(X[ep.support_items + ep.query_items], train=True, rng=rng)
 
     nll, d_sup, d_qry = protonet_loss_and_grads(
         emb[:n_support], ep.support_labels, emb[n_support:], ep.query_labels, cfg.n_way
@@ -140,40 +114,46 @@ def _episode_step(
     d_emb = np.vstack([d_sup, d_qry]) + cfg.supcon_weight * d_all
 
     optimizer.zero_grad()
-    if head_only:
-        encoder.head.backward(d_emb)
-    else:
-        encoder.backward(d_emb)
+    model.backward(d_emb)
     optimizer.step()
     return LossBreakdown(nll, sc, cfg.supcon_weight, cfg.temperature)
 
 
 def _run_training(
     encoder: MLPEncoder,
+    model,
+    X: np.ndarray,
+    pool: dict[int, list[int]],
     optimizer: AdamW,
-    fp: FeaturePool,
     cfg: TrainConfig,
-    max_epochs: int,
     schedule: bool,
-    head_only: bool,
     meta: dict,
 ) -> TrainResult:
-    pool = _eligible_pool(fp, cfg.k_shot, cfg.q_query, cfg.n_way)
-    embed_fn = lambda x: encoder.forward(x, train=False)
+    """Episodic training of ``model`` on rows of ``X``; ``encoder`` holds the snapshots.
+
+    ``model`` is the encoder itself over the feature rows, or its head over
+    cached backbone features.
+    """
+    monitor_seed = cfg.base_seed + MONITOR_SEED_OFFSET
+    monitor = [
+        sample_episode(pool, EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, monitor_seed, j))
+        for j in range(cfg.monitor_episodes)
+    ]
+    monitor_rows = episode_rows(monitor)
     best_state = encoder.state()
     best_acc = -1.0
     best_epoch = -1
     bad_epochs = 0
     log: list[dict] = []
-    for epoch in range(max_epochs):
-        lr = cosine_lr(cfg.learning_rate, epoch, max_epochs) if schedule else cfg.learning_rate
+    for epoch in range(cfg.max_epochs):
+        lr = cosine_lr(cfg.learning_rate, epoch, cfg.max_epochs) if schedule else cfg.learning_rate
         optimizer.lr = lr
         losses = []
         for i in range(cfg.episodes_per_epoch):
             idx = epoch * cfg.episodes_per_epoch + i
-            step = _episode_step(encoder, optimizer, fp, pool, cfg, idx, head_only)
+            step = _episode_step(model, optimizer, X, pool, cfg, idx)
             losses.append(step.total)
-        acc = _monitor_accuracy(embed_fn, fp, pool, cfg)
+        acc = _monitor_accuracy(model, X, monitor, monitor_rows)
         log.append(
             {"epoch": epoch, "lr": lr, "mean_loss": float(np.mean(losses)), "monitor_acc": acc}
         )
@@ -217,7 +197,8 @@ def train_encoder(
         "train_config": asdict(cfg),
     }
     meta.update(tag or {})
-    return _run_training(encoder, optimizer, fp, cfg, cfg.max_epochs, True, False, meta)
+    pool = eligible_pool(fp.pool, cfg.k_shot, cfg.q_query, cfg.n_way)
+    return _run_training(encoder, encoder, fp.X, pool, optimizer, cfg, True, meta)
 
 
 def pretrain_source(
@@ -249,30 +230,26 @@ def adapt(
     meta.update({"adapt_mode": adapt_cfg.mode, "input_dim": encoder.config.input_dim})
     if adapt_cfg.mode == "frozen":
         return TrainResult(encoder.state(), encoder.config, [], -1, float("nan"), meta)
-    run_cfg = TrainConfig(
-        n_way=cfg.n_way,
-        k_shot=cfg.k_shot,
-        q_query=cfg.q_query,
-        episodes_per_epoch=cfg.episodes_per_epoch,
+    run_cfg = replace(
+        cfg,
         max_epochs=adapt_cfg.max_epochs,
         patience=adapt_cfg.patience,
-        base_seed=cfg.base_seed,
-        supcon_weight=cfg.supcon_weight,
-        temperature=cfg.temperature,
         learning_rate=adapt_cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-        monitor_episodes=cfg.monitor_episodes,
     )
+    pool = eligible_pool(fp_target_train.pool, cfg.k_shot, cfg.q_query, cfg.n_way)
+    # The backbone stays frozen in eval mode (running stats and dropout
+    # fixed), so its features are computed once and only the head trains.
+    rows = [row for c in sorted(pool) for row in pool[c]]
+    feats = encoder.backbone_forward(fp_target_train.X[rows])
+    position = {row: k for k, row in enumerate(rows)}
+    pool = {c: [position[row] for row in items] for c, items in pool.items()}
     optimizer = AdamW(
         encoder.head_parameters(),
         lr=adapt_cfg.learning_rate,
         weight_decay=cfg.weight_decay,
         clip_norm=cfg.clip_norm,
     )
-    return _run_training(
-        encoder, optimizer, fp_target_train, run_cfg, adapt_cfg.max_epochs, False, True, meta
-    )
+    return _run_training(encoder, encoder.head, feats, pool, optimizer, run_cfg, False, meta)
 
 
 def save_encoder(path, result: TrainResult) -> None:
@@ -290,19 +267,20 @@ def save_encoder(path, result: TrainResult) -> None:
 
 
 def load_encoder(path) -> tuple[MLPEncoder, dict]:
-    from .errors import CorruptCheckpoint
-
     meta, tensors = load_checkpoint(path)
     enc_meta = meta.get("encoder")
-    if not enc_meta:
+    if not isinstance(enc_meta, dict):
         raise CorruptCheckpoint(f"{path}: missing encoder config in meta")
-    cfg = EncoderConfig(
-        input_dim=int(enc_meta["input_dim"]),
-        hidden_dim=int(enc_meta["hidden_dim"]),
-        num_hidden=int(enc_meta["num_hidden"]),
-        embed_dim=int(enc_meta["embed_dim"]),
-        dropout_p=float(enc_meta["dropout_p"]),
-    )
+    try:
+        cfg = EncoderConfig(
+            input_dim=int(enc_meta["input_dim"]),
+            hidden_dim=int(enc_meta["hidden_dim"]),
+            num_hidden=int(enc_meta["num_hidden"]),
+            embed_dim=int(enc_meta["embed_dim"]),
+            dropout_p=float(enc_meta["dropout_p"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
     expected = set(cfg.tensor_names())
     if set(tensors) != expected:
         raise CorruptCheckpoint(

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
 from geomshot.cli import main
@@ -200,3 +201,52 @@ def test_synth_command_deterministic(tmp_path):
 
     assert tree_hash(tmp_path / "c1") == tree_hash(tmp_path / "c2")
     assert (tmp_path / "c1" / "corpus_meta.json.manifest.json").exists()
+
+
+def _drop_byte_offset(header):
+    del header["tensors"][0]["byte_offset"]
+    return header
+
+
+def _drop_hidden_dim(header):
+    del header["meta"]["encoder"]["hidden_dim"]
+    return header
+
+
+def _negative_byte_offset(header):
+    header["tensors"][1]["byte_offset"] = -8
+    return header
+
+
+@pytest.mark.parametrize(
+    "mutate", [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset],
+    ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
+         "negative-byte-offset"],
+)
+def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
+    from geomshot.nnet import EncoderConfig, MLPEncoder
+    from geomshot.pipeline import TrainResult, save_encoder
+
+    encoder = MLPEncoder(EncoderConfig(input_dim=20, hidden_dim=32, embed_dim=16), seed=0)
+    ckpt = tmp_path / "encoder.ckpt"
+    save_encoder(ckpt, TrainResult(encoder.state(), encoder.config, [], -1, 0.0,
+                                   {"representation": "angle"}))
+    header_line, payload = ckpt.read_bytes().split(b"\n", 1)
+    header = mutate(json.loads(header_line))
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, checkpoint=ckpt))
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "bad"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith("CorruptCheckpoint: ")
+
+
+def test_reused_run_id_is_refused(small_corpus, tmp_path):
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=5))
+    argv = ["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "same"]
+    assert main(argv) == 0
+    report = (tmp_path / "same" / "report.json").read_bytes()
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=7))
+    assert main(argv) == 1
+    assert (tmp_path / "same" / "report.json").read_bytes() == report

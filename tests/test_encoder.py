@@ -79,6 +79,22 @@ def test_backbone_forward_matches_eval_path():
     assert np.allclose(manual, enc.forward(x, train=False), atol=1e-12)
 
 
+def test_eval_forward_rows_independent_of_batch():
+    # evaluation and the training monitor embed the union of their episodes'
+    # rows once, so a row's eval embedding must not depend on its batch
+    enc = MLPEncoder(EncoderConfig(input_dim=20), seed=13)
+    enc.forward(np.random.default_rng(5).normal(size=(16, 20)), train=True, rng=make_rng(6))
+    x = np.random.default_rng(6).normal(size=(600, 20))
+    full = enc.forward(x, train=False)
+    feats = enc.backbone_forward(x)
+    rng = np.random.default_rng(7)
+    for size in (2, 3, 5, 16, 75, 100, 240, 599):
+        rows = rng.choice(len(x), size=size, replace=False)
+        assert np.array_equal(enc.forward(x[rows], train=False), full[rows]), size
+        assert np.array_equal(enc.backbone_forward(x[rows]), feats[rows]), size
+        assert np.array_equal(enc.head.forward(feats[rows], train=False), full[rows]), size
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         enc = MLPEncoder(EncoderConfig(input_dim=20), seed=10)

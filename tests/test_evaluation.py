@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from geomshot.dataio import eligible_classes
 from geomshot.episodes import EpisodeSpec, sample_episode
 from geomshot.errors import DegenerateProblem, InsufficientClasses
 from geomshot.evaluation import (
+    EvalReport,
     EvalSpec,
     ci95_halfwidth,
     episode_linear_baseline,
@@ -18,6 +20,8 @@ from geomshot.evaluation import (
     write_csv_table,
 )
 from geomshot.features import FeaturePool
+from geomshot.fewshot import classify, compute_prototypes
+from geomshot.nnet import MLPEncoder
 from test_pipeline import gaussian_pool, tiny_cfg, tiny_encoder_cfg
 
 
@@ -89,6 +93,66 @@ class TestEvaluate:
         np.random.default_rng(0).shuffle(shuffled)
         assert float(np.mean(shuffled)) == pytest.approx(report.mean_accuracy)
         assert ci95_halfwidth(shuffled) == pytest.approx(report.ci95_halfwidth)
+
+
+def reference_protocol(embed, predict, fp, spec, echo):
+    """Per-episode reference: re-embed each episode's support and query rows."""
+    pool = {c: fp.pool[c] for c in eligible_classes(fp.pool, spec.k_shot, spec.q_query)}
+    accuracies, correct, total, confusion = [], {}, {}, {}
+    for i in range(spec.episodes):
+        ep = sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
+        emb_s, emb_q = embed(fp.X[ep.support_items]), embed(fp.X[ep.query_items])
+        pred = predict(emb_s, ep.support_labels, emb_q, spec.n_way)
+        originals = ep.original_classes
+        for true_rel, pred_rel in zip(ep.query_labels, pred):
+            t, p = originals[int(true_rel)], originals[int(pred_rel)]
+            correct[t] = correct.get(t, 0) + int(t == p)
+            total[t] = total.get(t, 0) + 1
+            confusion[(t, p)] = confusion.get((t, p), 0) + 1
+        accuracies.append(float((pred == ep.query_labels).mean()))
+    config = {"n_way": spec.n_way, "k_shot": spec.k_shot, "q_query": spec.q_query,
+              "episodes": spec.episodes, "base_seed": spec.base_seed,
+              "representation": fp.representation, "normalize": fp.normalize, **echo}
+    per_class = {c: correct[c] / n for c, n in total.items()}
+    return EvalReport(accuracies, float(np.mean(accuracies)), ci95_halfwidth(accuracies),
+                      per_class, confusion, config)
+
+
+class TestEmbedOnceMatchesPerEpisodeEmbedding:
+    """Embedding each touched row once gives the per-episode loop's report, byte for byte."""
+
+    def setup_method(self):
+        self.fp = noise_pool(dim=20, seed=8)
+        self.fp.pool[4] = self.fp.pool[4][:6]  # one class too small to be eligible
+        self.encoder = MLPEncoder(tiny_encoder_cfg(), seed=5)
+        x = np.random.default_rng(9).normal(size=(32, 20))
+        self.encoder.forward(x, train=True, rng=np.random.default_rng(10))
+        self.spec = EvalSpec(5, 3, 5, 60, 17)
+
+    def embed(self, x):
+        return self.encoder.forward(x, train=False)
+
+    def proto(self, emb_s, labels_s, emb_q, n_way):
+        return classify(emb_q, compute_prototypes(emb_s, labels_s, n_way))
+
+    def test_encoder(self):
+        expected = reference_protocol(self.embed, self.proto, self.fp, self.spec, {"encoder": "mlp"})
+        assert evaluate(self.encoder, self.fp, self.spec).to_json() == expected.to_json()
+
+    def test_input_space(self):
+        expected = reference_protocol(lambda x: x, self.proto, self.fp, self.spec, {"encoder": "none"})
+        assert evaluate(None, self.fp, self.spec).to_json() == expected.to_json()
+
+    def test_episode_linear(self):
+        def linear(emb_s, labels_s, emb_q, n_way):
+            W, b = fit_softmax_regression(emb_s, labels_s, n_way, iters=40)
+            return (emb_q @ W + b).argmax(axis=1)
+
+        spec = EvalSpec(5, 1, 4, 15, 3)
+        echo = {"encoder": "mlp", "classifier": "episode_linear"}
+        expected = reference_protocol(self.embed, linear, self.fp, spec, echo)
+        report = episode_linear_baseline(self.encoder, self.fp, spec, iters=40)
+        assert report.to_json() == expected.to_json()
 
 
 class TestCI:
