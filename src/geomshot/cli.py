@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from .dataio import build_catalog, load_split, save_split, split_pool, stratifie
 from .errors import ConfigMismatch, GeomshotError, InvalidConfig
 from .evaluation import (
     EvalReport,
-    EvalSpec,
     ablation_normalization,
     episode_linear_baseline,
     evaluate,
@@ -52,12 +53,17 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 class RunContext:
-    """Owns the run directory and the manifest."""
+    """Owns the run directory and the manifest.
+
+    Used as a context manager: however the block ends, ``manifest.json`` is
+    written with ``status`` "ok", or "failed" plus the ``error`` that ended
+    the run. The default run id is ``<command>-<microsecond stamp>-<pid>``.
+    """
 
     def __init__(self, command: str, out: str, run_id: str | None, config_path=None, config=None, seed=None):
         self.command = command
-        stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
-        self.run_id = run_id or f"{command}-{stamp}"
+        stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
+        self.run_id = run_id or f"{command}-{stamp}-{os.getpid()}"
         self.dir = Path(out) / self.run_id
         self.dir.mkdir(parents=True)
         self.manifest = {
@@ -76,8 +82,14 @@ class RunContext:
         d.mkdir(exist_ok=True)
         return d
 
-    def finish(self) -> None:
+    def __enter__(self) -> "RunContext":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.manifest["finished_at"] = _now()
+        self.manifest["status"] = "ok" if exc is None else "failed"
+        if exc is not None:
+            self.manifest["error"] = f"{exc_type.__name__}: {exc}"
         _write_json(self.dir / "manifest.json", self.manifest)
 
 
@@ -122,10 +134,6 @@ def _load_checkpoint_encoder(path, data: cfgmod.DataConfig, feature_dim: int):
             f"checkpoint input_dim {encoder.config.input_dim} != feature dim {feature_dim}"
         )
     return encoder, meta
-
-
-def _eval_spec(doc: dict) -> EvalSpec:
-    return EvalSpec(**cfgmod.parse_eval(doc))
 
 
 def _report_csv_row(report, dataset: str, mode: str) -> dict:
@@ -176,6 +184,12 @@ def cmd_split(args) -> int:
     return 0
 
 
+def _write_train_log(path: Path, log: list[dict]) -> None:
+    with open(path, "w") as f:
+        for record in log:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def _train_like(args, command: str) -> int:
     doc = cfgmod.load_config(args.config, {"data", "encoder", "train", "source"})
     data = cfgmod.parse_data(doc)
@@ -183,21 +197,18 @@ def _train_like(args, command: str) -> int:
     catalog, pools = _load_pools(data, ("train",))
     fp = pools["train"]
     encoder_cfg = cfgmod.parse_encoder(doc, fp.dim)
-    ctx = RunContext(command, args.out, args.run_id, args.config, doc, train_cfg.base_seed)
-    if command == "pretrain":
-        source = doc.get("source") or catalog.name
-        result = pretrain_source(fp, train_cfg, encoder_cfg, source)
-    else:
-        result = train_encoder(fp, train_cfg, encoder_cfg, tag={"dataset": catalog.name})
-    ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
-    save_encoder(ckpt, result)
-    with open(ctx.dir / "train_log.jsonl", "w") as f:
-        for record in result.log:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-    ctx.manifest["checkpoint"] = str(ckpt)
-    ctx.manifest["best_epoch"] = result.best_epoch
-    ctx.manifest["best_monitor_acc"] = result.best_monitor_acc
-    ctx.finish()
+    with RunContext(command, args.out, args.run_id, args.config, doc, train_cfg.base_seed) as ctx:
+        if command == "pretrain":
+            source = doc.get("source") or catalog.name
+            result = pretrain_source(fp, train_cfg, encoder_cfg, source)
+        else:
+            result = train_encoder(fp, train_cfg, encoder_cfg, tag={"dataset": catalog.name})
+        ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
+        save_encoder(ckpt, result)
+        _write_train_log(ctx.dir / "train_log.jsonl", result.log)
+        ctx.manifest["checkpoint"] = str(ckpt)
+        ctx.manifest["best_epoch"] = result.best_epoch
+        ctx.manifest["best_monitor_acc"] = result.best_monitor_acc
     logger.info("best monitor accuracy %.4f (epoch %d)", result.best_monitor_acc, result.best_epoch)
     return 0
 
@@ -221,24 +232,27 @@ def cmd_adapt(args) -> int:
     catalog, pools = _load_pools(data, ("train",))
     fp = pools["train"]
     encoder, meta = _load_checkpoint_encoder(ckpt_path, data, fp.dim)
-    ctx = RunContext("adapt", args.out, args.run_id, args.config, doc, train_cfg.base_seed)
-    result = run_adapt(encoder, fp, adapt_cfg, train_cfg, meta | {"adapted_on": catalog.name})
-    out_ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
-    save_encoder(out_ckpt, result)
-    if result.log:
-        with open(ctx.dir / "train_log.jsonl", "w") as f:
-            for record in result.log:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
-    ctx.manifest["checkpoint"] = str(out_ckpt)
-    ctx.manifest["mode"] = adapt_cfg.mode
-    ctx.finish()
+    with RunContext("adapt", args.out, args.run_id, args.config, doc, train_cfg.base_seed) as ctx:
+        result = run_adapt(encoder, fp, adapt_cfg, train_cfg, meta | {"adapted_on": catalog.name})
+        out_ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
+        save_encoder(out_ckpt, result)
+        if result.log:
+            _write_train_log(ctx.dir / "train_log.jsonl", result.log)
+        ctx.manifest["checkpoint"] = str(out_ckpt)
+        ctx.manifest["mode"] = adapt_cfg.mode
     return 0
+
+
+def _write_report(ctx: RunContext, report: EvalReport, dataset: str, mode: str) -> None:
+    (ctx.dir / "report.json").write_text(report.to_json())
+    write_csv_table(ctx.subdir("tables") / "summary.csv", [_report_csv_row(report, dataset, mode)])
+    ctx.manifest["mean_accuracy"] = report.mean_accuracy
 
 
 def cmd_eval(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval"})
     data = cfgmod.parse_data(doc)
-    spec = _eval_spec(doc)
+    spec = cfgmod.parse_eval(doc)
     catalog, pools = _load_pools(data, ("test",))
     fp = pools["test"]
     ckpt = doc.get("checkpoint")
@@ -248,12 +262,9 @@ def cmd_eval(args) -> int:
         echo["checkpoint_source"] = meta.get("source", meta.get("dataset", "unknown"))
     else:
         encoder = None
-    ctx = RunContext("eval", args.out, args.run_id, args.config, doc, spec.base_seed)
-    report = evaluate(encoder, fp, spec, echo)
-    (ctx.dir / "report.json").write_text(report.to_json())
-    write_csv_table(ctx.subdir("tables") / "summary.csv", [_report_csv_row(report, catalog.name, "within")])
-    ctx.manifest["mean_accuracy"] = report.mean_accuracy
-    ctx.finish()
+    with RunContext("eval", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
+        report = evaluate(encoder, fp, spec, echo)
+        _write_report(ctx, report, catalog.name, "within")
     logger.info("mean accuracy %.4f +/- %.4f", report.mean_accuracy, report.ci95_halfwidth)
     return 0
 
@@ -261,52 +272,44 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval"})
     data = cfgmod.parse_data(doc)
-    spec = _eval_spec(doc)
-    ctx = RunContext(f"baseline-{args.kind}", args.out, args.run_id, args.config, doc, spec.base_seed)
-    if args.kind == "full_data":
-        catalog, pools = _load_pools(data, ("train", "test"))
-        accuracy = full_data_linear(pools["train"], pools["test"])
-        _write_json(
-            ctx.dir / "report.json",
-            {
-                "schema_version": 1,
-                "baseline": "full_data",
-                "dataset": catalog.name,
-                "representation": data.representation,
-                "accuracy": accuracy,
-            },
-        )
-        ctx.manifest["accuracy"] = accuracy
-        ctx.finish()
-        logger.info("full-data linear accuracy %.4f", accuracy)
-        return 0
-    catalog, pools = _load_pools(data, ("test",))
+    spec = cfgmod.parse_eval(doc)
+    catalog, pools = _load_pools(data, ("train", "test") if args.kind == "full_data" else ("test",))
     fp = pools["test"]
-    echo = {"dataset": catalog.name, "baseline": args.kind}
-    if args.kind == "input_space":
-        report = input_space_baseline(fp, spec, echo)
-    else:  # episode_linear
+    if args.kind == "episode_linear":
         ckpt = doc.get("checkpoint")
         if not ckpt:
             raise InvalidConfig("episode_linear baseline needs a 'checkpoint' path")
         encoder, _ = _load_checkpoint_encoder(ckpt, data, fp.dim)
-        report = episode_linear_baseline(encoder, fp, spec, echo)
-    (ctx.dir / "report.json").write_text(report.to_json())
-    write_csv_table(
-        ctx.subdir("tables") / "summary.csv", [_report_csv_row(report, catalog.name, args.kind)]
-    )
-    ctx.manifest["mean_accuracy"] = report.mean_accuracy
-    ctx.finish()
+    with RunContext(f"baseline-{args.kind}", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
+        if args.kind == "full_data":
+            accuracy = full_data_linear(pools["train"], fp)
+            _write_json(
+                ctx.dir / "report.json",
+                {
+                    "schema_version": 1,
+                    "baseline": "full_data",
+                    "dataset": catalog.name,
+                    "representation": data.representation,
+                    "accuracy": accuracy,
+                },
+            )
+            ctx.manifest["accuracy"] = accuracy
+            logger.info("full-data linear accuracy %.4f", accuracy)
+            return 0
+        echo = {"dataset": catalog.name, "baseline": args.kind}
+        if args.kind == "input_space":
+            report = input_space_baseline(fp, spec, echo)
+        else:  # episode_linear
+            report = episode_linear_baseline(encoder, fp, spec, echo)
+        _write_report(ctx, report, catalog.name, args.kind)
     return 0
 
 
 def cmd_ablate(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "eval", "ablate"})
     data = cfgmod.parse_data(doc)
-    spec = _eval_spec(doc)
-    section = doc.get("ablate", {}) or {}
-    cfgmod._check_keys(section, {"k_values"}, "ablate")
-    ks = tuple(section.get("k_values", [1, 3, 5]))
+    spec = cfgmod.parse_eval(doc)
+    ks = cfgmod.parse_ablate(doc)
     catalog = build_catalog(data.data_root)
     split = load_split(data.split, catalog)
     samples = split_pool(catalog, split, "test")
@@ -314,22 +317,21 @@ def cmd_ablate(args) -> int:
     def build_pool(representation, normalize):
         return build_feature_pool(samples, catalog.root, representation, normalize)
 
-    ctx = RunContext("ablate", args.out, args.run_id, args.config, doc, spec.base_seed)
-    rows = ablation_normalization(build_pool, ks, spec)
-    _write_json(ctx.dir / "report.json", {"schema_version": 1, "dataset": catalog.name, "rows": rows})
-    write_csv_table(
-        ctx.subdir("tables") / "ablation.csv",
-        rows,
-        ["setting", "label", "representation", "normalize", "K", "mean", "ci95"],
-    )
-    ctx.finish()
+    with RunContext("ablate", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
+        rows = ablation_normalization(build_pool, ks, spec)
+        _write_json(ctx.dir / "report.json", {"schema_version": 1, "dataset": catalog.name, "rows": rows})
+        write_csv_table(
+            ctx.subdir("tables") / "ablation.csv",
+            rows,
+            ["setting", "label", "representation", "normalize", "K", "mean", "ci95"],
+        )
     return 0
 
 
 def cmd_multiseed(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval", "seeds"})
     data = cfgmod.parse_data(doc)
-    base_spec = _eval_spec(doc)
+    base_spec = cfgmod.parse_eval(doc)
     seeds = tuple(doc.get("seeds", [42, 1337, 2024]))
     catalog, pools = _load_pools(data, ("test",))
     fp = pools["test"]
@@ -337,26 +339,24 @@ def cmd_multiseed(args) -> int:
     encoder = _load_checkpoint_encoder(ckpt, data, fp.dim)[0] if ckpt else None
 
     def run_fn(seed):
-        spec = EvalSpec(base_spec.n_way, base_spec.k_shot, base_spec.q_query, base_spec.episodes, seed)
-        return evaluate(encoder, fp, spec, {"dataset": catalog.name})
+        return evaluate(encoder, fp, replace(base_spec, base_seed=seed), {"dataset": catalog.name})
 
-    ctx = RunContext("multiseed", args.out, args.run_id, args.config, doc, seeds[0])
-    aggregate = multi_seed(run_fn, seeds)
-    _write_json(ctx.dir / "report.json", {"schema_version": 1, "dataset": catalog.name, **aggregate})
-    rows = [
-        {
-            "dataset": catalog.name,
-            "repr": data.representation,
-            "encoder": "mlp" if encoder else "none",
-            "mode": f"seed={s}",
-            "K": base_spec.k_shot,
-            "mean": aggregate["per_seed_mean"][str(s)],
-            "ci95": "",
-        }
-        for s in seeds
-    ]
-    write_csv_table(ctx.subdir("tables") / "multiseed.csv", rows)
-    ctx.finish()
+    with RunContext("multiseed", args.out, args.run_id, args.config, doc, seeds[0]) as ctx:
+        aggregate = multi_seed(run_fn, seeds)
+        _write_json(ctx.dir / "report.json", {"schema_version": 1, "dataset": catalog.name, **aggregate})
+        rows = [
+            {
+                "dataset": catalog.name,
+                "repr": data.representation,
+                "encoder": "mlp" if encoder else "none",
+                "mode": f"seed={s}",
+                "K": base_spec.k_shot,
+                "mean": aggregate["per_seed_mean"][str(s)],
+                "ci95": "",
+            }
+            for s in seeds
+        ]
+        write_csv_table(ctx.subdir("tables") / "multiseed.csv", rows)
     return 0
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import yaml
 
 from .errors import InvalidConfig
+from .evaluation import EvalSpec
 from .geometry import REPRESENTATIONS
 from .nnet import EncoderConfig
 from .pipeline import AdaptConfig, TrainConfig
@@ -28,6 +29,7 @@ _TRAIN_KEYS = {
 _ENCODER_KEYS = {"hidden_dim", "num_hidden", "embed_dim", "dropout_p"}
 _EVAL_KEYS = {"n_way", "k_shot", "q_query", "episodes", "base_seed"}
 _ADAPT_KEYS = {"mode", "max_epochs", "learning_rate", "patience"}
+_ABLATE_KEYS = {"k_values"}
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -90,10 +92,17 @@ def parse_encoder(doc: dict, input_dim: int) -> EncoderConfig:
     return EncoderConfig(input_dim=input_dim, **section)
 
 
-def parse_eval(doc: dict) -> dict:
+def parse_eval(doc: dict) -> EvalSpec:
     section = doc.get("eval", {}) or {}
     _check_keys(section, _EVAL_KEYS, "eval")
-    return dict(section)
+    return EvalSpec(**section)
+
+
+def parse_ablate(doc: dict) -> tuple[int, ...]:
+    """The K values of the ablation table; defaults to (1, 3, 5)."""
+    section = doc.get("ablate", {}) or {}
+    _check_keys(section, _ABLATE_KEYS, "ablate")
+    return tuple(section.get("k_values", [1, 3, 5]))
 
 
 def parse_adapt(doc: dict) -> AdaptConfig:

@@ -2,22 +2,19 @@
 
 The protocol draws all of its seeded episodes first, embeds every row
 they touch once (one eval-mode forward over the union of their support
-and query rows), then scores each episode by indexing into those
-embeddings. The input-space path scores on the feature matrix itself.
-Episodes are scored across a thread pool (capped by the GEOMSHOT_THREADS
-environment variable); results are aggregated in episode index order, so
-the report is identical for any worker count. Report JSON is emitted
-with sorted keys and no timestamps, making back-to-back runs
-byte-identical.
+and query rows), then scores the episodes serially, in index order, by
+indexing into those embeddings. The input-space path scores on the
+feature matrix itself. The per-episode softmax-regression baseline fits
+all episodes' probes in one stacked solve over their support rows.
+Report JSON is emitted with sorted keys and no timestamps, making
+back-to-back runs byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -93,15 +90,17 @@ def ci95_halfwidth(values: list[float]) -> float:
 
 
 def worker_count() -> int:
-    env = os.environ.get("GEOMSHOT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Always 1, as episodes are scored serially; exists only for ``perfbench/run.py``'s provenance."""
+    return 1
 
 
-def proto_predict(emb_s, labels_s, emb_q, n_way):
-    protos = compute_prototypes(emb_s, labels_s, n_way)
-    return classify(emb_q, protos)
+def proto_predict(emb: np.ndarray, episodes: list[Episode]) -> list[np.ndarray]:
+    """Nearest-prototype predictions for each episode's queries, from row embeddings."""
+    preds = []
+    for ep in episodes:
+        protos = compute_prototypes(emb[ep.support_items], ep.support_labels, len(ep.class_map))
+        preds.append(classify(emb[ep.query_items], protos))
+    return preds
 
 
 def episode_rows(episodes: list[Episode]) -> np.ndarray:
@@ -122,27 +121,17 @@ def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return emb
 
 
-def predict_episode(emb: np.ndarray, ep: Episode, predict_fn) -> np.ndarray:
-    """Relabelled predictions for the episode's queries, scored on row embeddings."""
-    return predict_fn(emb[ep.support_items], ep.support_labels, emb[ep.query_items], len(ep.class_map))
-
-
 def _run_protocol(
-    encoder: MLPEncoder | None, predict_fn, fp: FeaturePool, spec: EvalSpec, config_echo: dict
+    encoder: MLPEncoder | None, predict, fp: FeaturePool, spec: EvalSpec, config_echo: dict
 ) -> EvalReport:
+    """Score ``predict(emb, episodes)``, one relabelled prediction array per episode."""
     pool = eligible_pool(fp.pool, spec.k_shot, spec.q_query, spec.n_way)
     episodes = [
         sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
         for i in range(spec.episodes)
     ]
     emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
-    task = lambda ep: predict_episode(emb, ep, predict_fn)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            preds = list(ex.map(task, episodes))
-    else:
-        preds = [task(ep) for ep in episodes]
+    preds = predict(emb, episodes)
 
     accuracies = []
     class_correct: dict[int, int] = {}
@@ -158,16 +147,7 @@ def _run_protocol(
             confusion[(t, p)] = confusion.get((t, p), 0) + 1
     per_class_acc = {c: class_correct[c] / t for c, t in sorted(class_total.items())}
     mean = float(np.mean(accuracies))
-    config = {
-        "n_way": spec.n_way,
-        "k_shot": spec.k_shot,
-        "q_query": spec.q_query,
-        "episodes": spec.episodes,
-        "base_seed": spec.base_seed,
-        "representation": fp.representation,
-        "normalize": fp.normalize,
-    }
-    config.update(config_echo)
+    config = {**asdict(spec), "representation": fp.representation, "normalize": fp.normalize, **config_echo}
     return EvalReport(accuracies, mean, ci95_halfwidth(accuracies), per_class_acc, confusion, config)
 
 
@@ -203,23 +183,26 @@ def fit_softmax_regression(
     """Full-batch gradient descent from zero init on the softmax CE loss.
 
     Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias unpenalized).
-    Fixed iteration count keeps the fit deterministic.
+    Fixed iteration count keeps the fit deterministic. Leading batch
+    dimensions fit independent problems in one solve: X ``(..., n, d)``
+    and y ``(..., n)`` give W ``(..., d, c)`` and b ``(..., c)``, each
+    slice bit-identical to fitting that slice alone.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    n = X.shape[0]
-    W = np.zeros((X.shape[1], n_classes))
-    b = np.zeros(n_classes)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+    n, d = X.shape[-2:]
+    W = np.zeros(X.shape[:-2] + (d, n_classes))
+    b = np.zeros(X.shape[:-2] + (n_classes,))
+    onehot = (y[..., None] == np.arange(n_classes)).astype(np.float64)
+    Xt = X.swapaxes(-1, -2)
     for _ in range(iters):
-        logits = X @ W + b
-        logits -= logits.max(axis=1, keepdims=True)
+        logits = X @ W + b[..., None, :]
+        logits -= logits.max(axis=-1, keepdims=True)
         p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= p.sum(axis=-1, keepdims=True)
         g = (p - onehot) / n
-        W -= lr * (X.T @ g + l2 * W)
-        b -= lr * g.sum(axis=0)
+        W -= lr * (Xt @ g + l2 * W)
+        b -= lr * g.sum(axis=-2)
     return W, b
 
 
@@ -236,11 +219,17 @@ def episode_linear_baseline(
     lr: float = 0.1,
     l2: float = 1e-3,
 ) -> EvalReport:
-    """Per-episode softmax regression fitted on the support embeddings."""
+    """Per-episode softmax regression fitted on the support embeddings.
 
-    def predict(emb_s, labels_s, emb_q, n_way):
-        W, b = fit_softmax_regression(emb_s, labels_s, n_way, iters=iters, lr=lr, l2=l2)
-        return _linear_predict(W, b, emb_q)
+    All episodes' probes are fitted in one stacked solve; each episode's
+    queries are then scored with its own weights.
+    """
+
+    def predict(emb, episodes):
+        X = np.stack([emb[ep.support_items] for ep in episodes])
+        y = np.stack([ep.support_labels for ep in episodes])
+        W, b = fit_softmax_regression(X, y, spec.n_way, iters=iters, lr=lr, l2=l2)
+        return [_linear_predict(W[e], b[e], emb[ep.query_items]) for e, ep in enumerate(episodes)]
 
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "mlp")
@@ -283,7 +272,7 @@ def ablation_normalization(
     for key, label, representation, normalize in ABLATION_SETTINGS:
         fp = build_pool(representation, normalize)
         for k in ks:
-            k_spec = EvalSpec(base.n_way, k, base.q_query, base.episodes, base.base_seed)
+            k_spec = replace(base, k_shot=k)
             report = input_space_baseline(fp, k_spec, {"ablation_setting": key})
             rows.append(
                 {

@@ -248,22 +248,30 @@ def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
     )
 
 
-def random_transform(
-    rng_seed: int,
+def sample_similarity(
+    rng: np.random.Generator,
     scale_range: tuple[float, float] = (0.1, 10.0),
     translate_max: float = 10.0,
 ) -> SimilarityTransform:
-    """Deterministic random similarity transform for a given seed.
+    """Random similarity transform drawn from ``rng``.
 
     Rotation is uniform over SO(3) (normalized quaternion from 4 standard
     normals), scale is log-uniform over ``scale_range`` and translation is
     uniform in the cube [-translate_max, translate_max]^3. Draw order is
     fixed: quaternion, scale, translation.
     """
-    rng = make_rng(rng_seed)
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     lo, hi = scale_range
     scale = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     translation = rng.uniform(-translate_max, translate_max, size=3)
     return SimilarityTransform(rotation_from_quaternion(q), scale, translation)
+
+
+def random_transform(
+    rng_seed: int,
+    scale_range: tuple[float, float] = (0.1, 10.0),
+    translate_max: float = 10.0,
+) -> SimilarityTransform:
+    """Deterministic ``sample_similarity`` for a given seed."""
+    return sample_similarity(make_rng(rng_seed), scale_range, translate_max)

@@ -25,7 +25,7 @@ import numpy as np
 from .dataio import eligible_pool
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigMismatch, CorruptCheckpoint
-from .evaluation import embed_rows, episode_rows, predict_episode, proto_predict
+from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
 from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
 from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
@@ -82,13 +82,9 @@ class TrainResult:
 
 
 def _monitor_accuracy(model, X: np.ndarray, episodes: list[Episode], rows: np.ndarray) -> float:
-    emb = embed_rows(model, X, rows)
-    correct = 0
-    total = 0
-    for ep in episodes:
-        pred = predict_episode(emb, ep, proto_predict)
-        correct += int((pred == ep.query_labels).sum())
-        total += len(ep.query_labels)
+    preds = proto_predict(embed_rows(model, X, rows), episodes)
+    correct = sum(int((pred == ep.query_labels).sum()) for pred, ep in zip(preds, episodes))
+    total = sum(len(ep.query_labels) for ep in episodes)
     return correct / total
 
 
@@ -281,6 +277,11 @@ def load_encoder(path) -> tuple[MLPEncoder, dict]:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
+    if len(tensors) != 6 * cfg.num_hidden + 2:  # before tensor_names() lists num_hidden layers
+        raise CorruptCheckpoint(
+            f"{path}: {len(tensors)} tensors for num_hidden {cfg.num_hidden} "
+            f"(expected {6 * cfg.num_hidden + 2})"
+        )
     expected = set(cfg.tensor_names())
     if set(tensors) != expected:
         raise CorruptCheckpoint(

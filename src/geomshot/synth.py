@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CHAIN_BASES, NUM_KEYPOINTS, SimilarityTransform, apply_transform, rotation_from_quaternion
+from .geometry import CHAIN_BASES, NUM_KEYPOINTS, apply_transform, sample_similarity
 from .npyio import write_keypoints
 from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, make_rng
 
@@ -86,15 +86,6 @@ def build_hand(params: np.ndarray, lengths: tuple[float, ...] = LINK_LENGTHS) ->
     return points
 
 
-def _random_similarity(rng: np.random.Generator, scale_range, translate_max) -> SimilarityTransform:
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    lo, hi = scale_range
-    scale = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    translation = rng.uniform(-translate_max, translate_max, size=3)
-    return SimilarityTransform(rotation_from_quaternion(q), scale, translation)
-
-
 def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int, sample_idx: int) -> np.ndarray:
     """One noisy (optionally transformed) realization of a class."""
     rng = make_rng(STREAM_SYNTH_SAMPLE, spec.seed, class_id, sample_idx)
@@ -104,7 +95,7 @@ def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int, sample_idx: 
     noisy[15:] = np.clip(noisy[15:], 0.02, 0.7)
     hand = build_hand(noisy)
     if spec.transforms:
-        hand = apply_transform(hand, _random_similarity(rng, spec.scale_range, spec.translate_max))
+        hand = apply_transform(hand, sample_similarity(rng, spec.scale_range, spec.translate_max))
     return hand
 
 

@@ -193,6 +193,14 @@ def test_unknown_config_key_rejected(small_corpus, tmp_path):
     assert main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+def test_unknown_ablate_key_rejected(small_corpus, tmp_path):
+    doc = eval_doc(small_corpus)
+    doc["ablate"] = {"k_value": [1]}
+    cfg = write_yaml(tmp_path / "bad.yaml", doc)
+    assert main(["ablate", "--config", cfg, "--out", str(tmp_path), "--run-id", "ab"]) == 1
+    assert not (tmp_path / "ab").exists()
+
+
 def test_synth_command_deterministic(tmp_path):
     args = ["synth", "--classes", "3", "--per-class", "4", "--seed", "5", "--noise", "0.02"]
     assert main(args + ["--out", str(tmp_path / "c1")]) == 0
@@ -218,19 +226,30 @@ def _negative_byte_offset(header):
     return header
 
 
-@pytest.mark.parametrize(
-    "mutate", [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset],
-    ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
-         "negative-byte-offset"],
-)
-def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
+def _huge_num_hidden(header):
+    header["meta"]["encoder"]["num_hidden"] = 10**12
+    return header
+
+
+def save_random_encoder(ckpt):
+    """An untrained angle-representation encoder checkpoint at ``ckpt``."""
     from geomshot.nnet import EncoderConfig, MLPEncoder
     from geomshot.pipeline import TrainResult, save_encoder
 
     encoder = MLPEncoder(EncoderConfig(input_dim=20, hidden_dim=32, embed_dim=16), seed=0)
-    ckpt = tmp_path / "encoder.ckpt"
     save_encoder(ckpt, TrainResult(encoder.state(), encoder.config, [], -1, 0.0,
                                    {"representation": "angle"}))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset, _huge_num_hidden],
+    ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
+         "negative-byte-offset", "huge-num-hidden"],
+)
+def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
+    ckpt = tmp_path / "encoder.ckpt"
+    save_random_encoder(ckpt)
     header_line, payload = ckpt.read_bytes().split(b"\n", 1)
     header = mutate(json.loads(header_line))
     ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
@@ -250,3 +269,39 @@ def test_reused_run_id_is_refused(small_corpus, tmp_path):
     cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=7))
     assert main(argv) == 1
     assert (tmp_path / "same" / "report.json").read_bytes() == report
+
+
+def test_input_error_leaves_no_run_dir_and_the_run_id_stays_free(small_corpus, tmp_path):
+    ckpt = tmp_path / "encoder.ckpt"
+    cfg = write_yaml(tmp_path / "lin.yaml", eval_doc(small_corpus, episodes=5, checkpoint=ckpt))
+    argv = ["baseline", "--kind", "episode_linear", "--config", cfg, "--out", str(tmp_path / "runs"),
+            "--run-id", "b1"]
+    assert main(argv) == 1  # the checkpoint does not exist yet
+    assert not (tmp_path / "runs" / "b1").exists()
+    save_random_encoder(ckpt)
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "runs" / "b1" / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and "error" not in manifest
+
+
+def test_run_that_fails_after_start_writes_a_failed_manifest(small_corpus, tmp_path):
+    doc = eval_doc(small_corpus, episodes=5)
+    doc["eval"]["n_way"] = 7  # the corpus has 6 classes
+    cfg = write_yaml(tmp_path / "eval.yaml", doc)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "f1"]) == 1
+    manifest = json.loads((tmp_path / "f1" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"].startswith("InsufficientClasses: ")
+    assert not (tmp_path / "f1" / "report.json").exists()
+
+
+def test_back_to_back_default_run_ids_do_not_collide(small_corpus, tmp_path):
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=3))
+    out = tmp_path / "runs"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    runs = sorted(out.iterdir())
+    assert len(runs) == 2
+    for run in runs:
+        assert run.name.startswith("eval-")
+        assert json.loads((run / "manifest.json").read_text())["status"] == "ok"
