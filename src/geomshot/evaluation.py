@@ -44,6 +44,10 @@ class EvalSpec:
     episodes: int = 600
     base_seed: int = 42
 
+    def __post_init__(self):
+        if min(self.n_way, self.k_shot, self.q_query, self.episodes) < 1:
+            raise ValueError("eval way/shot/query/episode counts must be positive")
+
 
 @dataclass
 class EvalReport:

@@ -1,4 +1,4 @@
-from .layers import BatchNorm1d, Dropout, Linear, ParamTensor, ReLU
+from .layers import BatchNorm1d, Dropout, Linear, ParamBuffer, ParamTensor, ReLU
 from .encoder import EncoderConfig, MLPEncoder
 from .optim import AdamW, clip_global_norm, cosine_lr, global_grad_norm
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -12,6 +12,7 @@ __all__ = [
     "GradCheckReport",
     "Linear",
     "MLPEncoder",
+    "ParamBuffer",
     "ParamTensor",
     "ReLU",
     "clip_global_norm",

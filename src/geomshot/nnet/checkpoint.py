@@ -4,12 +4,13 @@ Layout: the first line of the file is a compact JSON document
 ``{"format": "geomshot-checkpoint", "version": 1, "meta": {...},
 "tensors": [{"name", "dtype", "shape", "byte_offset"}, ...]}``
 terminated by a newline; the rest of the file is the concatenation of the
-tensors' raw little-endian float64 bytes at the stated offsets. Loading
-reproduces values bit-exactly.
+tensors' raw little-endian float64 bytes in header order, each at its
+stated offset. Loading reproduces values bit-exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -23,28 +24,16 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path, tensors: list[tuple[str, np.ndarray]], meta: dict) -> None:
-    entries = []
-    blobs = []
-    offset = 0
-    for name, arr in tensors:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append(
-            {"name": name, "dtype": "<f8", "shape": list(arr.shape), "byte_offset": offset}
-        )
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "meta": meta,
-        "tensors": entries,
-    }
+    arrays = [np.ascontiguousarray(arr, dtype="<f8") for _, arr in tensors]
+    offsets = itertools.accumulate((a.nbytes for a in arrays), initial=0)
+    entries = [
+        {"name": name, "dtype": "<f8", "shape": list(a.shape), "byte_offset": offset}
+        for (name, _), a, offset in zip(tensors, arrays, offsets)
+    ]
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": meta, "tensors": entries}
     with open(Path(path), "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for blob in blobs:
-            f.write(blob)
+        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        f.writelines(a.tobytes() for a in arrays)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -55,7 +44,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         blob = f.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, an overlong int, deep nesting
         raise CorruptCheckpoint(f"{path}: bad header ({e})") from e
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CorruptCheckpoint(f"{path}: not a {FORMAT_NAME} file")
@@ -65,29 +54,26 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     entries = header.get("tensors", [])
     if not isinstance(meta, dict) or not isinstance(entries, list):
         raise CorruptCheckpoint(f"{path}: meta must be an object and tensors a list")
-    tensors: dict[str, np.ndarray] = {}
-    expected_end = 0
+    # The tensors must tile the payload: each starts where the previous one ends.
+    spans: dict[str, tuple[int, list[int]]] = {}
+    offset = 0
     for entry in entries:
         try:
-            name, dtype = entry["name"], entry["dtype"]
-            shape = tuple(int(d) for d in entry["shape"])
-            start = int(entry["byte_offset"])
-        except (KeyError, TypeError, ValueError) as e:
+            name, dtype, shape, start = (entry[k] for k in ("name", "dtype", "shape", "byte_offset"))
+        except (KeyError, TypeError) as e:
             raise CorruptCheckpoint(f"{path}: malformed tensor entry ({e!r})") from e
-        if dtype != "<f8":
-            raise CorruptCheckpoint(f"{path}: tensor {name} has dtype {dtype}")
-        if start < 0 or any(d < 0 for d in shape):
-            raise CorruptCheckpoint(f"{path}: tensor {name} has a negative offset or shape")
-        end = start + math.prod(shape) * 8
-        if end > len(blob):
-            raise CorruptCheckpoint(
-                f"{path}: tensor {name} needs bytes [{start}, {end}) "
-                f"but payload has {len(blob)}"
-            )
-        tensors[name] = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
-        expected_end = max(expected_end, end)
-    if expected_end != len(blob):
-        raise CorruptCheckpoint(
-            f"{path}: payload has {len(blob)} bytes, header accounts for {expected_end}"
-        )
+        if not isinstance(name, str) or name in spans:
+            raise CorruptCheckpoint(f"{path}: tensor name {name!r} is not a new string")
+        dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+        if dtype != "<f8" or not dims_ok or type(start) is not int or start != offset:
+            raise CorruptCheckpoint(f"{path}: tensor {name} needs dtype <f8, int dims and offset {offset}")
+        spans[name] = (start, shape)
+        offset += math.prod(shape) * 8
+    if offset != len(blob):
+        raise CorruptCheckpoint(f"{path}: payload has {len(blob)} bytes, header accounts for {offset}")
+    flat = np.frombuffer(blob, dtype="<f8").copy()
+    tensors = {
+        name: flat[start // 8:start // 8 + math.prod(shape)].reshape(shape)
+        for name, (start, shape) in spans.items()
+    }
     return meta, tensors

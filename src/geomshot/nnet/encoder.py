@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import CacheError, ShapeError
 from ..rng import STREAM_INIT, make_rng
-from .layers import BatchNorm1d, Dropout, Linear, ParamTensor, ReLU
+from .layers import BatchNorm1d, Dropout, Linear, ParamBuffer, ParamTensor, ReLU
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,8 @@ class EncoderConfig:
             raise ValueError("dropout_p must be in [0, 1)")
 
     def param_count(self) -> int:
-        dims = [self.input_dim] + [self.hidden_dim] * self.num_hidden
-        total = 0
-        for a, b in zip(dims[:-1], dims[1:]):
-            total += a * b + b  # linear
-            total += 2 * b  # batchnorm gamma + beta
-        total += self.hidden_dim * self.embed_dim + self.embed_dim  # head
-        return total
+        h = self.hidden_dim
+        return (self.input_dim + 3) * h + (self.num_hidden - 1) * (h + 3) * h + (h + 1) * self.embed_dim
 
     def tensor_names(self) -> list[str]:
         """Every checkpointed tensor: trainable params plus running stats."""
@@ -73,52 +68,41 @@ class MLPEncoder:
             in_dim = config.hidden_dim
         self.head = Linear(in_dim, config.embed_dim, "head", rng)
         self.layers.append(self.head)
+        # Packed after every layer has drawn its init, in layer order, so the
+        # head's tensors come last and head-only training is a tail slice.
+        self.flat = ParamBuffer([p for layer in self.layers for p in layer.parameters()])
         self._train_forward = False
 
     # -- parameter access -------------------------------------------------
 
     def parameters(self) -> list[ParamTensor]:
-        params = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
+        return list(self.flat.params)
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
-        bufs = []
-        for layer in self.layers:
-            bufs.extend(layer.buffers())
-        return bufs
+        return [buf for layer in self.layers for buf in layer.buffers()]
 
-    def head_parameters(self) -> list[ParamTensor]:
-        return self.head.parameters()
+    def head_parameters(self) -> ParamBuffer:
+        return self.flat.tail(2)
 
     def param_count(self) -> int:
-        return sum(p.values.size for p in self.parameters())
+        return self.flat.values.size
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.flat.grad.fill(0.0)
 
     def state(self) -> dict[str, np.ndarray]:
-        out = {p.name: p.values.copy() for p in self.parameters()}
+        out = dict(zip([p.name for p in self.flat.params], self.flat.split(self.flat.values.copy())))
         out.update({name: buf.copy() for name, buf in self.buffers()})
         return out
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in state:
-                raise ShapeError(f"state is missing tensor {p.name}")
-            arr = np.asarray(state[p.name], dtype=np.float64)
-            if arr.shape != p.values.shape:
-                raise ShapeError(f"{p.name}: shape {arr.shape} != {p.values.shape}")
-            p.values[...] = arr
-        for name, buf in self.buffers():
+        for name, dst in [(p.name, p.values) for p in self.flat.params] + self.buffers():
             if name not in state:
-                raise ShapeError(f"state is missing buffer {name}")
+                raise ShapeError(f"state is missing tensor {name}")
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != buf.shape:
-                raise ShapeError(f"{name}: shape {arr.shape} != {buf.shape}")
-            buf[...] = arr
+            if arr.shape != dst.shape:
+                raise ShapeError(f"{name}: shape {arr.shape} != {dst.shape}")
+            dst[...] = arr
 
     # -- forward / backward ------------------------------------------------
 

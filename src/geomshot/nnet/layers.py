@@ -1,9 +1,8 @@
 """Dense layers with explicit forward/backward passes, float64 throughout.
 
 Layers cache activations only on train-mode forwards; eval-mode forwards
-are pure (and therefore safe to run concurrently on a frozen model).
-backward() consumes the cache, so calling it twice, or after an eval
-forward, raises CacheError.
+are pure. backward() consumes the cache, so calling it twice, or after an
+eval forward, raises CacheError.
 """
 
 from __future__ import annotations
@@ -30,6 +29,31 @@ class ParamTensor:
 
     def __repr__(self) -> str:
         return f"ParamTensor({self.name!r}, shape={self.values.shape})"
+
+
+class ParamBuffer:
+    """Tensors whose ``values``/``grad`` are rebound to reshaped views, in list
+    order, of one flat ``values`` and one flat ``grad`` array."""
+
+    def __init__(self, params: list[ParamTensor]):
+        self.params = list(params)
+        self.values = np.concatenate([p.values.ravel() for p in self.params])
+        self.grad = np.concatenate([p.grad.ravel() for p in self.params])
+        for p, values, grad in zip(self.params, self.split(self.values), self.split(self.grad)):
+            p.values, p.grad = values, grad
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a buffer-sized flat array, one per tensor, in the tensors' shapes."""
+        ends = np.cumsum([p.values.size for p in self.params])
+        return [flat[e - p.values.size:e].reshape(p.values.shape) for p, e in zip(self.params, ends)]
+
+    def tail(self, n: int) -> "ParamBuffer":
+        """The last ``n`` tensors, as a buffer over the same memory."""
+        tail = object.__new__(ParamBuffer)
+        tail.params = self.params[len(self.params) - n:]
+        start = self.values.size - sum(p.values.size for p in tail.params)
+        tail.values, tail.grad = self.values[start:], self.grad[start:]
+        return tail
 
 
 class Layer:

@@ -7,24 +7,26 @@ import math
 import numpy as np
 
 from ..errors import NonFiniteGradient
-from .layers import ParamTensor
+from .layers import ParamBuffer
 
 
-def global_grad_norm(params: list[ParamTensor]) -> float:
-    return math.sqrt(sum(float((p.grad**2).sum()) for p in params))
+def global_grad_norm(buffer: ParamBuffer) -> float:
+    # Per-tensor partial sums: one sum over the flat buffer can differ in the last bit.
+    return math.sqrt(sum(float((p.grad**2).sum()) for p in buffer.params))
 
 
-def clip_global_norm(params: list[ParamTensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+def clip_global_norm(buffer: ParamBuffer, max_norm: float, norm: float | None = None) -> float:
+    """Scale the buffer's gradient so its joint L2 norm is at most max_norm.
 
+    ``norm`` is that joint norm, when the caller has already computed it.
     Returns the factor applied (1.0 when no clipping was needed).
     """
-    norm = global_grad_norm(params)
+    if norm is None:
+        norm = global_grad_norm(buffer)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm
-    for p in params:
-        p.grad *= factor
+    buffer.grad *= factor
     return factor
 
 
@@ -36,55 +38,58 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a fixed parameter list.
+    """Decoupled-weight-decay Adam over one parameter buffer.
 
-    step() first verifies all gradients are finite (aborting without any
+    step() first verifies the gradient is finite (aborting without any
     mutation otherwise), clips the global gradient norm, applies the decay
-    p *= 1 - lr*wd, then the bias-corrected Adam update.
+    p *= 1 - lr*wd, then the bias-corrected Adam update, each as one pass
+    over the whole buffer.
     """
 
     def __init__(
         self,
-        params: list[ParamTensor],
+        buffer: ParamBuffer,
         lr: float = 1e-4,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 1e-4,
         clip_norm: float | None = 1.0,
     ):
-        self.params = list(params)
+        self.buffer = buffer
+        self.params = buffer.params
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.step_count = 0
-        self._m = {p.name: np.zeros_like(p.values) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.values) for p in self.params}
+        self._m, self._v, self._a, self._b = (np.zeros_like(buffer.values) for _ in range(4))
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.buffer.grad.fill(0.0)
 
-    def step(self) -> None:
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NonFiniteGradient(f"gradient of {p.name} is not finite")
+    def step(self) -> float:
+        """One update; returns the global gradient norm before clipping."""
+        buf, m, v, a, b = self.buffer, self._m, self._v, self._a, self._b
+        g = buf.grad
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient("gradient is not finite")
+        norm = global_grad_norm(buf)
         if self.clip_norm is not None:
-            clip_global_norm(self.params, self.clip_norm)
+            clip_global_norm(buf, self.clip_norm, norm)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for p in self.params:
-            if self.weight_decay:
-                p.values *= 1.0 - self.lr * self.weight_decay
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if not np.all(np.isfinite(p.values)):
-                raise NonFiniteGradient(f"{p.name} became non-finite after update")
+        if self.weight_decay:
+            buf.values *= 1.0 - self.lr * self.weight_decay
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=a)
+        v *= self.beta2
+        v += np.multiply(1.0 - self.beta2, np.square(g, out=a), out=a)
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place in the scratch arrays
+        np.multiply(self.lr, np.divide(m, 1.0 - self.beta1**t, out=a), out=a)
+        np.sqrt(np.divide(v, 1.0 - self.beta2**t, out=b), out=b)
+        b += self.eps
+        buf.values -= np.divide(a, b, out=a)
+        if not np.isfinite(buf.values).all():
+            raise NonFiniteGradient("parameters became non-finite after update")
+        return norm

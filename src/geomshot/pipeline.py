@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import eligible_pool
 from .episodes import Episode, EpisodeSpec, sample_episode
-from .errors import ConfigMismatch, CorruptCheckpoint
+from .errors import ConfigMismatch, CorruptCheckpoint, ShapeError
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
 from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
@@ -95,7 +95,8 @@ def _episode_step(
     pool: dict[int, list[int]],
     cfg: TrainConfig,
     episode_index: int,
-) -> LossBreakdown:
+) -> tuple[LossBreakdown, float]:
+    """One training episode; returns its losses and the pre-clip gradient norm."""
     spec = EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, cfg.base_seed, episode_index)
     ep = sample_episode(pool, spec)
     labels = np.concatenate([ep.support_labels, ep.query_labels])
@@ -111,8 +112,8 @@ def _episode_step(
 
     optimizer.zero_grad()
     model.backward(d_emb)
-    optimizer.step()
-    return LossBreakdown(nll, sc, cfg.supcon_weight, cfg.temperature)
+    grad_norm = optimizer.step()
+    return LossBreakdown(nll, sc, cfg.supcon_weight, cfg.temperature), grad_norm
 
 
 def _run_training(
@@ -144,16 +145,22 @@ def _run_training(
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.max_epochs) if schedule else cfg.learning_rate
         optimizer.lr = lr
-        losses = []
-        for i in range(cfg.episodes_per_epoch):
-            idx = epoch * cfg.episodes_per_epoch + i
-            step = _episode_step(model, optimizer, X, pool, cfg, idx)
-            losses.append(step.total)
+        losses, norms = zip(*(
+            _episode_step(model, optimizer, X, pool, cfg, epoch * cfg.episodes_per_epoch + i)
+            for i in range(cfg.episodes_per_epoch)
+        ))
         acc = _monitor_accuracy(model, X, monitor, monitor_rows)
-        log.append(
-            {"epoch": epoch, "lr": lr, "mean_loss": float(np.mean(losses)), "monitor_acc": acc}
-        )
-        logger.info("epoch %d lr %.2e loss %.4f monitor %.4f", epoch, lr, np.mean(losses), acc)
+        log.append({
+            "epoch": epoch,
+            "lr": lr,
+            "mean_loss": float(np.mean([loss.total for loss in losses])),
+            "monitor_acc": acc,
+            "mean_nll": float(np.mean([loss.nll for loss in losses])),
+            "mean_supcon": float(np.mean([loss.supcon for loss in losses])),
+            "mean_grad_norm": float(np.mean(norms)),
+            "clipped_steps": sum(n > cfg.clip_norm for n in norms) if cfg.clip_norm is not None else 0,
+        })
+        logger.info("epoch %d lr %.2e loss %.4f monitor %.4f", epoch, lr, log[-1]["mean_loss"], acc)
         if acc > best_acc:
             best_acc = acc
             best_epoch = epoch
@@ -181,7 +188,7 @@ def train_encoder(
         )
     encoder = MLPEncoder(encoder_cfg, seed=cfg.base_seed)
     optimizer = AdamW(
-        encoder.parameters(),
+        encoder.flat,
         lr=cfg.learning_rate,
         weight_decay=cfg.weight_decay,
         clip_norm=cfg.clip_norm,
@@ -275,7 +282,7 @@ def load_encoder(path) -> tuple[MLPEncoder, dict]:
             embed_dim=int(enc_meta["embed_dim"]),
             dropout_p=float(enc_meta["dropout_p"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
     if len(tensors) != 6 * cfg.num_hidden + 2:  # before tensor_names() lists num_hidden layers
         raise CorruptCheckpoint(
@@ -289,6 +296,13 @@ def load_encoder(path) -> tuple[MLPEncoder, dict]:
             f"(missing {sorted(expected - set(tensors))[:3]}, "
             f"unexpected {sorted(set(tensors) - expected)[:3]})"
         )
+    # Bounds the encoder built below by the payload's size.
+    n_values = cfg.param_count() + 2 * cfg.num_hidden * cfg.hidden_dim
+    if n_values != sum(t.size for t in tensors.values()):
+        raise CorruptCheckpoint(f"{path}: tensor sizes do not add up to the encoder config")
     encoder = MLPEncoder(cfg, seed=0)
-    encoder.set_state(tensors)
+    try:
+        encoder.set_state(tensors)
+    except ShapeError as e:
+        raise CorruptCheckpoint(f"{path}: {e}") from e
     return encoder, meta

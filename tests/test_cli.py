@@ -85,7 +85,8 @@ def test_train_then_eval_then_adapt(small_corpus, tmp_path):
     assert ckpt.exists()
     log_lines = (tmp_path / "t1" / "train_log.jsonl").read_text().strip().split("\n")
     records = [json.loads(line) for line in log_lines]
-    assert all(set(r) == {"epoch", "lr", "mean_loss", "monitor_acc"} for r in records)
+    assert all(set(r) == {"epoch", "lr", "mean_loss", "monitor_acc", "mean_nll", "mean_supcon",
+                          "mean_grad_norm", "clipped_steps"} for r in records)
 
     # evaluate with the trained checkpoint
     cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, checkpoint=ckpt))
@@ -231,6 +232,18 @@ def _huge_num_hidden(header):
     return header
 
 
+def _set_tensor_field(index, field, value):
+    def mutate(header):
+        header["tensors"][index][field] = value
+        return header
+    return mutate
+
+
+def _huge_hidden_dim(header):
+    header["meta"]["encoder"]["hidden_dim"] = 10**9
+    return header
+
+
 def save_random_encoder(ckpt):
     """An untrained angle-representation encoder checkpoint at ``ckpt``."""
     from geomshot.nnet import EncoderConfig, MLPEncoder
@@ -243,9 +256,13 @@ def save_random_encoder(ckpt):
 
 @pytest.mark.parametrize(
     "mutate",
-    [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset, _huge_num_hidden],
+    [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset, _huge_num_hidden,
+     _set_tensor_field(2, "byte_offset", 0), _set_tensor_field(0, "byte_offset", True),
+     _set_tensor_field(0, "name", ["fc1.weight"]), _set_tensor_field(0, "shape", [20.7, 32]),
+     _set_tensor_field(0, "shape", [32, 20]), _huge_hidden_dim],
     ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
-         "negative-byte-offset", "huge-num-hidden"],
+         "negative-byte-offset", "huge-num-hidden", "overlapping-byte-offset", "bool-byte-offset",
+         "list-name", "float-shape", "transposed-shape", "huge-hidden-dim"],
 )
 def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
     ckpt = tmp_path / "encoder.ckpt"
@@ -259,6 +276,15 @@ def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, 
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith("CorruptCheckpoint: ")
+
+
+def test_zero_eval_episodes_is_one_line_error(small_corpus, tmp_path, caplog):
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=0))
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "zero"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith("ValueError: ")
+    assert not (tmp_path / "zero").exists()
 
 
 def test_reused_run_id_is_refused(small_corpus, tmp_path):

@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomshot.errors import BatchTooSmall, CacheError, CorruptCheckpoint, ShapeError
 from geomshot.nnet import EncoderConfig, MLPEncoder, load_checkpoint, save_checkpoint
+from geomshot.pipeline import TrainResult, load_encoder, save_encoder
 from geomshot.rng import make_rng
 
 
@@ -120,9 +125,10 @@ class TestCheckpoint:
 
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "enc.ckpt"
-        path.write_bytes(b"\x00\x01\x02 not json\n" + b"\x00" * 64)
-        with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(path)
+        for header in (b"\x00\x01\x02 not json", b"[" * 100_000):  # the second nests too deep
+            path.write_bytes(header + b"\n" + b"\x00" * 64)
+            with pytest.raises(CorruptCheckpoint):
+                load_checkpoint(path)
 
     def test_header_lists_params_and_running_stats(self, tmp_path):
         # oracle: independent enumeration from the configuration
@@ -138,6 +144,60 @@ class TestCheckpoint:
         expected |= {"head.weight", "head.bias"}
         assert set(tensors) == expected
         assert expected == set(cfg.tensor_names())
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """(a path to write mutations to, the bytes of a saved 5-D encoder checkpoint)."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    encoder = MLPEncoder(EncoderConfig(input_dim=5, hidden_dim=8, embed_dim=4), seed=0)
+    save_encoder(directory / "ok.ckpt", TrainResult(encoder.state(), encoder.config, [], -1, 0.0, {}))
+    return directory / "mutated.ckpt", (directory / "ok.ckpt").read_bytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_checkpoints(draw, data: bytes) -> bytes:
+    """A truncation, a one-byte change, or one header field replaced or deleted."""
+    kind = draw(st.sampled_from(["truncate", "byte", "tensor", "encoder", "top"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    header_line, payload = data.split(b"\n", 1)
+    header = json.loads(header_line)
+    if kind == "tensor":
+        target = header["tensors"][draw(st.integers(0, len(header["tensors"]) - 1))]
+        key = draw(st.sampled_from(["name", "dtype", "shape", "byte_offset"]))
+    elif kind == "encoder":
+        target = header["meta"]["encoder"]
+        key = draw(st.sampled_from(sorted(target)))
+    else:
+        target = header
+        key = draw(st.sampled_from(["format", "version", "meta", "tensors"]))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(JSON_VALUES)
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_checkpoint_raises_only_corrupt_checkpoint(small_checkpoint, data):
+    path, original = small_checkpoint
+    path.write_bytes(data.draw(mutated_checkpoints(original)))
+    try:
+        load_encoder(path)
+    except CorruptCheckpoint:
+        pass
 
 
 def test_state_snapshot_roundtrip():

@@ -6,6 +6,8 @@ from geomshot.nnet import (
     BatchNorm1d,
     Dropout,
     Linear,
+    ParamBuffer,
+    ParamTensor,
     ReLU,
     finite_difference_check,
 )
@@ -155,3 +157,32 @@ class TestBatchNorm:
         bn.gamma.values[...] = np.random.default_rng(19).uniform(0.5, 1.5, 5)
         x = np.random.default_rng(20).normal(size=(6, 5))
         check_layer_gradients(bn, x)
+
+
+class TestParamBuffer:
+    def test_tensors_and_buffer_share_memory_both_ways(self):
+        a = ParamTensor("a", np.arange(6.0).reshape(2, 3))
+        b = ParamTensor("b", np.array([7.0, 8.0]))
+        buf = ParamBuffer([a, b])
+        assert np.array_equal(buf.values, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+        assert a.values.shape == (2, 3) and a.grad.shape == (2, 3)
+        a.values[1, 2] = -1.0
+        assert buf.values[5] == -1.0
+        buf.values[6] = 9.0
+        assert b.values[0] == 9.0
+        b.grad += 2.0
+        assert np.array_equal(buf.grad, [0.0] * 6 + [2.0, 2.0])
+        buf.grad[0] = 3.0
+        assert a.grad[0, 0] == 3.0
+
+    def test_tail_is_a_view_of_the_last_tensors(self):
+        a, b, c = (ParamTensor(n, np.zeros(k)) for n, k in (("a", 3), ("b", 2), ("c", 1)))
+        buf = ParamBuffer([a, b, c])
+        tail = buf.tail(2)
+        assert tail.params == [b, c]
+        tail.values[:] = [1.0, 2.0, 3.0]
+        assert np.array_equal(buf.values, [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(b.values, [1.0, 2.0]) and c.values[0] == 3.0
+        tail.grad.fill(4.0)
+        assert np.array_equal(buf.grad, [0.0, 0.0, 0.0, 4.0, 4.0, 4.0])
+        assert buf.tail(0).values.size == 0

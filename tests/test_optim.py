@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from geomshot.errors import NonFiniteGradient
-from geomshot.nnet import AdamW, ParamTensor, clip_global_norm, cosine_lr
+from geomshot.nnet import (
+    AdamW,
+    EncoderConfig,
+    MLPEncoder,
+    ParamBuffer,
+    ParamTensor,
+    clip_global_norm,
+    cosine_lr,
+)
 
 
 def scalar_param(value=0.0, grad=0.0):
@@ -16,7 +24,7 @@ def scalar_param(value=0.0, grad=0.0):
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = scalar_param(value=0.37)
-        opt = AdamW([p], lr=1e-4, weight_decay=0.0)
+        opt = AdamW(ParamBuffer([p]), lr=1e-4, weight_decay=0.0)
         opt.step()
         assert p.values[0] == 0.37
 
@@ -25,20 +33,20 @@ class TestAdamW:
         # w=0, g=1, zero moments: m_hat = v_hat = 1, decay does nothing at 0,
         # so w1 = -lr * 1 / (sqrt(1) + eps)
         p = scalar_param(value=0.0, grad=1.0)
-        opt = AdamW([p], lr=1e-4, weight_decay=1e-4, clip_norm=1.0)
+        opt = AdamW(ParamBuffer([p]), lr=1e-4, weight_decay=1e-4, clip_norm=1.0)
         opt.step()
         expected = -1e-4 / (1.0 + 1e-8)
         assert p.values[0] == pytest.approx(expected, rel=1e-15)
 
     def test_decay_term_applies_to_nonzero_weight(self):
         p = scalar_param(value=1.0, grad=0.0)
-        opt = AdamW([p], lr=1e-3, weight_decay=0.1, clip_norm=None)
+        opt = AdamW(ParamBuffer([p]), lr=1e-3, weight_decay=0.1, clip_norm=None)
         opt.step()
         assert p.values[0] == pytest.approx(1.0 * (1 - 1e-3 * 0.1))
 
     def test_nonfinite_gradient_aborts_without_mutation(self):
         p = scalar_param(value=0.5, grad=np.nan)
-        opt = AdamW([p])
+        opt = AdamW(ParamBuffer([p]))
         with pytest.raises(NonFiniteGradient):
             opt.step()
         assert p.values[0] == 0.5
@@ -47,18 +55,61 @@ class TestAdamW:
     def test_parameters_stay_finite_over_many_steps(self):
         rng = np.random.default_rng(0)
         p = ParamTensor("w", rng.normal(size=(8, 8)))
-        opt = AdamW([p], lr=1e-2)
+        opt = AdamW(ParamBuffer([p]), lr=1e-2)
         for _ in range(200):
             p.grad[...] = rng.normal(size=(8, 8)) * 100
             opt.step()
             assert np.all(np.isfinite(p.values))
 
 
+def per_tensor_adamw_step(params, m, v, t, lr, weight_decay, clip_norm, betas=(0.9, 0.999), eps=1e-8):
+    """Reference: the per-tensor AdamW loop, with name-keyed moments, that the flat buffer replaced."""
+    norm = math.sqrt(sum(float((p.grad**2).sum()) for p in params))
+    if norm > clip_norm and norm != 0.0:
+        factor = clip_norm / norm
+        for p in params:
+            p.grad *= factor
+    bc1 = 1.0 - betas[0] ** t
+    bc2 = 1.0 - betas[1] ** t
+    for p in params:
+        p.values *= 1.0 - lr * weight_decay
+        mp, vp = m[p.name], v[p.name]
+        mp *= betas[0]
+        mp += (1.0 - betas[0]) * p.grad
+        vp *= betas[1]
+        vp += (1.0 - betas[1]) * p.grad**2
+        p.values -= lr * (mp / bc1) / (np.sqrt(vp / bc2) + eps)
+    return norm
+
+
+def test_flat_step_matches_per_tensor_loop_bit_for_bit():
+    encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
+    ref = [ParamTensor(p.name, p.values.copy()) for p in encoder.parameters()]
+    m = {p.name: np.zeros_like(p.values) for p in ref}
+    v = {p.name: np.zeros_like(p.values) for p in ref}
+    opt = AdamW(encoder.flat, lr=1e-3, weight_decay=1e-2, clip_norm=1.0)
+    assert len(opt.params) == 10
+    rng = np.random.default_rng(0)
+    clipped = 0
+    for t in range(1, 51):
+        # ~105k entries: a scale up to 0.006 puts the global norm on both sides of 1
+        scale = rng.uniform(0.0, 0.006)
+        for p, r in zip(encoder.parameters(), ref):
+            r.grad[...] = p.grad[...] = rng.normal(size=p.values.shape) * scale
+        norm = opt.step()
+        assert norm == per_tensor_adamw_step(ref, m, v, t, 1e-3, 1e-2, 1.0)
+        clipped += norm > 1.0
+        for p, r in zip(encoder.parameters(), ref):
+            assert np.array_equal(p.values, r.values), (t, p.name)
+            assert np.array_equal(p.grad, r.grad), (t, p.name)
+    assert 0 < clipped < 50
+
+
 class TestClipping:
     def test_norm_ten_scaled_by_point_one(self):
         p = ParamTensor("w", np.zeros(4))
         p.grad[...] = [10.0, 0.0, 0.0, 0.0]
-        factor = clip_global_norm([p], 1.0)
+        factor = clip_global_norm(ParamBuffer([p]), 1.0)
         assert factor == pytest.approx(0.1)
         assert np.allclose(p.grad, [1.0, 0.0, 0.0, 0.0])
 
@@ -67,14 +118,14 @@ class TestClipping:
         b = ParamTensor("b", np.zeros(1))
         a.grad[...] = 3.0
         b.grad[...] = 4.0
-        clip_global_norm([a, b], 1.0)  # joint norm 5
+        clip_global_norm(ParamBuffer([a, b]), 1.0)  # joint norm 5
         assert a.grad[0] == pytest.approx(0.6)
         assert b.grad[0] == pytest.approx(0.8)
 
     def test_below_threshold_untouched(self):
         p = ParamTensor("w", np.zeros(2))
         p.grad[...] = [0.3, 0.4]
-        assert clip_global_norm([p], 1.0) == 1.0
+        assert clip_global_norm(ParamBuffer([p]), 1.0) == 1.0
         assert np.allclose(p.grad, [0.3, 0.4])
 
 

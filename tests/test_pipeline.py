@@ -76,7 +76,10 @@ class TestTraining:
     def test_log_records_schema(self):
         fp = gaussian_pool()
         result = train_encoder(fp, tiny_cfg(max_epochs=2), tiny_encoder_cfg())
-        assert set(result.log[0]) == {"epoch", "lr", "mean_loss", "monitor_acc"}
+        assert set(result.log[0]) == {
+            "epoch", "lr", "mean_loss", "monitor_acc",
+            "mean_nll", "mean_supcon", "mean_grad_norm", "clipped_steps",
+        }
         assert result.log[0]["lr"] == pytest.approx(1e-4)
 
     def test_insufficient_classes(self):
@@ -160,6 +163,22 @@ class TestAdapt:
                 assert not np.array_equal(out.state[name], arr), name
             else:
                 assert np.array_equal(out.state[name], arr), name
+
+    def test_target_supervised_leaves_backbone_slice_of_buffer_untouched(self):
+        encoder, _ = self.make_pretrained()
+        head = encoder.head_parameters()
+        n_backbone = encoder.flat.values.size - head.values.size
+        backbone = encoder.flat.values[:n_backbone].copy()
+        head_before = head.values.copy()
+        stats = [buf.copy() for _, buf in encoder.buffers()]
+        adapt(encoder, gaussian_pool(seed=9), AdaptConfig(mode="target_supervised", max_epochs=3),
+              tiny_cfg())
+        assert [p.name for p in head.params] == ["head.weight", "head.bias"]
+        assert np.shares_memory(head.values, encoder.flat.values[n_backbone:])
+        assert np.array_equal(encoder.flat.values[:n_backbone], backbone)
+        assert not np.array_equal(head.values, head_before)
+        for (name, buf), before in zip(encoder.buffers(), stats):
+            assert np.array_equal(buf, before), name
 
     def test_running_stats_frozen_in_both_modes(self):
         for mode, epochs in (("frozen", 1), ("target_supervised", 2)):
