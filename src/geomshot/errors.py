@@ -14,7 +14,14 @@ class InvalidKeypoints(GeomshotError):
 
 
 class DegenerateHand(GeomshotError):
-    """All keypoints (near-)coincident; scale normalization undefined."""
+    """All keypoints (near-)coincident; scale normalization undefined.
+
+    ``rows`` lists the offending hands' indices when a stack was given.
+    """
+
+    def __init__(self, message: str, rows: list[int] | None = None):
+        self.rows = list(rows or [])
+        super().__init__(message)
 
 
 class FormatError(GeomshotError):

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import Sample
-from .errors import ShapeError
-from .geometry import FEATURE_DIMS, featurize
+from .errors import DegenerateHand
+from .geometry import NUM_KEYPOINTS, featurize
 
 
 @dataclass
@@ -40,20 +40,25 @@ def build_feature_pool(
     normalize: bool = True,
     class_names: dict[int, str] | None = None,
 ) -> FeaturePool:
-    if representation not in FEATURE_DIMS:
-        raise ShapeError(f"unknown representation {representation!r}")
-    dim = FEATURE_DIMS[representation]
-    rows: list[np.ndarray] = []
+    """Load every sample of the pool and featurize them in one stacked call.
+
+    A hand that cannot be scale-normalized (``raw``/``raw_angle`` with
+    ``normalize``) raises ``DegenerateHand`` naming its sample path; a
+    degenerate angle triplet gives 0 for that angle, as in ``featurize``.
+    """
+    root = Path(root)
+    hands: list[np.ndarray] = []
     paths: list[str] = []
     index_pool: dict[int, list[int]] = {}
-    root = Path(root)
     for class_id in sorted(sample_pool):
-        indices = []
+        start = len(hands)
         for sample in sample_pool[class_id]:
-            kp = sample.load(root)
-            rows.append(featurize(kp, representation, normalize=normalize).values)
+            hands.append(sample.load(root))
             paths.append(sample.path)
-            indices.append(len(rows) - 1)
-        index_pool[class_id] = indices
-    X = np.vstack(rows) if rows else np.empty((0, dim))
+        index_pool[class_id] = list(range(start, len(hands)))
+    stack = np.array(hands) if hands else np.empty((0, NUM_KEYPOINTS, 3))
+    try:
+        X, _ = featurize(stack, representation, normalize=normalize)
+    except DegenerateHand as e:
+        raise DegenerateHand(f"{paths[e.rows[0]]}: {e}", rows=e.rows) from None
     return FeaturePool(X, index_pool, paths, representation, normalize, class_names)

@@ -2,7 +2,12 @@
 
 A hand is a float64 array of shape (21, 3); row 0 is the wrist, and the
 five fingers form four-joint chains Thumb 1-4, Index 5-8, Middle 9-12,
-Ring 13-16, Pinky 17-20.
+Ring 13-16, Pinky 17-20. The math works on stacks: ``featurize`` maps
+(N, 21, 3) to an (N, D) matrix plus an (N,) degenerate mask, and
+``apply_transforms`` gives each hand of a stack its own similarity
+transform. The one-hand functions (``raw_features``, ``joint_angles``,
+``raw_angle_features``, ``apply_transform``) are one-row calls into them,
+so a hand gets the same bits alone or in a stack.
 
 Three feature representations are derived from a hand:
 
@@ -139,37 +144,102 @@ class SimilarityTransform:
         )
 
 
-def validate_keypoints(points: np.ndarray) -> np.ndarray:
-    """Check shape (21, 3) and finiteness; return a float64 copy."""
+_EXPECTED_SHAPE = {None: "(..., 21, 3)", 2: "(21, 3)", 3: "(N, 21, 3)"}
+
+
+def _check_hands(points, ndim: int | None = None) -> np.ndarray:
+    """Hands as float64 of shape (..., 21, 3), with exactly ``ndim`` axes if given."""
     arr = np.asarray(points, dtype=np.float64)
-    if arr.shape != (NUM_KEYPOINTS, 3):
-        raise InvalidKeypoints(f"expected shape (21, 3), got {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-2:] != (NUM_KEYPOINTS, 3) or ndim not in (None, arr.ndim):
+        raise InvalidKeypoints(f"expected shape {_EXPECTED_SHAPE[ndim]}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidKeypoints("keypoints contain non-finite values")
-    return arr.copy()
+    return arr
+
+
+def validate_keypoints(points: np.ndarray) -> np.ndarray:
+    """Check shape (21, 3) and finiteness; return a float64 copy."""
+    return _check_hands(points, ndim=2).copy()
 
 
 def wrist_center(points: np.ndarray) -> np.ndarray:
-    """Subtract the wrist (row 0) from every keypoint."""
-    h = validate_keypoints(points)
-    return h - h[WRIST]
+    """Subtract the wrist (row 0) from every keypoint of each (..., 21, 3) hand."""
+    h = _check_hands(points)
+    return h - h[..., WRIST : WRIST + 1, :]
 
 
-def max_pairwise_distance(points: np.ndarray) -> float:
-    # Exhaustive scan over all 210 pairs; no cleverness warranted.
-    diffs = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+def max_pairwise_distance(points: np.ndarray) -> np.ndarray:
+    """Largest keypoint-to-keypoint distance of each hand: (..., 21, 3) -> (...).
+
+    Scans one keypoint against all 21 at a time, so the temporaries stay
+    the size of the input. The square root is taken after the maximum,
+    which gives the same value since the rounded sqrt is monotone.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    squared = np.zeros(points.shape[:-2])
+    for i in range(NUM_KEYPOINTS):
+        diffs = points - points[..., i : i + 1, :]
+        squared = np.maximum(squared, (diffs**2).sum(axis=-1).max(axis=-1))
+    return np.sqrt(squared)
 
 
 def scale_normalize(points: np.ndarray) -> np.ndarray:
-    """Divide all keypoints by the maximum pairwise distance."""
-    h = validate_keypoints(points)
+    """Divide the keypoints of each (..., 21, 3) hand by its max pairwise distance.
+
+    Raises ``DegenerateHand`` if any hand's extent is below
+    ``DEGENERATE_DISTANCE``; its ``rows`` lists the offending hands as
+    indices into the flattened leading dimensions.
+    """
+    h = _check_hands(points)
     extent = max_pairwise_distance(h)
-    if extent < DEGENERATE_DISTANCE:
+    bad = np.flatnonzero(extent < DEGENERATE_DISTANCE)
+    if bad.size:
         raise DegenerateHand(
-            f"max pairwise distance {extent:.3e} below {DEGENERATE_DISTANCE:.0e}"
+            f"max pairwise distance {np.ravel(extent)[bad[0]]:.3e} below {DEGENERATE_DISTANCE:.0e}",
+            rows=bad.tolist(),
         )
-    return h / extent
+    return h / extent[..., None, None]
+
+
+def _angle_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u = h[:, _TRIPLET_PARENT] - h[:, _TRIPLET_PIVOT]
+    v = h[:, _TRIPLET_CHILD] - h[:, _TRIPLET_PIVOT]
+    nu = np.linalg.norm(u, axis=2)
+    nv = np.linalg.norm(v, axis=2)
+    bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
+    denom = np.where(bad, 1.0, nu * nv)
+    cos = np.clip((u * v).sum(axis=2) / denom, -1.0, 1.0)
+    angles = np.arccos(cos)
+    angles[bad] = 0.0
+    return angles, bad.any(axis=1)
+
+
+def featurize(points: np.ndarray, kind: str, normalize: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Features of a stack of hands: (N, 21, 3) -> (N, D) matrix and (N,) degenerate mask.
+
+    ``kind`` is one of ``REPRESENTATIONS``; ``normalize`` applies to the
+    raw part only. The mask marks hands with a degenerate angle triplet,
+    whose angles are reported as 0; it is all False for ``raw``. A hand
+    that cannot be scale-normalized raises ``DegenerateHand`` whose
+    ``rows`` are the offending row indices.
+    """
+    if kind not in FEATURE_DIMS:
+        raise ShapeError(f"unknown representation {kind!r}")
+    h = _check_hands(points, ndim=3)
+    parts = []
+    degenerate = np.zeros(len(h), dtype=bool)
+    if kind != "angle":
+        raw = scale_normalize(wrist_center(h)) if normalize else h
+        parts.append(raw.reshape(len(h), 3 * NUM_KEYPOINTS))
+    if kind != "raw":
+        angles, degenerate = _angle_rows(h)
+        parts.append(angles)
+    return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], degenerate
+
+
+def _one_hand(points: np.ndarray, kind: str, normalize: bool = True) -> FeatureVector:
+    X, degenerate = featurize(validate_keypoints(points)[None], kind, normalize)
+    return FeatureVector(kind, X[0], degenerate=bool(degenerate[0]))
 
 
 def raw_features(points: np.ndarray, normalize: bool = True) -> FeatureVector:
@@ -179,10 +249,7 @@ def raw_features(points: np.ndarray, normalize: bool = True) -> FeatureVector:
     scale-normalized first. ``normalize=False`` flattens the original
     coordinates and exists for the normalization ablation.
     """
-    h = validate_keypoints(points)
-    if normalize:
-        h = scale_normalize(wrist_center(h))
-    return FeatureVector("raw", h.reshape(-1))
+    return _one_hand(points, "raw", normalize)
 
 
 def joint_angles(points: np.ndarray) -> FeatureVector:
@@ -195,45 +262,28 @@ def joint_angles(points: np.ndarray) -> FeatureVector:
     from the pivot to its parent and child. Triplets with a displacement
     norm < 1e-9 yield angle 0 and set the ``degenerate`` flag.
     """
-    h = validate_keypoints(points)
-    u = h[_TRIPLET_PARENT] - h[_TRIPLET_PIVOT]
-    v = h[_TRIPLET_CHILD] - h[_TRIPLET_PIVOT]
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
-    denom = np.where(bad, 1.0, nu * nv)
-    cos = np.clip((u * v).sum(axis=1) / denom, -1.0, 1.0)
-    angles = np.arccos(cos)
-    angles[bad] = 0.0
-    return FeatureVector("angle", angles, degenerate=bool(bad.any()))
+    return _one_hand(points, "angle")
 
 
 def raw_angle_features(points: np.ndarray, normalize: bool = True) -> FeatureVector:
     """Concatenation [raw (0..62); angle (63..82)]."""
-    raw = raw_features(points, normalize=normalize)
-    ang = joint_angles(points)
-    return FeatureVector(
-        "raw_angle",
-        np.concatenate([raw.values, ang.values]),
-        degenerate=ang.degenerate,
-    )
+    return _one_hand(points, "raw_angle", normalize)
 
 
-def featurize(points: np.ndarray, kind: str, normalize: bool = True) -> FeatureVector:
-    """Dispatch to one of the three representations."""
-    if kind == "raw":
-        return raw_features(points, normalize=normalize)
-    if kind == "angle":
-        return joint_angles(points)
-    if kind == "raw_angle":
-        return raw_angle_features(points, normalize=normalize)
-    raise ShapeError(f"unknown representation {kind!r}")
+def apply_transforms(points: np.ndarray, transforms) -> np.ndarray:
+    """Map the keypoints p of hand i to scale_i * R_i @ p + t_i: (N, 21, 3) -> (N, 21, 3)."""
+    h = _check_hands(points, ndim=3)
+    if len(transforms) != len(h):
+        raise ShapeError(f"{len(transforms)} transforms for {len(h)} hands")
+    rotation = np.array([t.rotation for t in transforms]).reshape(-1, 3, 3)
+    scale = np.array([t.scale for t in transforms], dtype=np.float64)
+    translation = np.array([t.translation for t in transforms]).reshape(-1, 1, 3)
+    return scale[:, None, None] * h @ rotation.swapaxes(1, 2) + translation
 
 
 def apply_transform(points: np.ndarray, transform: SimilarityTransform) -> np.ndarray:
     """Map every keypoint p to scale * R @ p + t."""
-    h = validate_keypoints(points)
-    return transform.scale * h @ transform.rotation.T + transform.translation
+    return apply_transforms(validate_keypoints(points)[None], [transform])[0]
 
 
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ def _read_header(f, path: Path) -> dict:
         raise FormatError("header", f"{path}: truncated header")
     try:
         header = ast.literal_eval(header_bytes.decode("latin1").strip())
-    except (ValueError, SyntaxError) as e:
+    except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError) as e:
         raise FormatError("header", f"{path}: unparsable header ({e})") from e
     if not isinstance(header, dict):
         raise FormatError("header", f"{path}: header is not a dict")
@@ -61,12 +61,12 @@ def load_keypoints(path) -> np.ndarray:
     with open(path, "rb") as f:
         header = _read_header(f, path)
         descr = header.get("descr")
-        if descr not in _SUPPORTED_DESCR:
+        if not isinstance(descr, str) or descr not in _SUPPORTED_DESCR:
             raise FormatError("dtype", f"{path}: unsupported descr {descr!r}")
         if header.get("fortran_order") is not False:
             raise FormatError("order", f"{path}: fortran_order must be False")
         shape = header.get("shape")
-        if tuple(shape) != _EXPECTED_SHAPE:
+        if not isinstance(shape, (tuple, list)) or tuple(shape) != _EXPECTED_SHAPE:
             raise FormatError("shape", f"{path}: expected (21, 3), got {shape}")
         dtype = np.dtype(_SUPPORTED_DESCR[descr]).newbyteorder("<")
         nbytes = int(np.prod(_EXPECTED_SHAPE)) * dtype.itemsize

@@ -18,6 +18,7 @@ and the head trains on those cached features.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -38,6 +39,18 @@ logger = logging.getLogger(__name__)
 MONITOR_SEED_OFFSET = 1_000_000_000
 
 
+def _check_number(name: str, value, positive: bool) -> None:
+    """Require a finite real ``value`` that is > 0 (``positive``) or >= 0."""
+    ok = (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+    )
+    if not ok:
+        raise ValueError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     n_way: int = 5
@@ -51,12 +64,18 @@ class TrainConfig:
     temperature: float = 0.07
     learning_rate: float = 1e-4
     weight_decay: float = 1e-4
-    clip_norm: float = 1.0
+    clip_norm: float | None = 1.0
     monitor_episodes: int = 50
 
     def __post_init__(self):
         if min(self.episodes_per_epoch, self.max_epochs, self.patience, self.monitor_episodes) < 1:
             raise ValueError("episode/epoch/patience counts must be positive")
+        for name in ("learning_rate", "temperature"):
+            _check_number(name, getattr(self, name), positive=True)
+        for name in ("weight_decay", "supcon_weight"):
+            _check_number(name, getattr(self, name), positive=False)
+        if self.clip_norm is not None:
+            _check_number("clip_norm", self.clip_norm, positive=True)
 
 
 @dataclass
@@ -69,6 +88,7 @@ class AdaptConfig:
     def __post_init__(self):
         if self.mode not in ("frozen", "target_supervised"):
             raise ValueError(f"unknown adaptation mode {self.mode!r}")
+        _check_number("learning_rate", self.learning_rate, positive=True)
 
 
 @dataclass

@@ -11,17 +11,22 @@ transform.
 
 All draws are deterministic functions of (seed, class, sample index), so
 a corpus tree regenerated with the same parameters is byte-identical.
+Each sample still draws from its own stream, but the kinematics and the
+transforms run once per class on (per_class, ...) stacks, with the same
+elementwise operations as for one hand, so the bytes do not depend on
+how many hands are built together.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import CHAIN_BASES, NUM_KEYPOINTS, apply_transform, sample_similarity
+from .geometry import CHAIN_BASES, NUM_KEYPOINTS, apply_transforms, sample_similarity
 from .npyio import write_keypoints
 from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, make_rng
 
@@ -47,8 +52,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_classes < 2 or self.per_class < 1:
             raise ValueError("need at least 2 classes and 1 sample per class")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        lo, hi = self.scale_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+            raise ValueError(f"scale range must be finite with 0 < min <= max, got ({lo}, {hi})")
+        if not (math.isfinite(self.translate_max) and self.translate_max >= 0):
+            raise ValueError(f"translate_max must be finite and >= 0, got {self.translate_max}")
 
 
 def class_dictionary(spec: SynthSpec) -> np.ndarray:
@@ -66,37 +76,51 @@ def canonical_angles(params: np.ndarray) -> np.ndarray:
 
 
 def build_hand(params: np.ndarray, lengths: tuple[float, ...] = LINK_LENGTHS) -> np.ndarray:
-    """Forward kinematics: realize the parameters as (21, 3) keypoints."""
-    flexion, gaps = params[:15], params[15:]
-    base_angles = np.concatenate([[0.0], np.cumsum(gaps)])
-    points = np.zeros((NUM_KEYPOINTS, 3))
+    """Forward kinematics: realize (..., 19) parameters as (..., 21, 3) keypoints.
+
+    Every hand of a stack goes through the same elementwise operations a
+    single hand does, so each row equals its own one-hand call bit for bit.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    flexion, gaps = params[..., :15], params[..., 15:]
+    base_angles = np.concatenate([np.zeros_like(gaps[..., :1]), np.cumsum(gaps, axis=-1)], axis=-1)
+    points = np.zeros(params.shape[:-1] + (NUM_KEYPOINTS, 3))
     for f, base in enumerate(CHAIN_BASES):
-        phi = base_angles[f]
-        d = np.array([np.cos(phi), np.sin(phi), 0.0])
+        phi = base_angles[..., f]
+        d = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
         plane_normal = np.cross(d, _Z)
         prev = d
         pos = lengths[0] * d
-        points[base] = pos
+        points[..., base, :] = pos
         for j in range(3):
-            theta = flexion[3 * f + j]
+            theta = flexion[..., 3 * f + j, None]
             out = -np.cos(theta) * prev + np.sin(theta) * np.cross(plane_normal, prev)
             pos = pos + lengths[j + 1] * out
-            points[base + 1 + j] = pos
+            points[..., base + 1 + j, :] = pos
             prev = out
     return points
 
 
-def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int, sample_idx: int) -> np.ndarray:
-    """One noisy (optionally transformed) realization of a class."""
-    rng = make_rng(STREAM_SYNTH_SAMPLE, spec.seed, class_id, sample_idx)
-    noisy = params + rng.normal(0.0, spec.noise, size=params.shape) if spec.noise > 0 else params.copy()
-    noisy = noisy.copy()
-    noisy[:15] = np.clip(noisy[:15], 0.05, np.pi)
-    noisy[15:] = np.clip(noisy[15:], 0.02, 0.7)
-    hand = build_hand(noisy)
-    if spec.transforms:
-        hand = apply_transform(hand, sample_similarity(rng, spec.scale_range, spec.translate_max))
-    return hand
+def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int) -> np.ndarray:
+    """All ``spec.per_class`` noisy (optionally transformed) realizations of a class.
+
+    Returns (per_class, 21, 3). Sample j draws from its own stream
+    ``make_rng(STREAM_SYNTH_SAMPLE, seed, class_id, j)``: the angular
+    noise, then the similarity transform. The draws stay per sample; the
+    kinematics and the transforms run once on the whole class.
+    """
+    noisy = np.tile(np.asarray(params, dtype=np.float64), (spec.per_class, 1))
+    transforms = []
+    for j in range(spec.per_class):
+        rng = make_rng(STREAM_SYNTH_SAMPLE, spec.seed, class_id, j)
+        if spec.noise > 0:
+            noisy[j] += rng.normal(0.0, spec.noise, size=noisy.shape[1])
+        if spec.transforms:
+            transforms.append(sample_similarity(rng, spec.scale_range, spec.translate_max))
+    noisy[:, :15] = np.clip(noisy[:, :15], 0.05, np.pi)
+    noisy[:, 15:] = np.clip(noisy[:, 15:], 0.02, 0.7)
+    hands = build_hand(noisy)
+    return apply_transforms(hands, transforms) if spec.transforms else hands
 
 
 def generate_corpus(spec: SynthSpec, out_root) -> dict:
@@ -107,8 +131,8 @@ def generate_corpus(spec: SynthSpec, out_root) -> dict:
     for c in range(spec.n_classes):
         class_dir = out_root / f"class_{c:02d}"
         class_dir.mkdir(exist_ok=True)
-        for j in range(spec.per_class):
-            write_keypoints(class_dir / f"s{j:04d}.npy", sample_hand(spec, dictionary[c], c, j))
+        for j, hand in enumerate(sample_hand(spec, dictionary[c], c)):
+            write_keypoints(class_dir / f"s{j:04d}.npy", hand)
     meta = {
         "schema_version": 1,
         "spec": asdict(spec),

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from geomshot.dataio import build_catalog, save_split, stratified_split
 from geomshot.synth import SynthSpec, generate_corpus
+
+# Every property test draws the same examples on every run and machine, with
+# no time limit per example and no example database written to disk.
+settings.register_profile("geomshot", deadline=None, database=None, derandomize=True)
+settings.load_profile("geomshot")
 
 
 def random_hand(rng: np.random.Generator) -> np.ndarray:

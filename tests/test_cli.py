@@ -212,6 +212,40 @@ def test_synth_command_deterministic(tmp_path):
     assert (tmp_path / "c1" / "corpus_meta.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--noise", "nan"), ("--noise", "inf"), ("--noise", "-0.1"), ("--scale-min", "0"),
+     ("--scale-min", "-1"), ("--scale-min", "20"), ("--scale-max", "inf"), ("--translate-max", "nan"),
+     ("--translate-max", "-2")],
+)
+def test_synth_bad_parameter_is_one_line_error_and_writes_nothing(tmp_path, caplog, flag, value):
+    out = tmp_path / "corpus"
+    argv = ["synth", "--out", str(out), "--classes", "2", "--per-class", "2", flag, value]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith("ValueError: ")
+    assert not out.exists()
+
+
+def test_degenerate_hand_in_raw_pool_is_one_line_error_naming_the_file(tmp_path, caplog):
+    from geomshot.npyio import write_keypoints
+
+    root, split = tmp_path / "corpus", tmp_path / "split.json"
+    assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", "8", "--seed", "9"]) == 0
+    assert main(["split", "--data-root", str(root), "--out", str(split), "--fraction", "0.5"]) == 0
+    bad = json.loads(split.read_text())["test"][4]
+    write_keypoints(root / bad, np.full((21, 3), 0.5))
+    doc = eval_doc({"root": root, "split_path": split}, episodes=3, k_shot=1)
+    for representation, code in (("raw", 1), ("angle", 0)):
+        doc["data"]["representation"] = representation
+        cfg = write_yaml(tmp_path / "eval.yaml", doc)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", representation]) == code
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith(f"DegenerateHand: {bad}: max pairwise distance ")
+
+
 def _drop_byte_offset(header):
     del header["tensors"][0]["byte_offset"]
     return header

@@ -189,7 +189,7 @@ def mutated_checkpoints(draw, data: bytes) -> bytes:
     return json.dumps(header).encode() + b"\n" + payload
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_mutated_checkpoint_raises_only_corrupt_checkpoint(small_checkpoint, data):
     path, original = small_checkpoint

@@ -2,22 +2,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from geomshot.errors import DegenerateHand, InvalidKeypoints
+from geomshot.errors import DegenerateHand, InvalidKeypoints, ShapeError
 from geomshot.geometry import (
+    DEGENERATE_DISTANCE,
+    DEGENERATE_NORM,
+    FEATURE_DIMS,
     FINGERTIPS,
+    REPRESENTATIONS,
     SimilarityTransform,
     apply_transform,
+    apply_transforms,
+    featurize,
     joint_angles,
     max_pairwise_distance,
     random_transform,
     raw_angle_features,
     raw_features,
+    sample_similarity,
     scale_normalize,
     triplet_table,
     wrist_center,
 )
 from conftest import random_hand
+
+_PARENT = np.array([t.parent for t in triplet_table()])
+_PIVOT = np.array([t.pivot for t in triplet_table()])
+_CHILD = np.array([t.child for t in triplet_table()])
+
+
+def reference_features(h, kind, normalize=True):
+    """The one-hand featurization the stacked ``featurize`` replaced: (values, degenerate)."""
+    values, degenerate = [], False
+    if kind != "angle":
+        raw = h
+        if normalize:
+            centred = h - h[0]
+            diffs = centred[:, None, :] - centred[None, :, :]
+            extent = float(np.sqrt((diffs**2).sum(axis=2)).max())
+            if extent < DEGENERATE_DISTANCE:
+                raise DegenerateHand("reference")
+            raw = centred / extent
+        values.append(raw.reshape(-1))
+    if kind != "raw":
+        u = h[_PARENT] - h[_PIVOT]
+        v = h[_CHILD] - h[_PIVOT]
+        nu = np.linalg.norm(u, axis=1)
+        nv = np.linalg.norm(v, axis=1)
+        bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
+        denom = np.where(bad, 1.0, nu * nv)
+        angles = np.arccos(np.clip((u * v).sum(axis=1) / denom, -1.0, 1.0))
+        angles[bad] = 0.0
+        values.append(angles)
+        degenerate = bool(bad.any())
+    return np.concatenate(values), degenerate
+
+
+def hand_stack(n, seed):
+    """Random hands at mixed scales and offsets, rows 3 and 10 with a collapsed triplet."""
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 10, size=(n, 1, 1))
+    h = rng.normal(size=(n, 21, 3)) * scale + rng.uniform(-10, 10, size=(n, 1, 3))
+    h[3, 7] = h[3, 6]
+    h[10, 1] = h[10, 0]
+    return h
 
 
 def scalar_raw_oracle(points):
@@ -250,3 +300,101 @@ class TestRandomTransform:
         for seed in range(100):
             t = random_transform(seed).translation
             assert np.all(np.abs(t) <= 10.0)
+
+
+class TestStackedFeaturize:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind", REPRESENTATIONS)
+    def test_matches_one_hand_reference_bitwise(self, kind, normalize):
+        h = hand_stack(50, 0)
+        X, degenerate = featurize(h, kind, normalize)
+        assert X.shape == (50, FEATURE_DIMS[kind]) and degenerate.shape == (50,)
+        reference = [reference_features(row, kind, normalize) for row in h]
+        assert np.array_equal(X, np.array([values for values, _ in reference]))
+        assert np.array_equal(degenerate, [flag for _, flag in reference])
+        assert degenerate.sum() == (0 if kind == "raw" else 2)
+
+    @pytest.mark.parametrize("kind", REPRESENTATIONS)
+    def test_one_hand_calls_are_rows_of_the_stack(self, kind):
+        h = hand_stack(12, 1)
+        X, degenerate = featurize(h, kind)
+        one = {"raw": raw_features, "angle": joint_angles, "raw_angle": raw_angle_features}[kind]
+        for i, row in enumerate(h):
+            fv = one(row)
+            assert np.array_equal(fv.values, X[i]) and fv.degenerate == degenerate[i]
+
+    def test_coincident_hand_is_zero_angle_row(self):
+        h = hand_stack(12, 2)
+        h[4] = 2.5
+        X, degenerate = featurize(h, "angle")
+        assert np.array_equal(X[4], np.zeros(20)) and degenerate[4]
+
+    @pytest.mark.parametrize("kind", ["raw", "raw_angle"])
+    def test_coincident_hand_raises_with_its_rows(self, kind):
+        h = hand_stack(12, 3)
+        h[2] = 1.0
+        h[6] = -4.0
+        with pytest.raises(DegenerateHand) as info:
+            featurize(h, kind)
+        assert info.value.rows == [2, 6]
+        X, _ = featurize(h, kind, normalize=False)
+        assert np.array_equal(X[2, :63], np.ones(63))
+
+    def test_empty_stack(self):
+        for kind in REPRESENTATIONS:
+            X, degenerate = featurize(np.empty((0, 21, 3)), kind)
+            assert X.shape == (0, FEATURE_DIMS[kind]) and degenerate.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(21, 3), (4, 20, 3), (2, 2, 21, 3)])
+    def test_stack_shape_required(self, shape):
+        with pytest.raises(InvalidKeypoints):
+            featurize(np.ones(shape), "angle")
+
+    def test_non_finite_rejected(self):
+        h = hand_stack(12, 4)
+        h[1, 5, 2] = np.inf
+        with pytest.raises(InvalidKeypoints):
+            featurize(h, "raw")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ShapeError):
+            featurize(hand_stack(12, 5), "angles")
+
+    def test_max_pairwise_distance_matches_all_pairs(self):
+        h = hand_stack(30, 6)
+        diffs = h[:, :, None, :] - h[:, None, :, :]
+        expected = np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))
+        assert np.array_equal(max_pairwise_distance(h), expected)
+        assert max_pairwise_distance(h[7]) == expected[7]
+
+
+class TestStackedTransforms:
+    def test_rows_match_one_hand_calls_bitwise(self):
+        h = hand_stack(12, 7)
+        transforms = [random_transform(s) for s in range(12)]
+        out = apply_transforms(h, transforms)
+        for i, t in enumerate(transforms):
+            # the one-hand expression apply_transform used before stacks
+            assert np.array_equal(out[i], t.scale * h[i] @ t.rotation.T + t.translation)
+            assert np.array_equal(out[i], apply_transform(h[i], t))
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            apply_transforms(hand_stack(12, 8), [random_transform(0)])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale_lo=st.floats(0.1, 1.0),
+    scale_hi=st.floats(1.0, 10.0),
+    translate_max=st.floats(0.0, 100.0),
+)
+def test_stacked_angles_invariant_under_random_similarities(seed, scale_lo, scale_hi, translate_max):
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(16, 21, 3))
+    transforms = [sample_similarity(rng, (scale_lo, scale_hi), translate_max) for _ in range(16)]
+    before, flags_before = featurize(h, "angle")
+    after, flags_after = featurize(apply_transforms(h, transforms), "angle")
+    # near-collinear triplets turn a 1e-13 cosine error into ~1e-7 radians
+    assert np.abs(after - before).max() <= 1e-6
+    assert np.array_equal(flags_before, flags_after)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomshot.errors import FormatError
+from geomshot.errors import FormatError, InvalidKeypoints
 from geomshot.npyio import load_keypoints, write_keypoints
 
 
@@ -88,3 +90,58 @@ def test_written_file_loads_with_numpy(tmp_path):
     p = tmp_path / "h.npy"
     write_keypoints(p, arr)
     assert np.array_equal(np.load(p), arr)
+
+
+_VALID = np.random.default_rng(7).normal(size=(21, 3))
+_HEADER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=8),
+    st.sampled_from(["<f8", "<f4", ">f8", "|u1", "<i8", "O"]),
+    st.lists(st.integers(-3, 64), max_size=4).map(tuple),
+    st.lists(st.one_of(st.none(), st.integers(0, 30), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _npy_bytes(header: str, payload: bytes, version=(1, 0)) -> bytes:
+    body = header.encode("latin1", "replace")
+    length = len(body).to_bytes(2 if version[0] == 1 else 4, "little")
+    return b"\x93NUMPY" + bytes(version) + length + body + payload
+
+
+@st.composite
+def mutated_npy(draw):
+    """A keypoint file with one kind of damage: truncation, a changed byte,
+    a rewritten header field, or non-finite payload values."""
+    header = {"descr": "<f8", "fortran_order": False, "shape": (21, 3)}
+    payload = _VALID.tobytes()
+    kind = draw(st.sampled_from(["truncate", "byte", "field", "header_text", "non_finite"]))
+    if kind == "field":
+        key = draw(st.sampled_from(["descr", "fortran_order", "shape"]))
+        if draw(st.booleans()):
+            header[key] = draw(_HEADER_VALUES)
+        else:
+            del header[key]
+    if kind == "non_finite":
+        values = _VALID.copy()
+        values.flat[draw(st.integers(0, 62))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        payload = values.tobytes()
+    text = draw(st.text(max_size=40)) if kind == "header_text" else repr(header)
+    data = _npy_bytes(text, payload, draw(st.sampled_from([(1, 0), (2, 0)])))
+    if kind == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "byte":
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    return data
+
+
+@settings(max_examples=300)
+@given(data=mutated_npy())
+def test_damaged_file_raises_only_format_or_keypoint_errors(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("fuzz") / "h.npy"
+    p.write_bytes(data)
+    try:
+        out = load_keypoints(p)
+    except (FormatError, InvalidKeypoints):
+        return
+    assert out.shape == (21, 3) and np.all(np.isfinite(out))

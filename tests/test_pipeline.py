@@ -196,3 +196,28 @@ class TestAdapt:
         encoder, _ = self.make_pretrained()
         with pytest.raises(ConfigMismatch):
             adapt(encoder, gaussian_pool(dim=63), AdaptConfig(mode="frozen"), tiny_cfg())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
+     ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", float("nan")),
+     ("learning_rate", float("inf")), ("learning_rate", "1e-4"),
+     ("temperature", 0.0), ("temperature", -0.07), ("temperature", float("inf")),
+     ("weight_decay", -1e-4), ("weight_decay", float("nan")),
+     ("supcon_weight", -0.5), ("supcon_weight", float("inf"))],
+)
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_edge_values():
+    cfg = TrainConfig(clip_norm=None, weight_decay=0, supcon_weight=0.0, learning_rate=1)
+    assert cfg.clip_norm is None
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf"), True])
+def test_adapt_config_rejects_bad_learning_rate(value):
+    with pytest.raises(ValueError, match="learning_rate"):
+        AdaptConfig(learning_rate=value)
