@@ -332,7 +332,7 @@ def cmd_multiseed(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval", "seeds"})
     data = cfgmod.parse_data(doc)
     base_spec = cfgmod.parse_eval(doc)
-    seeds = tuple(doc.get("seeds", [42, 1337, 2024]))
+    seeds = cfgmod.parse_seeds(doc)
     catalog, pools = _load_pools(data, ("test",))
     fp = pools["test"]
     ckpt = doc.get("checkpoint")

@@ -98,11 +98,29 @@ def parse_eval(doc: dict) -> EvalSpec:
     return EvalSpec(**section)
 
 
+def _int_list(values, where: str) -> tuple[int, ...]:
+    """A non-empty list of ints; bools are refused although Python counts them as ints."""
+    if not isinstance(values, list) or not values or not all(type(v) is int for v in values):
+        raise InvalidConfig(f"{where} must be a non-empty list of integers, got {values!r}")
+    return tuple(values)
+
+
 def parse_ablate(doc: dict) -> tuple[int, ...]:
     """The K values of the ablation table; defaults to (1, 3, 5)."""
     section = doc.get("ablate", {}) or {}
     _check_keys(section, _ABLATE_KEYS, "ablate")
-    return tuple(section.get("k_values", [1, 3, 5]))
+    ks = _int_list(section.get("k_values", [1, 3, 5]), "ablate.k_values")
+    if min(ks) < 1:
+        raise InvalidConfig(f"ablate.k_values must be positive, got {list(ks)}")
+    return ks
+
+
+def parse_seeds(doc: dict) -> tuple[int, ...]:
+    """The seeds of a multiseed run; defaults to (42, 1337, 2024)."""
+    seeds = _int_list(doc.get("seeds", [42, 1337, 2024]), "seeds")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidConfig(f"seeds must be distinct, got {list(seeds)}")
+    return seeds
 
 
 def parse_adapt(doc: dict) -> AdaptConfig:

@@ -3,7 +3,8 @@
 On-disk layout: ``<root>/<class_name>/<sample>.npy`` with one (21, 3)
 keypoint file per sample. Class ids are the indices of the sorted class
 directory names; sample paths are stored relative to the root in posix
-form so split files are portable.
+form so split files are portable. A catalog is built from one ``scandir``
+listing of the root and of each class directory, and one read per file.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``
@@ -15,8 +16,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -65,29 +68,37 @@ class DatasetCatalog:
 def build_catalog(root, name: str | None = None, keep_keypoints: bool = True) -> DatasetCatalog:
     """Scan a dataset root and load every decodable sample.
 
-    Undecodable files are skipped; the skipped count is logged. Empty
-    class directories are excluded (with a warning) so every class in
-    the catalog has at least one sample.
+    Each class directory is listed once; its ``*.npy`` entries (the names
+    ``glob("*.npy")`` matches, hidden ones included) are read in name
+    order, one read per file. Undecodable files, and ``*.npy`` entries that
+    are not regular files, are skipped; the skipped count is logged. Empty
+    class directories are excluded (with a warning) so every class in the
+    catalog has at least one sample.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     classes: list[str] = []
     samples: list[Sample] = []
     skipped = 0
+    with os.scandir(root) as it:
+        class_dirs = sorted((e for e in it if e.is_dir()), key=attrgetter("name"))
     for d in class_dirs:
-        files = sorted(d.glob("*.npy"))
+        with os.scandir(d.path) as it:
+            files = sorted((e for e in it if e.name.endswith(".npy")), key=attrgetter("name"))
         loaded: list[Sample] = []
         for f in files:
+            if not f.is_file():
+                skipped += 1
+                logger.debug("skipping %s: not a regular file", f.path)
+                continue
             try:
-                kp = load_keypoints(f)
+                kp = load_keypoints(f.path)
             except (FormatError, InvalidKeypoints) as e:
                 skipped += 1
-                logger.debug("skipping %s: %s", f, e)
+                logger.debug("skipping %s: %s", f.path, e)
                 continue
-            rel = f.relative_to(root).as_posix()
-            loaded.append(Sample(rel, -1, kp if keep_keypoints else None))
+            loaded.append(Sample(f"{d.name}/{f.name}", -1, kp if keep_keypoints else None))
         if not loaded:
             logger.warning("class directory %s has no decodable samples; excluded", d.name)
             continue

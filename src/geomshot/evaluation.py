@@ -1,11 +1,15 @@
 """Episode evaluation, baselines, ablation, multi-seed aggregation.
 
-The protocol draws all of its seeded episodes first, embeds every row
-they touch once (one eval-mode forward over the union of their support
-and query rows), then scores the episodes serially, in index order, by
-indexing into those embeddings. The input-space path scores on the
-feature matrix itself. The per-episode softmax-regression baseline fits
-all episodes' probes in one stacked solve over their support rows.
+The protocol draws all of its seeded episodes first (``draw_episodes``),
+embeds every row they touch once (one eval-mode forward over the union of
+their support and query rows), then scores the episodes serially, in
+index order, by indexing into those embeddings. The input-space path
+scores on the feature matrix itself. Per-class accuracy and the confusion
+counts come from one ``bincount`` over every query of every episode. The
+per-episode softmax-regression baseline fits all episodes' probes in one
+stacked solve over their support rows. Episodes depend only on the pool
+index and the spec, so the normalization ablation draws each K's episodes
+once and scores all three settings' feature matrices on them.
 Report JSON is emitted with sorted keys and no timestamps, making
 back-to-back runs byte-identical.
 """
@@ -125,31 +129,48 @@ def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return emb
 
 
-def _run_protocol(
-    encoder: MLPEncoder | None, predict, fp: FeaturePool, spec: EvalSpec, config_echo: dict
-) -> EvalReport:
-    """Score ``predict(emb, episodes)``, one relabelled prediction array per episode."""
-    pool = eligible_pool(fp.pool, spec.k_shot, spec.q_query, spec.n_way)
-    episodes = [
-        sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
+def draw_episodes(pool: dict[int, list[int]], spec: EvalSpec) -> list[Episode]:
+    """The spec's seeded episodes over the classes of ``pool`` with at least K+Q rows."""
+    eligible = eligible_pool(pool, spec.k_shot, spec.q_query, spec.n_way)
+    return [
+        sample_episode(eligible, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
         for i in range(spec.episodes)
     ]
-    emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
-    preds = predict(emb, episodes)
 
-    accuracies = []
-    class_correct: dict[int, int] = {}
-    class_total: dict[int, int] = {}
-    confusion: dict[tuple[int, int], int] = {}
-    for ep, pred in zip(episodes, preds):
-        accuracies.append(float((pred == ep.query_labels).mean()))
-        originals = ep.original_classes
-        for true_rel, pred_rel in zip(ep.query_labels, pred):
-            t, p = originals[int(true_rel)], originals[int(pred_rel)]
-            class_correct[t] = class_correct.get(t, 0) + int(t == p)
-            class_total[t] = class_total.get(t, 0) + 1
-            confusion[(t, p)] = confusion.get((t, p), 0) + 1
-    per_class_acc = {c: class_correct[c] / t for c, t in sorted(class_total.items())}
+
+def _score_episodes(
+    encoder: MLPEncoder | None,
+    predict,
+    fp: FeaturePool,
+    spec: EvalSpec,
+    episodes: list[Episode],
+    config_echo: dict,
+) -> EvalReport:
+    """Score ``predict(emb, episodes)``, one relabelled prediction array per episode.
+
+    Every episode has N*Q queries, so the predictions stack into one
+    ``(E, N*Q)`` array. The per-class and confusion tallies are one
+    ``bincount`` over ``true * C + pred``, with classes as positions in
+    the pool's sorted class ids.
+    """
+    emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
+    pred = np.stack(predict(emb, episodes))
+    labels = np.stack([ep.query_labels for ep in episodes])
+    accuracies = (pred == labels).mean(axis=1).tolist()
+
+    classes = sorted(fp.pool)
+    position = {c: i for i, c in enumerate(classes)}
+    # Row e maps episode e's relabelled classes 0..N-1 to pool class positions.
+    lookup = np.array([[position[c] for c in ep.original_classes] for ep in episodes])
+    true = np.take_along_axis(lookup, labels, axis=1)
+    guess = np.take_along_axis(lookup, pred, axis=1)
+    C = len(classes)
+    counts = np.bincount((true * C + guess).ravel(), minlength=C * C).reshape(C, C)
+    totals = counts.sum(axis=1)
+    per_class_acc = {
+        classes[i]: int(counts[i, i]) / int(totals[i]) for i in np.flatnonzero(totals)
+    }
+    confusion = {(classes[t], classes[p]): int(counts[t, p]) for t, p in zip(*np.nonzero(counts))}
     mean = float(np.mean(accuracies))
     config = {**asdict(spec), "representation": fp.representation, "normalize": fp.normalize, **config_echo}
     return EvalReport(accuracies, mean, ci95_halfwidth(accuracies), per_class_acc, confusion, config)
@@ -168,7 +189,7 @@ def evaluate(
     """
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "none" if encoder is None else "mlp")
-    return _run_protocol(encoder, proto_predict, fp, spec, echo)
+    return _score_episodes(encoder, proto_predict, fp, spec, draw_episodes(fp.pool, spec), echo)
 
 
 def input_space_baseline(fp: FeaturePool, spec: EvalSpec, config_echo: dict | None = None) -> EvalReport:
@@ -238,7 +259,7 @@ def episode_linear_baseline(
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "mlp")
     echo.setdefault("classifier", "episode_linear")
-    return _run_protocol(encoder, predict, fp, spec, echo)
+    return _score_episodes(encoder, predict, fp, spec, draw_episodes(fp.pool, spec), echo)
 
 
 def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:
@@ -269,27 +290,33 @@ def ablation_normalization(
     """Input-space evaluation under the three cumulative settings.
 
     ``build_pool(representation, normalize)`` must return a FeaturePool
-    for the evaluation split. Emits one row per (setting, K).
+    for the evaluation split. Episodes depend only on the pool index, which
+    every setting must share, so each K's episodes are drawn once and
+    scored on all three feature matrices. Emits one row per (setting, K),
+    setting-major.
     """
     base = spec or EvalSpec()
-    rows = []
-    for key, label, representation, normalize in ABLATION_SETTINGS:
-        fp = build_pool(representation, normalize)
-        for k in ks:
-            k_spec = replace(base, k_shot=k)
-            report = input_space_baseline(fp, k_spec, {"ablation_setting": key})
-            rows.append(
-                {
-                    "setting": key,
-                    "label": label,
-                    "representation": representation,
-                    "normalize": normalize,
-                    "K": k,
-                    "mean": report.mean_accuracy,
-                    "ci95": report.ci95_halfwidth,
-                }
-            )
-    return rows
+    pools = [build_pool(representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS]
+    for (key, *_), fp in zip(ABLATION_SETTINGS, pools):
+        if fp.pool != pools[0].pool:
+            raise ValueError(f"ablation setting {key!r} does not share the first setting's pool index")
+    rows = {}
+    for k in ks:
+        k_spec = replace(base, k_shot=k)
+        episodes = draw_episodes(pools[0].pool, k_spec)
+        for (key, label, representation, normalize), fp in zip(ABLATION_SETTINGS, pools):
+            echo = {"encoder": "none", "ablation_setting": key}
+            report = _score_episodes(None, proto_predict, fp, k_spec, episodes, echo)
+            rows[key, k] = {
+                "setting": key,
+                "label": label,
+                "representation": representation,
+                "normalize": normalize,
+                "K": k,
+                "mean": report.mean_accuracy,
+                "ci95": report.ci95_halfwidth,
+            }
+    return [rows[key, k] for key, *_ in ABLATION_SETTINGS for k in ks]
 
 
 def multi_seed(run_fn, seeds: tuple[int, ...] = (42, 1337, 2024)) -> dict:

@@ -141,6 +141,7 @@ def test_baseline_commands(small_corpus, tmp_path):
                  "--out", str(tmp_path), "--run-id", "b2"]) == 0
     report = json.loads((tmp_path / "b2" / "report.json").read_text())
     assert 0.0 <= report["accuracy"] <= 1.0
+    assert report["dataset"] == small_corpus["root"].name
 
     train_cfg = write_yaml(tmp_path / "train.yaml", tiny_train_doc(small_corpus))
     assert main(["train", "--config", train_cfg, "--out", str(tmp_path), "--run-id", "t3"]) == 0
@@ -159,7 +160,9 @@ def test_ablate_emits_three_by_three(small_corpus, tmp_path):
     }
     cfg = write_yaml(tmp_path / "ab.yaml", doc)
     assert main(["ablate", "--config", cfg, "--out", str(tmp_path), "--run-id", "ab1"]) == 0
-    rows = json.loads((tmp_path / "ab1" / "report.json").read_text())["rows"]
+    report = json.loads((tmp_path / "ab1" / "report.json").read_text())
+    assert report["dataset"] == small_corpus["root"].name
+    rows = report["rows"]
     assert len(rows) == 9
     labels = {r["label"] for r in rows}
     assert labels == {"No normalisation", "+ Wrist-centring & scale", "+ Geometry-aware (angle)"}
@@ -200,6 +203,40 @@ def test_unknown_ablate_key_rejected(small_corpus, tmp_path):
     cfg = write_yaml(tmp_path / "bad.yaml", doc)
     assert main(["ablate", "--config", cfg, "--out", str(tmp_path), "--run-id", "ab"]) == 1
     assert not (tmp_path / "ab").exists()
+
+
+@pytest.mark.parametrize("seeds", [[], [1, 1], [True, 2], [1.5], "42", None])
+def test_bad_multiseed_seeds_are_one_line_error_and_create_no_run_dir(small_corpus, tmp_path, caplog, seeds):
+    doc = eval_doc(small_corpus, episodes=3)
+    doc["seeds"] = seeds
+    cfg = write_yaml(tmp_path / "ms.yaml", doc)
+    assert main(["multiseed", "--config", cfg, "--out", str(tmp_path), "--run-id", "ms"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith("InvalidConfig: seeds must be ")
+    assert not (tmp_path / "ms").exists()
+
+
+@pytest.mark.parametrize("k_values", [[], [0], [1, -1], [True], [2.0], 3, None])
+def test_bad_ablate_k_values_are_one_line_error_and_create_no_run_dir(small_corpus, tmp_path, caplog, k_values):
+    doc = eval_doc(small_corpus, episodes=3)
+    doc["ablate"] = {"k_values": k_values}
+    cfg = write_yaml(tmp_path / "ab.yaml", doc)
+    assert main(["ablate", "--config", cfg, "--out", str(tmp_path), "--run-id", "ab"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith("InvalidConfig: ablate.k_values must be ")
+    assert not (tmp_path / "ab").exists()
+
+
+def test_split_skips_a_directory_named_like_a_sample(tmp_path):
+    root, split = tmp_path / "corpus", tmp_path / "split.json"
+    assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", "4", "--seed", "9"]) == 0
+    (root / "class_00" / "zz.npy").mkdir()
+    assert main(["split", "--data-root", str(root), "--out", str(split)]) == 0
+    doc = json.loads(split.read_text())
+    assert len(doc["train"]) + len(doc["test"]) == 12
+    assert "class_00/zz.npy" not in doc["train"] + doc["test"]
 
 
 def test_synth_command_deterministic(tmp_path):

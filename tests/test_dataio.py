@@ -40,6 +40,27 @@ def test_catalog_skips_undecodable(tmp_path, caplog):
     assert "skipped 1" in caplog.text
 
 
+def test_catalog_selects_what_glob_selects_in_name_order(tmp_path):
+    make_tree(tmp_path, {"a": 3})
+    d = tmp_path / "a"
+    for name in (".hidden.npy", ".npy", "B.npy", "upper.NPY", "s001.npy.bak", "notes.txt"):
+        write_keypoints(d / name, np.random.default_rng(1).normal(size=(21, 3)))
+    cat = build_catalog(tmp_path)
+    expected = [p.relative_to(tmp_path).as_posix() for p in sorted(d.glob("*.npy"))]
+    assert [s.path for s in cat.samples] == expected
+    assert expected == ["a/.hidden.npy", "a/.npy", "a/B.npy", "a/s000.npy", "a/s001.npy", "a/s002.npy"]
+
+
+def test_catalog_skips_and_counts_a_directory_named_like_a_sample(tmp_path, caplog):
+    make_tree(tmp_path, {"a": 3, "b": 2})
+    (tmp_path / "a" / "s001.npy.d").mkdir()
+    (tmp_path / "b" / "zz.npy").mkdir()
+    with caplog.at_level("WARNING"):
+        cat = build_catalog(tmp_path)
+    assert cat.class_counts() == {0: 3, 1: 2}
+    assert "skipped 1 undecodable files" in caplog.text
+
+
 def test_catalog_excludes_empty_class_dir(tmp_path, caplog):
     make_tree(tmp_path, {"a": 3})
     (tmp_path / "empty").mkdir()

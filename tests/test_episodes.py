@@ -1,7 +1,13 @@
+import copy
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomshot.episodes import EpisodeSpec, sample_episode
 from geomshot.errors import InsufficientClasses, InsufficientSamples
+from geomshot.features import FeaturePool
 
 
 def toy_pool(n_classes=10, per_class=25):
@@ -77,3 +83,46 @@ def test_frozen_composition_seed42_index0():
         "c5s11", "c5s19", "c5s17", "c3s9", "c3s8", "c3s4", "c7s23",
         "c7s10", "c7s17", "c0s21", "c0s6", "c0s15", "c4s9", "c4s20", "c4s16",
     ]
+
+
+@st.composite
+def pools_and_specs(draw):
+    """A pool of row indices over arbitrary class ids, and an episode spec it can serve."""
+    k, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    class_ids = sorted(draw(st.sets(st.integers(0, 60), min_size=2, max_size=8)))
+    pool, start = {}, 0
+    for c in class_ids:
+        n = draw(st.integers(k + q, k + q + 6))
+        pool[c] = list(range(start, start + n))
+        start += n
+    n_way = draw(st.integers(2, len(class_ids)))
+    spec = EpisodeSpec(n_way, k, q, draw(st.integers(0, 2**40)), draw(st.integers(0, 10**6)))
+    return pool, spec
+
+
+@settings(max_examples=300)
+@given(case=pools_and_specs(), dims=st.tuples(st.integers(1, 5), st.integers(1, 5)))
+def test_episode_draws_disjoint_rows_labelled_in_draw_order(case, dims):
+    pool, spec = case
+    n_rows = sum(len(rows) for rows in pool.values())
+    rng = np.random.default_rng(0)
+    fp_a = FeaturePool(rng.normal(size=(n_rows, dims[0])), pool, [""] * n_rows, "raw", True)
+    fp_b = FeaturePool(rng.normal(size=(n_rows, dims[1])), copy.deepcopy(pool), [""] * n_rows, "angle", False)
+    ep = sample_episode(fp_a.pool, spec)
+    n, k, q = spec.n_way, spec.k_shot, spec.q_query
+
+    assert len(set(ep.support_items)) == n * k and len(set(ep.query_items)) == n * q
+    assert not set(ep.support_items) & set(ep.query_items)
+    assert list(ep.class_map.values()) == list(range(n))
+    assert ep.original_classes == list(ep.class_map)
+    assert ep.support_labels.tolist() == [j for j in range(n) for _ in range(k)]
+    assert ep.query_labels.tolist() == [j for j in range(n) for _ in range(q)]
+    for j, c in enumerate(ep.original_classes):
+        assert set(ep.support_items[j * k : (j + 1) * k]) <= set(pool[c])
+        assert set(ep.query_items[j * q : (j + 1) * q]) <= set(pool[c])
+
+    again = sample_episode(fp_b.pool, spec)  # same pool index, other feature matrix
+    assert again.class_map == ep.class_map
+    assert again.support_items == ep.support_items and again.query_items == ep.query_items
+    assert np.array_equal(again.support_labels, ep.support_labels)
+    assert np.array_equal(again.query_labels, ep.query_labels)

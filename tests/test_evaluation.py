@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from geomshot.dataio import eligible_classes
 from geomshot.episodes import EpisodeSpec, sample_episode
 from geomshot.errors import DegenerateProblem, InsufficientClasses
 from geomshot.evaluation import (
+    ABLATION_SETTINGS,
     EvalReport,
     EvalSpec,
+    ablation_normalization,
     ci95_halfwidth,
     episode_linear_baseline,
     error_analysis,
@@ -155,6 +159,57 @@ class TestEmbedOnceMatchesPerEpisodeEmbedding:
         assert report.to_json() == expected.to_json()
 
 
+def reference_ablation(build_pool, ks, spec):
+    """The per-setting loop: every setting draws its own episodes for every K."""
+    rows = []
+    for key, label, representation, normalize in ABLATION_SETTINGS:
+        fp = build_pool(representation, normalize)
+        for k in ks:
+            report = input_space_baseline(fp, replace(spec, k_shot=k), {"ablation_setting": key})
+            rows.append({"setting": key, "label": label, "representation": representation,
+                         "normalize": normalize, "K": k, "mean": report.mean_accuracy,
+                         "ci95": report.ci95_halfwidth})
+    return rows
+
+
+class TestAblationDrawsOncePerK:
+    """Sharing each K's episodes across the settings gives the per-setting loop's rows."""
+
+    def report_bytes(self, rows):
+        return json.dumps({"schema_version": 1, "dataset": "d", "rows": rows}, indent=2, sort_keys=True)
+
+    def test_rows_byte_identical_on_synth_corpus(self, small_corpus):
+        build = TestOnSynthCorpus().pool_builder(small_corpus)
+        spec = EvalSpec(3, 5, 4, 40, 42)
+        ks = (1, 3, 5)
+        expected = self.report_bytes(reference_ablation(build, ks, spec))
+        assert self.report_bytes(ablation_normalization(build, ks, spec)) == expected
+
+    def test_rows_byte_identical_with_an_ineligible_class(self):
+        base = noise_pool(n_classes=6, per_class=12, dim=9, seed=4)
+        base.pool[2] = base.pool[2][:5]  # eligible at K=1 only (Q=4)
+
+        def build(representation, normalize):
+            shift = {"raw": 0.0, "angle": 1.0}[representation] + (0.5 if normalize else 0.0)
+            X = np.sin(base.X * (1.0 + shift))
+            return FeaturePool(X, {c: list(r) for c, r in base.pool.items()}, base.paths,
+                               representation, normalize)
+
+        spec = EvalSpec(4, 1, 4, 30, 9)
+        expected = self.report_bytes(reference_ablation(build, (1, 2, 7), spec))
+        assert self.report_bytes(ablation_normalization(build, (1, 2, 7), spec)) == expected
+
+    def test_settings_with_different_pool_indices_are_refused(self):
+        def build(representation, normalize):
+            fp = noise_pool(seed=1)
+            if representation == "angle":
+                fp.pool[0] = fp.pool[0][1:]
+            return fp
+
+        with pytest.raises(ValueError, match="'angle'"):
+            ablation_normalization(build, (1,), EvalSpec(5, 1, 4, 5, 0))
+
+
 class TestCI:
     def test_formula_matches_hand_computation(self):
         values = [0.8, 0.75, 0.9, 0.6, 0.85]
@@ -279,6 +334,9 @@ class TestErrorAnalysis:
 
 
 class TestOnSynthCorpus:
+    def pool_builder(self, corpus):
+        return lambda representation, normalize: self.make_pool(corpus, representation, normalize)
+
     def make_pool(self, corpus, representation, normalize):
         from geomshot.dataio import load_split, split_pool
         from geomshot.features import build_feature_pool

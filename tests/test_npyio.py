@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomshot import npyio
 from geomshot.errors import FormatError, InvalidKeypoints
 from geomshot.npyio import load_keypoints, write_keypoints
 
@@ -145,3 +148,73 @@ def test_damaged_file_raises_only_format_or_keypoint_errors(tmp_path_factory, da
     except (FormatError, InvalidKeypoints):
         return
     assert out.shape == (21, 3) and np.all(np.isfinite(out))
+
+
+_ROUTE_ARR = np.random.default_rng(8).normal(size=(21, 3))
+
+
+def _file_bytes(kind: str) -> bytes:
+    """One keypoint file of each kind the two header routes must agree on."""
+    arr = _ROUTE_ARR.copy()
+    buf = io.BytesIO()
+    if kind == "float32":
+        np.save(buf, arr.astype(np.float32))
+        return buf.getvalue()
+    if kind == "v2":
+        np.lib.format.write_array(buf, arr, version=(2, 0))
+        return buf.getvalue()
+    if kind == "padding":  # a valid v1.0 header with its own padding
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (21, 3)}" + " " * 7 + "\n"
+        return _npy_bytes(header, arr.tobytes())
+    if kind == "nan":
+        arr[4, 1] = np.nan
+    np.save(buf, arr)  # the bytes write_keypoints writes (see the round-trip test)
+    data = buf.getvalue()
+    if kind == "truncated":
+        return data[:-8]
+    if kind == "trailing":
+        return data + b"trailing bytes"
+    return data
+
+
+def _outcome(path):
+    try:
+        out = load_keypoints(path)
+    except (FormatError, InvalidKeypoints) as e:
+        return type(e), getattr(e, "field", None)
+    return out.dtype, out.tobytes()
+
+
+_LOADED = (np.float64, _ROUTE_ARR.tobytes())
+_LOADED_F32 = (np.float64, _ROUTE_ARR.astype(np.float32).astype(np.float64).tobytes())
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [("float64", _LOADED), ("float32", _LOADED_F32), ("v2", _LOADED), ("padding", _LOADED),
+     ("trailing", _LOADED), ("truncated", (FormatError, "payload")), ("nan", (InvalidKeypoints, None))],
+)
+def test_canonical_and_general_header_routes_agree(tmp_path, monkeypatch, kind, expected):
+    p = tmp_path / "h.npy"
+    if kind == "float64":
+        write_keypoints(p, _ROUTE_ARR)
+    else:
+        p.write_bytes(_file_bytes(kind))
+    fast = _outcome(p)
+    monkeypatch.setattr(npyio, "_CANONICAL", {})  # every file takes the general route
+    assert _outcome(p) == fast == expected
+
+
+def test_canonical_files_skip_header_parsing(tmp_path, monkeypatch):
+    write_keypoints(tmp_path / "w.npy", _ROUTE_ARR)
+    (tmp_path / "f4.npy").write_bytes(_file_bytes("float32"))
+    (tmp_path / "v2.npy").write_bytes(_file_bytes("v2"))
+
+    def no_parse(f, path):
+        raise AssertionError("a header was parsed")
+
+    monkeypatch.setattr(npyio, "_read_header", no_parse)
+    assert np.array_equal(load_keypoints(tmp_path / "w.npy"), _ROUTE_ARR)
+    assert np.array_equal(load_keypoints(tmp_path / "f4.npy"), _ROUTE_ARR.astype(np.float32))
+    with pytest.raises(AssertionError, match="parsed"):
+        load_keypoints(tmp_path / "v2.npy")
