@@ -118,8 +118,8 @@ def parse_ablate(doc: dict) -> tuple[int, ...]:
 def parse_seeds(doc: dict) -> tuple[int, ...]:
     """The seeds of a multiseed run; defaults to (42, 1337, 2024)."""
     seeds = _int_list(doc.get("seeds", [42, 1337, 2024]), "seeds")
-    if len(set(seeds)) != len(seeds):
-        raise InvalidConfig(f"seeds must be distinct, got {list(seeds)}")
+    if len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise InvalidConfig(f"seeds must be distinct and non-negative, got {list(seeds)}")
     return seeds
 
 

@@ -7,7 +7,18 @@ index order, by indexing into those embeddings. The input-space path
 scores on the feature matrix itself. Per-class accuracy and the confusion
 counts come from one ``bincount`` over every query of every episode. The
 per-episode softmax-regression baseline fits all episodes' probes in one
-stacked solve over their support rows. Episodes depend only on the pool
+stacked solve over their support rows.
+
+``fit_softmax_regression`` picks its form from the shape of X ``(n, d)``.
+W starts at zero and every gradient step adds ``Xᵀ·(…)`` to it, so after
+every step ``W = Xᵀ A`` for some ``A (n, c)``. With fewer rows than
+features (every episode probe: N·K support rows of a 128-D embedding) the
+descent iterates on A through the Gram matrix ``G = X Xᵀ``: the logits are
+``G A + b`` and the step is ``A -= lr·(g + l2·A)``; W is ``Xᵀ A`` at the
+end. That form is equal to the primal one in exact arithmetic and differs
+from it only in the last bits of W. With ``n >= d`` (the full-data
+baseline) W is updated directly. Both forms share one loop body over
+workspaces allocated once per fit. Episodes depend only on the pool
 index and the spec, so the normalization ablation draws each K's episodes
 once and scores all three settings' feature matrices on them.
 Report JSON is emitted with sorted keys and no timestamps, making
@@ -28,6 +39,7 @@ from .errors import DegenerateProblem
 from .features import FeaturePool
 from .fewshot import classify, compute_prototypes
 from .nnet import MLPEncoder
+from .rng import check_seed
 
 REPORT_SCHEMA_VERSION = 1
 CSV_COLUMNS = ["dataset", "repr", "encoder", "mode", "K", "mean", "ci95"]
@@ -51,6 +63,7 @@ class EvalSpec:
     def __post_init__(self):
         if min(self.n_way, self.k_shot, self.q_query, self.episodes) < 1:
             raise ValueError("eval way/shot/query/episode counts must be positive")
+        check_seed("eval base_seed", self.base_seed)
 
 
 @dataclass
@@ -212,23 +225,50 @@ def fit_softmax_regression(
     dimensions fit independent problems in one solve: X ``(..., n, d)``
     and y ``(..., n)`` give W ``(..., d, c)`` and b ``(..., c)``, each
     slice bit-identical to fitting that slice alone.
+
+    With fewer rows than features (``n < d``) the descent runs in dual
+    form on ``A (..., n, c)`` with ``W = Xᵀ A`` (see the module docstring);
+    otherwise it updates W directly.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n, d = X.shape[-2:]
-    W = np.zeros(X.shape[:-2] + (d, n_classes))
-    b = np.zeros(X.shape[:-2] + (n_classes,))
-    onehot = (y[..., None] == np.arange(n_classes)).astype(np.float64)
+    batch = X.shape[:-2]
     Xt = X.swapaxes(-1, -2)
+    dual = n < d
+    # logits = kernel @ S + b; the step on S is lr * (l2 * S + (g if dual else Xᵀ g)).
+    kernel = X @ Xt if dual else X
+    S = np.zeros(batch + (n if dual else d, n_classes))
+    b = np.zeros(batch + (n_classes,))
+    onehot = (y[..., None] == np.arange(n_classes)).astype(np.float64)
+    g = np.empty(batch + (n, n_classes))
+    row = np.empty(batch + (n, 1))
+    # The row max as a running maximum over class columns: exact, and far
+    # cheaper than a reduction over a last axis of a few classes.
+    top, columns = row[..., 0], [g[..., j] for j in range(n_classes)]
+    back = np.empty_like(S)
+    step = np.empty_like(S)
+    b_step = np.empty_like(b)
     for _ in range(iters):
-        logits = X @ W + b[..., None, :]
-        logits -= logits.max(axis=-1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=-1, keepdims=True)
-        g = (p - onehot) / n
-        W -= lr * (Xt @ g + l2 * W)
-        b -= lr * g.sum(axis=-2)
-    return W, b
+        np.matmul(kernel, S, out=g)
+        g += b[..., None, :]
+        np.copyto(top, columns[0])
+        for column in columns[1:]:
+            np.maximum(top, column, out=top)
+        g -= row
+        np.exp(g, out=g)
+        np.sum(g, axis=-1, keepdims=True, out=row)
+        g /= row
+        g -= onehot
+        g /= n
+        np.multiply(l2, S, out=step)
+        step += g if dual else np.matmul(Xt, g, out=back)
+        step *= lr
+        S -= step
+        np.sum(g, axis=-2, out=b_step)
+        b_step *= lr
+        b -= b_step
+    return (Xt @ S if dual else S), b
 
 
 def _linear_predict(W: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:

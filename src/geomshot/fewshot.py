@@ -1,7 +1,11 @@
 """Prototype classification head and episode losses.
 
 Prototypes are per-class means of support embeddings; queries are scored
-by softmax over negative squared Euclidean distances. The contrastive
+by softmax over negative squared Euclidean distances. Every episode's
+support is balanced, K rows per class, so the prototypes are one reshape
+to ``(N, K, D)`` and a mean, and each support row's gradient is its
+prototype's gradient over K. An unbalanced support, or a label outside
+``0..N-1``, is a ``ShapeError``. The contrastive
 loss operates on L2-normalized embeddings (prototype distances stay
 unnormalized) and uses the mean-over-positives-outside-the-log form:
 anchors without a same-label positive are skipped.
@@ -37,18 +41,23 @@ class LossBreakdown:
 
 
 def compute_prototypes(support_emb: np.ndarray, labels: np.ndarray, n_way: int) -> np.ndarray:
-    """Per-class means of support embeddings, rows ordered by class label."""
+    """Per-class means of support embeddings, rows ordered by class label.
+
+    The support must be balanced: K rows of each class ``0..n_way-1``, in any
+    order. A stable sort by label groups each class's rows in their support
+    order, so one ``(n_way, K, D)`` mean gives the same bits as a per-class
+    mask and mean.
+    """
     support_emb = np.asarray(support_emb, dtype=np.float64)
     labels = np.asarray(labels)
-    if support_emb.ndim != 2 or support_emb.shape[0] != labels.shape[0]:
+    if support_emb.ndim != 2 or labels.ndim != 1 or support_emb.shape[0] != labels.shape[0]:
         raise ShapeError("support embeddings and labels disagree")
-    protos = np.empty((n_way, support_emb.shape[1]))
-    for c in range(n_way):
-        mask = labels == c
-        if not mask.any():
-            raise ShapeError(f"no support embeddings for class {c}")
-        protos[c] = support_emb[mask].mean(axis=0)
-    return protos
+    k = labels.shape[0] // n_way if n_way > 0 else 0
+    order = np.argsort(labels, kind="stable")
+    if k < 1 or not np.array_equal(labels[order], np.repeat(np.arange(n_way), k)):
+        counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
+        raise ShapeError(f"support needs the same number of rows for each class 0..{n_way - 1}, got {counts}")
+    return support_emb[order].reshape(n_way, k, -1).mean(axis=1)
 
 
 def squared_distances(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:
@@ -86,7 +95,7 @@ def protonet_loss_and_grads(
     """NLL plus gradients w.r.t. support and query embeddings.
 
     The support gradient flows through the prototype means (each support
-    row receives its class-prototype gradient divided by the class count).
+    row receives its class-prototype gradient divided by K).
     """
     support_emb = np.asarray(support_emb, dtype=np.float64)
     query_emb = np.asarray(query_emb, dtype=np.float64)
@@ -107,10 +116,7 @@ def protonet_loss_and_grads(
     col_sum = d_dist.sum(axis=0)[:, None]
     d_protos = 2.0 * (protos * col_sum - d_dist.T @ query_emb)
 
-    d_support = np.zeros_like(support_emb)
-    for c in range(n_way):
-        mask = support_labels == c
-        d_support[mask] = d_protos[c] / mask.sum()
+    d_support = (d_protos / (len(support_labels) // n_way))[support_labels]
     return loss, d_support, d_query
 
 

@@ -126,15 +126,16 @@ class MLPEncoder:
         self._train_forward = train
         return x
 
-    def backward(self, grad_embeddings: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns the input gradient."""
+    def backward(self, grad_embeddings: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients; return the input gradient, or None
+        without ``input_grad``, which skips fc1's input-gradient product."""
         if not self._train_forward:
             raise CacheError("backward requires a preceding train-mode forward")
         self._train_forward = False
         g = np.asarray(grad_embeddings, dtype=np.float64)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        return self.layers[0].backward(g, input_grad)
 
     def backbone_forward(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode features right before the final projection."""

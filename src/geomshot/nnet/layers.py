@@ -96,11 +96,13 @@ class Linear(Layer):
         self._cache = x if train else None
         return x @ self.weight.values + self.bias.values
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad: bool = True):
+        """Accumulate parameter gradients; return the input gradient, or None
+        without ``input_grad`` (the first trained layer's has no reader)."""
         x = self._take_cache()
         self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.values.T
+        return grad_out @ self.weight.values.T if input_grad else None
 
 
 class ReLU(Layer):

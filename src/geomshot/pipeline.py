@@ -31,7 +31,7 @@ from .features import FeaturePool
 from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
 from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
 from .nnet.checkpoint import load_checkpoint, save_checkpoint
-from .rng import STREAM_DROPOUT, make_rng
+from .rng import STREAM_DROPOUT, check_seed, make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +70,7 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.episodes_per_epoch, self.max_epochs, self.patience, self.monitor_episodes) < 1:
             raise ValueError("episode/epoch/patience counts must be positive")
+        check_seed("train base_seed", self.base_seed)
         for name in ("learning_rate", "temperature"):
             _check_number(name, getattr(self, name), positive=True)
         for name in ("weight_decay", "supcon_weight"):
@@ -131,7 +132,7 @@ def _episode_step(
     d_emb = np.vstack([d_sup, d_qry]) + cfg.supcon_weight * d_all
 
     optimizer.zero_grad()
-    model.backward(d_emb)
+    model.backward(d_emb, input_grad=False)
     grad_norm = optimizer.step()
     return LossBreakdown(nll, sc, cfg.supcon_weight, cfg.temperature), grad_norm
 

@@ -28,6 +28,12 @@ STREAM_SYNTH_DICT = 5
 STREAM_SYNTH_SAMPLE = 6
 
 
+def check_seed(name: str, value) -> None:
+    """Require a non-negative integer seed, as PCG64 does; bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def make_rng(*parts: int) -> np.random.Generator:
     """Return a PCG64 generator for the given integer seed components."""
     if not parts:

@@ -217,6 +217,29 @@ def test_bad_multiseed_seeds_are_one_line_error_and_create_no_run_dir(small_corp
     assert not (tmp_path / "ms").exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("eval", "eval", "base_seed", -5, "ValueError: eval base_seed must be a non-negative integer"),
+        ("train", "train", "base_seed", -1, "ValueError: train base_seed must be a non-negative integer"),
+        ("eval", "eval", "base_seed", "7", "ValueError: eval base_seed must be a non-negative integer"),
+        ("eval", "eval", "base_seed", 1.5, "ValueError: eval base_seed must be a non-negative integer"),
+        ("multiseed", None, "seeds", [-1, 2], "InvalidConfig: seeds must be distinct and non-negative"),
+    ],
+)
+def test_bad_seed_is_one_line_error_and_creates_no_run_dir(
+    small_corpus, tmp_path, caplog, command, section, key, value, message
+):
+    doc = tiny_train_doc(small_corpus) if command == "train" else eval_doc(small_corpus, episodes=3)
+    (doc[section] if section else doc)[key] = value
+    cfg = write_yaml(tmp_path / "neg.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--run-id", "neg"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith(message)
+    assert not (tmp_path / "neg").exists()
+
+
 @pytest.mark.parametrize("k_values", [[], [0], [1, -1], [True], [2.0], 3, None])
 def test_bad_ablate_k_values_are_one_line_error_and_create_no_run_dir(small_corpus, tmp_path, caplog, k_values):
     doc = eval_doc(small_corpus, episodes=3)

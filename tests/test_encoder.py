@@ -68,6 +68,24 @@ def test_backward_requires_train_forward():
         enc.backward(np.zeros((4, 128)))
 
 
+@pytest.mark.parametrize("head_only", [False, True])
+def test_skipping_the_input_gradient_keeps_parameter_gradients_bitwise(head_only):
+    x = np.random.default_rng(3).normal(size=(12, 20))
+    g = np.random.default_rng(4).normal(size=(12, 128))
+    grads = []
+    for input_grad in (True, False):
+        enc = MLPEncoder(EncoderConfig(input_dim=20), seed=10)
+        model = enc.head if head_only else enc
+        inputs = enc.backbone_forward(x) if head_only else x
+        enc.zero_grad()
+        model.forward(inputs, train=True, rng=make_rng(5))
+        dx = model.backward(g, input_grad=input_grad)
+        assert (dx is None) == (not input_grad)
+        grads.append(enc.flat.grad.copy())
+    assert np.array_equal(grads[0], grads[1])
+    assert np.any(grads[1] != 0.0)
+
+
 def test_train_forward_deterministic_given_rng():
     enc = MLPEncoder(EncoderConfig(input_dim=20), seed=8)
     x = np.random.default_rng(2).normal(size=(6, 20))

@@ -210,6 +210,13 @@ class TestAblationDrawsOncePerK:
             ablation_normalization(build, (1,), EvalSpec(5, 1, 4, 5, 0))
 
 
+@pytest.mark.parametrize("seed", [-5, 1.5, "7", True])
+def test_eval_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    assert EvalSpec(5, 5, 15, 10, 0).base_seed == 0
+    with pytest.raises(ValueError, match="base_seed"):
+        EvalSpec(5, 5, 15, 10, seed)
+
+
 class TestCI:
     def test_formula_matches_hand_computation(self):
         values = [0.8, 0.75, 0.9, 0.6, 0.85]
@@ -217,6 +224,36 @@ class TestCI:
         mean = sum(values) / n
         sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
         assert ci95_halfwidth(values) == pytest.approx(1.96 * sd / math.sqrt(n), abs=1e-12)
+
+
+def reference_fit(X, y, n_classes, iters=500, lr=0.1, l2=1e-3):
+    """Reference: the primal descent on W, allocating fresh arrays every iteration."""
+    n, d = X.shape[-2:]
+    W = np.zeros(X.shape[:-2] + (d, n_classes))
+    b = np.zeros(X.shape[:-2] + (n_classes,))
+    onehot = (y[..., None] == np.arange(n_classes)).astype(np.float64)
+    Xt = X.swapaxes(-1, -2)
+    for _ in range(iters):
+        logits = X @ W + b[..., None, :]
+        logits -= logits.max(axis=-1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=-1, keepdims=True)
+        g = (p - onehot) / n
+        W -= lr * (Xt @ g + l2 * W)
+        b -= lr * g.sum(axis=-2)
+    return W, b
+
+
+def random_episodes(seed, episodes, n_way, k, dim, q=6):
+    """Support and query rows of episodes whose classes are noisy clusters."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=2.0, size=(episodes, n_way, dim))
+    y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k)) for _ in range(episodes)])
+    yq = np.tile(np.arange(n_way), (episodes, q))
+    take = lambda labels: np.take_along_axis(centers, labels[..., None], axis=1)
+    X = take(y) + rng.normal(size=y.shape + (dim,))
+    Xq = take(yq) + rng.normal(size=yq.shape + (dim,))
+    return X, y, Xq
 
 
 class TestSoftmaxRegression:
@@ -243,6 +280,35 @@ class TestSoftmaxRegression:
         for e in range(6):
             W_e, b_e = fit_softmax_regression(X[e], y[e], 5, iters=60)
             assert np.array_equal(W[e], W_e) and np.array_equal(b[e], b_e)
+
+    def test_stacked_dual_fit_equals_separate_fits_bitwise(self):
+        X, y, _ = random_episodes(3, 6, 5, 1, 16)
+        W, b = fit_softmax_regression(X, y, 5, iters=60)
+        assert W.shape == (6, 16, 5) and b.shape == (6, 5)
+        for e in range(6):
+            W_e, b_e = fit_softmax_regression(X[e], y[e], 5, iters=60)
+            assert np.array_equal(W[e], W_e) and np.array_equal(b[e], b_e)
+
+    @pytest.mark.parametrize("shape", [(300, 83), (60, 20), (20, 20), (6, 15, 8)])
+    def test_primal_form_equals_reference_bitwise(self, shape):
+        # n >= d: W is updated directly, with the reference's operations in its order.
+        rng = np.random.default_rng(sum(shape))
+        X = rng.normal(size=shape)
+        y = rng.integers(0, 12, size=shape[:-1])
+        W, b = fit_softmax_regression(X, y, 12)
+        W_ref, b_ref = reference_fit(X, y, 12)
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+    @pytest.mark.parametrize("n_way, k, dim", [(5, 5, 128), (5, 1, 128), (3, 2, 7), (4, 4, 17)])
+    def test_dual_form_matches_reference(self, n_way, k, dim):
+        # n < d: descent on A with W = X^T A; equal to the reference up to rounding.
+        X, y, Xq = random_episodes(n_way * k + dim, 30, n_way, k, dim)
+        W, b = fit_softmax_regression(X, y, n_way)
+        W_ref, b_ref = reference_fit(X, y, n_way)
+        assert np.abs(W - W_ref).max() <= 1e-12 * np.abs(W_ref).max()
+        assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+        pred = (Xq @ W + b[:, None, :]).argmax(axis=-1)
+        assert np.array_equal(pred, (Xq @ W_ref + b_ref[:, None, :]).argmax(axis=-1))
 
 
 class TestEpisodeLinear:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geomshot.errors import NoPositivesError, ShapeError
 from geomshot.fewshot import (
@@ -28,6 +30,42 @@ def loop_prototypes(emb, labels, n_way):
                 count += 1
         out.append(total / count)
     return np.array(out)
+
+
+def mask_loop_prototypes(support_emb, labels, n_way):
+    """Reference: one boolean mask and mean per class."""
+    protos = np.empty((n_way, support_emb.shape[1]))
+    for c in range(n_way):
+        protos[c] = support_emb[labels == c].mean(axis=0)
+    return protos
+
+
+def mask_loop_protonet(support_emb, support_labels, query_emb, query_labels, n_way):
+    """Reference: the protonet loss and gradients with per-class mask loops."""
+    protos = mask_loop_prototypes(support_emb, support_labels, n_way)
+    log_p = proto_log_probs(query_emb, protos)
+    loss = protonet_nll(log_p, query_labels)
+    m = query_emb.shape[0]
+    g = np.exp(log_p)
+    g[np.arange(m), query_labels] -= 1.0
+    g /= m
+    d_dist = -g
+    row_sum = d_dist.sum(axis=1, keepdims=True)
+    d_query = 2.0 * (query_emb * row_sum - d_dist @ protos)
+    col_sum = d_dist.sum(axis=0)[:, None]
+    d_protos = 2.0 * (protos * col_sum - d_dist.T @ query_emb)
+    d_support = np.zeros_like(support_emb)
+    for c in range(n_way):
+        mask = support_labels == c
+        d_support[mask] = d_protos[c] / mask.sum()
+    return loss, d_support, d_query
+
+
+def balanced_support(rng, n_way, k, dim):
+    """K rows per class, labels in shuffled order, values across many magnitudes."""
+    labels = rng.permutation(np.repeat(np.arange(n_way), k))
+    emb = rng.normal(size=(n_way * k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n_way * k, 1))
+    return emb, labels
 
 
 def naive_log_probs(queries, protos):
@@ -83,6 +121,35 @@ class TestPrototypes:
         emb = np.random.default_rng(2).normal(size=(4, 8))
         with pytest.raises(ShapeError):
             compute_prototypes(emb, np.array([0, 0, 1, 1]), 3)
+
+    @given(
+        n_way=st.integers(1, 8),
+        k=st.integers(1, 12),
+        dim=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reshape_mean_equals_mask_loop_bitwise(self, n_way, k, dim, seed):
+        emb, labels = balanced_support(np.random.default_rng(seed), n_way, k, dim)
+        assert np.array_equal(compute_prototypes(emb, labels, n_way), mask_loop_prototypes(emb, labels, n_way))
+
+    @pytest.mark.parametrize(
+        "labels, n_way",
+        [
+            ([0, 0, 1, 1, 1, 2], 3),  # unequal counts
+            ([0, 1, 2, 0, 1, 1], 3),  # unequal counts, shuffled
+            ([0, 0, 1, 1, 3, 3], 3),  # label n_way (the mask loop dropped these rows)
+            ([0, 1, 2, 3], 3),  # an extra class beyond n_way
+            ([-1, 0, 1, 2], 3),  # negative label
+            ([], 3),  # empty support
+        ],
+    )
+    def test_unbalanced_or_out_of_range_labels_raise(self, labels, n_way):
+        emb = np.random.default_rng(3).normal(size=(len(labels), 4))
+        with pytest.raises(ShapeError):
+            compute_prototypes(emb, np.array(labels, dtype=int), n_way)
+        query = np.random.default_rng(4).normal(size=(3, 4))
+        with pytest.raises(ShapeError):
+            protonet_loss_and_grads(emb, np.array(labels, dtype=int), query, np.array([0, 1, 2]), n_way)
 
 
 class TestProtoLogProbs:
@@ -247,6 +314,17 @@ class TestGradients:
                 down = loss(s, q)
                 flat[i] = orig
                 assert grad.reshape(-1)[i] == pytest.approx((up - down) / (2 * h), abs=1e-7)
+
+    @pytest.mark.parametrize("n_way, k", [(1, 3), (3, 1), (5, 5), (4, 7)])
+    def test_protonet_equals_mask_loop_bitwise(self, n_way, k):
+        rng = np.random.default_rng(100 + 10 * n_way + k)
+        s, sl = balanced_support(rng, n_way, k, 16)
+        q = rng.normal(size=(3 * n_way, 16))
+        ql = rng.permutation(np.repeat(np.arange(n_way), 3))
+        got = protonet_loss_and_grads(s, sl, q, ql, n_way)
+        want = mask_loop_protonet(s, sl, q, ql, n_way)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     def test_supcon_grad_matches_finite_differences(self):
         rng = np.random.default_rng(14)
