@@ -34,6 +34,7 @@ from .evaluation import (
     full_data_linear,
     input_space_baseline,
     multi_seed,
+    shared_episodes,
     write_csv_table,
 )
 from .features import build_feature_pool
@@ -337,6 +338,13 @@ def cmd_multiseed(args) -> int:
     fp = pools["test"]
     ckpt = doc.get("checkpoint")
     encoder = _load_checkpoint_encoder(ckpt, data, fp.dim)[0] if ckpt else None
+    shared = shared_episodes(seeds, base_spec.episodes)
+    if shared:
+        logger.warning(
+            "seeds %s are closer than eval.episodes (%d): %d of their %d episodes repeat another seed's, "
+            "so across_seed_std is understated",
+            list(seeds), base_spec.episodes, shared, len(seeds) * base_spec.episodes,
+        )
 
     def run_fn(seed):
         return evaluate(encoder, fp, replace(base_spec, base_seed=seed), {"dataset": catalog.name})

@@ -1,13 +1,17 @@
 """Episode evaluation, baselines, ablation, multi-seed aggregation.
 
-The protocol draws all of its seeded episodes first (``draw_episodes``),
-embeds every row they touch once (one eval-mode forward over the union of
-their support and query rows), then scores the episodes serially, in
-index order, by indexing into those embeddings. The input-space path
-scores on the feature matrix itself. Per-class accuracy and the confusion
-counts come from one ``bincount`` over every query of every episode. The
-per-episode softmax-regression baseline fits all episodes' probes in one
-stacked solve over their support rows.
+The protocol draws all of its seeded episodes first, as one ``Episodes``
+batch of row arrays (``draw_episodes``), embeds every row they touch once
+(one eval-mode forward over the union of their support and query rows),
+then scores the episodes in index order, ``PROTO_BLOCK`` episodes at a
+time: one stacked ``compute_prototypes`` and one screened ``classify``
+call per block, so the block's temporaries stay below 1 MB at 128-D
+embeddings and no ``(E, N·Q, N, D)`` tensor is ever built. The
+input-space path scores on the feature matrix itself. Per-class accuracy
+and the confusion counts come from one ``bincount`` over every query of
+every episode. The per-episode softmax-regression baseline fits all
+episodes' probes in one stacked solve over their support rows and
+scores their queries in the same blocks.
 
 ``fit_softmax_regression`` picks its form from the shape of X ``(n, d)``.
 W starts at zero and every gradient step adds ``Xᵀ·(…)`` to it, so after
@@ -34,7 +38,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .dataio import eligible_pool
-from .episodes import Episode, EpisodeSpec, sample_episode
+from .episodes import Episodes, EpisodeSpec, sample_episode
 from .errors import DegenerateProblem
 from .features import FeaturePool
 from .fewshot import classify, compute_prototypes
@@ -42,6 +46,10 @@ from .nnet import MLPEncoder
 from .rng import check_seed
 
 REPORT_SCHEMA_VERSION = 1
+# Episodes scored per stacked block. At 75 queries and 25 support rows of 128-D,
+# a block's rows take 0.8 MB, about what the two (75, 5, 128) difference
+# tensors of one per-episode call take; larger blocks raised peak RSS.
+PROTO_BLOCK = 8
 CSV_COLUMNS = ["dataset", "repr", "encoder", "mode", "K", "mean", "ci95"]
 
 # Normalization-ablation settings: (key, label, representation, normalize).
@@ -63,6 +71,8 @@ class EvalSpec:
     def __post_init__(self):
         if min(self.n_way, self.k_shot, self.q_query, self.episodes) < 1:
             raise ValueError("eval way/shot/query/episode counts must be positive")
+        if self.n_way < 2:
+            raise ValueError(f"eval n_way must be >= 2, got {self.n_way}")
         check_seed("eval base_seed", self.base_seed)
 
 
@@ -115,18 +125,24 @@ def worker_count() -> int:
     return 1
 
 
-def proto_predict(emb: np.ndarray, episodes: list[Episode]) -> list[np.ndarray]:
-    """Nearest-prototype predictions for each episode's queries, from row embeddings."""
-    preds = []
-    for ep in episodes:
-        protos = compute_prototypes(emb[ep.support_items], ep.support_labels, len(ep.class_map))
-        preds.append(classify(emb[ep.query_items], protos))
-    return preds
+def _blocks(episodes: Episodes):
+    """Slices of ``PROTO_BLOCK`` consecutive episodes, in order."""
+    return (slice(start, start + PROTO_BLOCK) for start in range(0, len(episodes), PROTO_BLOCK))
 
 
-def episode_rows(episodes: list[Episode]) -> np.ndarray:
+def proto_predict(emb: np.ndarray, episodes: Episodes) -> np.ndarray:
+    """Nearest-prototype predictions ``(E, N*Q)`` for the episodes' queries, from row embeddings."""
+    n_way = episodes.classes.shape[1]
+    pred = np.empty(episodes.query.shape, dtype=np.int64)
+    for block in _blocks(episodes):
+        protos = compute_prototypes(emb[episodes.support[block]], episodes.support_labels, n_way)
+        pred[block] = classify(emb[episodes.query[block]], protos)
+    return pred
+
+
+def episode_rows(episodes: Episodes) -> np.ndarray:
     """Ascending rows that any of the episodes uses as support or query."""
-    return np.unique([row for ep in episodes for row in ep.support_items + ep.query_items])
+    return np.unique(np.concatenate([episodes.support.ravel(), episodes.query.ravel()]))
 
 
 def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -142,13 +158,11 @@ def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return emb
 
 
-def draw_episodes(pool: dict[int, list[int]], spec: EvalSpec) -> list[Episode]:
+def draw_episodes(pool: dict[int, list[int]], spec: EvalSpec) -> Episodes:
     """The spec's seeded episodes over the classes of ``pool`` with at least K+Q rows."""
     eligible = eligible_pool(pool, spec.k_shot, spec.q_query, spec.n_way)
-    return [
-        sample_episode(eligible, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
-        for i in range(spec.episodes)
-    ]
+    first = EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, 0)
+    return sample_episode(eligible, first, count=spec.episodes)
 
 
 def _score_episodes(
@@ -156,26 +170,24 @@ def _score_episodes(
     predict,
     fp: FeaturePool,
     spec: EvalSpec,
-    episodes: list[Episode],
+    episodes: Episodes,
     config_echo: dict,
 ) -> EvalReport:
-    """Score ``predict(emb, episodes)``, one relabelled prediction array per episode.
+    """Score ``predict(emb, episodes)``, the ``(E, N*Q)`` relabelled predictions.
 
-    Every episode has N*Q queries, so the predictions stack into one
-    ``(E, N*Q)`` array. The per-class and confusion tallies are one
-    ``bincount`` over ``true * C + pred``, with classes as positions in
-    the pool's sorted class ids.
+    The per-class and confusion tallies are one ``bincount`` over
+    ``true * C + pred``, with classes as positions in the pool's sorted
+    class ids.
     """
     emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
-    pred = np.stack(predict(emb, episodes))
-    labels = np.stack([ep.query_labels for ep in episodes])
+    pred = predict(emb, episodes)
+    labels = episodes.query_labels
     accuracies = (pred == labels).mean(axis=1).tolist()
 
     classes = sorted(fp.pool)
-    position = {c: i for i, c in enumerate(classes)}
     # Row e maps episode e's relabelled classes 0..N-1 to pool class positions.
-    lookup = np.array([[position[c] for c in ep.original_classes] for ep in episodes])
-    true = np.take_along_axis(lookup, labels, axis=1)
+    lookup = np.searchsorted(classes, episodes.classes)
+    true = lookup[:, labels]
     guess = np.take_along_axis(lookup, pred, axis=1)
     C = len(classes)
     counts = np.bincount((true * C + guess).ravel(), minlength=C * C).reshape(C, C)
@@ -272,7 +284,7 @@ def fit_softmax_regression(
 
 
 def _linear_predict(W: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return (X @ W + b).argmax(axis=1)
+    return (X @ W + b).argmax(axis=-1)
 
 
 def episode_linear_baseline(
@@ -291,10 +303,12 @@ def episode_linear_baseline(
     """
 
     def predict(emb, episodes):
-        X = np.stack([emb[ep.support_items] for ep in episodes])
-        y = np.stack([ep.support_labels for ep in episodes])
-        W, b = fit_softmax_regression(X, y, spec.n_way, iters=iters, lr=lr, l2=l2)
-        return [_linear_predict(W[e], b[e], emb[ep.query_items]) for e, ep in enumerate(episodes)]
+        y = np.broadcast_to(episodes.support_labels, episodes.support.shape)
+        W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way, iters=iters, lr=lr, l2=l2)
+        pred = np.empty(episodes.query.shape, dtype=np.int64)
+        for block in _blocks(episodes):
+            pred[block] = _linear_predict(W[block], b[block, None, :], emb[episodes.query[block]])
+        return pred
 
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "mlp")
@@ -357,6 +371,17 @@ def ablation_normalization(
                 "ci95": report.ci95_halfwidth,
             }
     return [rows[key, k] for key, *_ in ABLATION_SETTINGS for k in ks]
+
+
+def shared_episodes(seeds, episodes: int) -> int:
+    """How many of the ``len(seeds) * episodes`` episodes repeat one of another seed.
+
+    Episode i of base seed s uses the literal seed ``s + i``, so seed s + 1's
+    episode i is seed s's episode i + 1: seeds closer than ``episodes``
+    share episodes.
+    """
+    ordered = sorted(seeds)
+    return sum(max(0, episodes - (b - a)) for a, b in zip(ordered, ordered[1:]))
 
 
 def multi_seed(run_fn, seeds: tuple[int, ...] = (42, 1337, 2024)) -> dict:

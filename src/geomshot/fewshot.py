@@ -5,7 +5,19 @@ by softmax over negative squared Euclidean distances. Every episode's
 support is balanced, K rows per class, so the prototypes are one reshape
 to ``(N, K, D)`` and a mean, and each support row's gradient is its
 prototype's gradient over K. An unbalanced support, or a label outside
-``0..N-1``, is a ``ShapeError``. The contrastive
+``0..N-1``, is a ``ShapeError``. ``compute_prototypes`` and ``classify``
+take leading batch dimensions, so a block of episodes is one call.
+
+``classify`` screens with the Gram form ``|q|² + |p|² − 2 q·p`` (one
+batched matmul) and keeps its argmin only where that is sure to equal
+the argmin of the difference form ``((q − p)²).sum()``. Each of the two
+forms is within ``γ·(|q| + |p|)²`` of the true distance, with
+``γ ≈ (D + 2)·eps/2``, so the winner cannot change when the two smallest
+screened values are more than ``4·γ·(|q| + max|p|)²`` apart. The screen
+asks for a gap of ``16·(D + 2)·eps·(|q| + max|p|)²`` (plus a subnormal
+term), eight times that; a query with a smaller gap, or with a value
+that is not finite, is re-decided with the difference form. Predictions,
+ties included, are therefore those of the difference form. The contrastive
 loss operates on L2-normalized embeddings (prototype distances stay
 unnormalized) and uses the mean-over-positives-outside-the-log form:
 anchors without a same-label positive are skipped.
@@ -26,6 +38,12 @@ from .errors import NoPositivesError, ShapeError
 
 DEFAULT_SUPCON_WEIGHT = 0.5
 DEFAULT_TEMPERATURE = 0.07
+# classify's screen: a query is decided by the Gram form only if its two best
+# distances are more than _SCREEN_MARGIN * (D + 2) * (eps * scale + subnormal)
+# apart, eight times their worst-case rounding (module docstring).
+_SCREEN_MARGIN = 16.0
+_EPS = np.finfo(np.float64).eps
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass
@@ -46,23 +64,26 @@ def compute_prototypes(support_emb: np.ndarray, labels: np.ndarray, n_way: int) 
     The support must be balanced: K rows of each class ``0..n_way-1``, in any
     order. A stable sort by label groups each class's rows in their support
     order, so one ``(n_way, K, D)`` mean gives the same bits as a per-class
-    mask and mean.
+    mask and mean. Leading dimensions of ``support_emb (..., n, D)`` are
+    batch dimensions that share ``labels (n,)``.
     """
     support_emb = np.asarray(support_emb, dtype=np.float64)
     labels = np.asarray(labels)
-    if support_emb.ndim != 2 or labels.ndim != 1 or support_emb.shape[0] != labels.shape[0]:
+    if support_emb.ndim < 2 or labels.ndim != 1 or support_emb.shape[-2] != labels.shape[0]:
         raise ShapeError("support embeddings and labels disagree")
     k = labels.shape[0] // n_way if n_way > 0 else 0
     order = np.argsort(labels, kind="stable")
     if k < 1 or not np.array_equal(labels[order], np.repeat(np.arange(n_way), k)):
         counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
         raise ShapeError(f"support needs the same number of rows for each class 0..{n_way - 1}, got {counts}")
-    return support_emb[order].reshape(n_way, k, -1).mean(axis=1)
+    grouped = np.take(support_emb, order, axis=-2)  # C-contiguous, so every slice reduces alike
+    return grouped.reshape(support_emb.shape[:-2] + (n_way, k, -1)).mean(axis=-2)
 
 
 def squared_distances(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    diff = query_emb[:, None, :] - protos[None, :, :]
-    return (diff**2).sum(axis=2)
+    """``((q - p)**2).sum()`` for every query and prototype: ``(..., M, D)``, ``(..., N, D)`` -> ``(..., M, N)``."""
+    diff = query_emb[..., :, None, :] - protos[..., None, :, :]
+    return (diff**2).sum(axis=-1)
 
 
 def proto_log_probs(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:
@@ -81,8 +102,31 @@ def protonet_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def classify(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Nearest prototype by squared distance; ties go to the lowest class."""
-    return squared_distances(np.asarray(query_emb, dtype=np.float64), protos).argmin(axis=1)
+    """Nearest prototype by squared distance; ties go to the lowest class.
+
+    Query ``(..., M, D)`` and protos ``(..., N, D)`` give ``(..., M)``. The
+    Gram-form screen decides every query whose two best prototypes are
+    clearly apart; the rest are re-decided in the difference form (see the
+    module docstring), so the result is the difference form's argmin.
+    """
+    query_emb = np.asarray(query_emb, dtype=np.float64)
+    protos = np.asarray(protos, dtype=np.float64)
+    protos = np.broadcast_to(protos, query_emb.shape[:-2] + protos.shape[-2:])
+    q_sq = np.einsum("...i,...i->...", query_emb, query_emb)
+    p_sq = np.einsum("...i,...i->...", protos, protos)
+    screen = q_sq[..., :, None] + p_sq[..., None, :] - 2.0 * (query_emb @ protos.swapaxes(-1, -2))
+    pred = screen.argmin(axis=-1)
+    if protos.shape[-2] < 2:
+        return pred
+    best_two = np.partition(screen, 1, axis=-1)
+    gap = best_two[..., 1] - best_two[..., 0]
+    scale = (np.sqrt(q_sq) + np.sqrt(p_sq.max(axis=-1))[..., None]) ** 2
+    bound = _SCREEN_MARGIN * (query_emb.shape[-1] + 2) * (_EPS * scale + _SUBNORMAL)
+    unsure = np.nonzero(~(gap > bound))  # a NaN or an infinity also fails the test
+    if unsure[0].size:
+        exact = squared_distances(query_emb[unsure][:, None, :], protos[unsure[:-1]])
+        pred[unsure] = exact[:, 0, :].argmin(axis=-1)
+    return pred
 
 
 def protonet_loss_and_grads(

@@ -6,9 +6,10 @@ loss over all episode embeddings, backpropagate, and take one AdamW step.
 The learning rate follows a cosine schedule over epochs. After each epoch
 a monitor accuracy is computed on held-out episodes drawn from the train
 split under a disjoint seed stream; early stopping keeps the best-monitor
-parameters and halts after ``patience`` non-improving epochs. The monitor
-episodes are the same every epoch, so they are drawn once per run, and
-each epoch embeds the rows they touch in one eval-mode forward.
+parameters and halts after ``patience`` non-improving epochs. Each epoch
+draws its training episodes as one ``Episodes`` batch. The monitor
+episodes are the same every epoch, so they are drawn once per run, as one
+batch, and each epoch embeds the rows they touch in one eval-mode forward.
 
 Head-only adaptation (``target_supervised``) trains the final projection
 of a frozen encoder: the backbone runs once over the eligible train rows,
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dataio import eligible_pool
-from .episodes import Episode, EpisodeSpec, sample_episode
+from .episodes import Episodes, EpisodeSpec, sample_episode
 from .errors import ConfigMismatch, CorruptCheckpoint, ShapeError
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
@@ -70,6 +71,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.episodes_per_epoch, self.max_epochs, self.patience, self.monitor_episodes) < 1:
             raise ValueError("episode/epoch/patience counts must be positive")
+        if self.n_way < 2 or self.k_shot < 1 or self.q_query < 1:
+            raise ValueError(
+                f"train needs n_way >= 2, k_shot >= 1, q_query >= 1, got {self.n_way}, {self.k_shot}, {self.q_query}"
+            )
         check_seed("train base_seed", self.base_seed)
         for name in ("learning_rate", "temperature"):
             _check_number(name, getattr(self, name), positive=True)
@@ -102,31 +107,32 @@ class TrainResult:
     meta: dict
 
 
-def _monitor_accuracy(model, X: np.ndarray, episodes: list[Episode], rows: np.ndarray) -> float:
-    preds = proto_predict(embed_rows(model, X, rows), episodes)
-    correct = sum(int((pred == ep.query_labels).sum()) for pred, ep in zip(preds, episodes))
-    total = sum(len(ep.query_labels) for ep in episodes)
-    return correct / total
+def _monitor_accuracy(model, X: np.ndarray, episodes: Episodes, rows: np.ndarray) -> float:
+    pred = proto_predict(embed_rows(model, X, rows), episodes)
+    return int((pred == episodes.query_labels).sum()) / pred.size
+
+
+def _draw(pool: dict[int, list[int]], cfg: TrainConfig, seed: int, first: int, count: int) -> Episodes:
+    return sample_episode(pool, EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, seed, first), count=count)
 
 
 def _episode_step(
     model,
     optimizer: AdamW,
     X: np.ndarray,
-    pool: dict[int, list[int]],
+    batch: Episodes,
+    row: int,
     cfg: TrainConfig,
     episode_index: int,
 ) -> tuple[LossBreakdown, float]:
-    """One training episode; returns its losses and the pre-clip gradient norm."""
-    spec = EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, cfg.base_seed, episode_index)
-    ep = sample_episode(pool, spec)
-    labels = np.concatenate([ep.support_labels, ep.query_labels])
-    n_support = len(ep.support_labels)
+    """Training episode ``batch[row]``; returns its losses and the pre-clip gradient norm."""
+    labels = np.concatenate([batch.support_labels, batch.query_labels])
+    n_support = len(batch.support_labels)
     rng = make_rng(STREAM_DROPOUT, cfg.base_seed, episode_index)
-    emb = model.forward(X[ep.support_items + ep.query_items], train=True, rng=rng)
+    emb = model.forward(X[np.concatenate([batch.support[row], batch.query[row]])], train=True, rng=rng)
 
     nll, d_sup, d_qry = protonet_loss_and_grads(
-        emb[:n_support], ep.support_labels, emb[n_support:], ep.query_labels, cfg.n_way
+        emb[:n_support], batch.support_labels, emb[n_support:], batch.query_labels, cfg.n_way
     )
     sc, d_all = supcon_loss_and_grad(emb, labels, cfg.temperature)
     d_emb = np.vstack([d_sup, d_qry]) + cfg.supcon_weight * d_all
@@ -152,11 +158,7 @@ def _run_training(
     ``model`` is the encoder itself over the feature rows, or its head over
     cached backbone features.
     """
-    monitor_seed = cfg.base_seed + MONITOR_SEED_OFFSET
-    monitor = [
-        sample_episode(pool, EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, monitor_seed, j))
-        for j in range(cfg.monitor_episodes)
-    ]
+    monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
     best_state = encoder.state()
     best_acc = -1.0
@@ -166,9 +168,10 @@ def _run_training(
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.max_epochs) if schedule else cfg.learning_rate
         optimizer.lr = lr
+        first = epoch * cfg.episodes_per_epoch
+        batch = _draw(pool, cfg, cfg.base_seed, first, cfg.episodes_per_epoch)
         losses, norms = zip(*(
-            _episode_step(model, optimizer, X, pool, cfg, epoch * cfg.episodes_per_epoch + i)
-            for i in range(cfg.episodes_per_epoch)
+            _episode_step(model, optimizer, X, batch, i, cfg, first + i) for i in range(cfg.episodes_per_epoch)
         ))
         acc = _monitor_accuracy(model, X, monitor, monitor_rows)
         log.append({

@@ -240,6 +240,48 @@ def test_bad_seed_is_one_line_error_and_creates_no_run_dir(
     assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("train", "train", "k_shot", 0, "ValueError: train needs n_way >= 2, k_shot >= 1, q_query >= 1"),
+        ("train", "train", "q_query", 0, "ValueError: train needs n_way >= 2, k_shot >= 1, q_query >= 1"),
+        ("train", "train", "n_way", 1, "ValueError: train needs n_way >= 2, k_shot >= 1, q_query >= 1"),
+        ("eval", "eval", "n_way", 1, "ValueError: eval n_way must be >= 2"),
+    ],
+)
+def test_bad_episode_shape_is_one_line_error_and_creates_no_run_dir(
+    small_corpus, tmp_path, caplog, command, section, key, value, message
+):
+    doc = tiny_train_doc(small_corpus) if command == "train" else eval_doc(small_corpus, episodes=3)
+    doc[section][key] = value
+    cfg = write_yaml(tmp_path / "shape.yaml", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--run-id", "shape"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith(message)
+    assert not (tmp_path / "shape").exists()
+
+
+def test_multiseed_warns_once_when_seeds_share_episodes(small_corpus, tmp_path, caplog):
+    reports = {}
+    for run_id, seeds in (("near", [3, 4, 5]), ("far", [3, 13, 23])):
+        doc = eval_doc(small_corpus, episodes=10)
+        doc["seeds"] = seeds
+        cfg = write_yaml(tmp_path / f"{run_id}.yaml", doc)
+        caplog.clear()
+        assert main(["multiseed", "--config", cfg, "--out", str(tmp_path), "--run-id", run_id]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        reports[run_id] = json.loads((tmp_path / run_id / "report.json").read_text())
+        if run_id == "near":
+            # seeds 3, 4, 5 x 10 episodes draw 12 distinct episodes: 18 of 30 repeat
+            assert len(warnings) == 1
+            assert "18 of their 30 episodes" in warnings[0]
+        else:
+            assert warnings == []
+    assert set(reports["near"]) == set(reports["far"])
+    assert reports["near"]["seeds"] == [3, 4, 5]
+
+
 @pytest.mark.parametrize("k_values", [[], [0], [1, -1], [True], [2.0], 3, None])
 def test_bad_ablate_k_values_are_one_line_error_and_create_no_run_dir(small_corpus, tmp_path, caplog, k_values):
     doc = eval_doc(small_corpus, episodes=3)

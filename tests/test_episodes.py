@@ -5,9 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomshot.episodes import EpisodeSpec, sample_episode
+from geomshot.episodes import Episodes, EpisodeSpec, sample_episode
 from geomshot.errors import InsufficientClasses, InsufficientSamples
 from geomshot.features import FeaturePool
+from geomshot.rng import episode_rng
+
+
+def reference_episode(pool, spec):
+    """The per-episode ``rng.choice`` loop that pins the episode stream (the reference)."""
+    class_ids = sorted(pool)
+    rng = episode_rng(spec.base_seed, spec.episode_index)
+    drawn = rng.choice(len(class_ids), size=spec.n_way, replace=False)
+    classes, support, query = [], [], []
+    for ci in drawn:
+        items = pool[class_ids[int(ci)]]
+        picks = rng.choice(len(items), size=spec.k_shot + spec.q_query, replace=False)
+        classes.append(class_ids[int(ci)])
+        support += [items[int(j)] for j in picks[: spec.k_shot]]
+        query += [items[int(j)] for j in picks[spec.k_shot :]]
+    return classes, support, query
+
+
+def assert_matches_reference(pool, spec, count):
+    """Batch row e, the single episode at index e, and the reference all agree."""
+    batch = sample_episode(pool, spec, count=count)
+    n, k, q = spec.n_way, spec.k_shot, spec.q_query
+    assert isinstance(batch, Episodes) and len(batch) == count
+    assert batch.classes.shape == (count, n)
+    assert batch.support.shape == (count, n * k) and batch.query.shape == (count, n * q)
+    assert batch.support_labels.tolist() == [j for j in range(n) for _ in range(k)]
+    assert batch.query_labels.tolist() == [j for j in range(n) for _ in range(q)]
+    for e in range(count):
+        at = EpisodeSpec(n, k, q, spec.base_seed, spec.episode_index + e)
+        classes, support, query = reference_episode(pool, at)
+        one = sample_episode(pool, at)
+        assert one.original_classes == classes and one.support_items == support and one.query_items == query
+        assert batch.classes[e].tolist() == classes
+        assert batch.support[e].tolist() == support and batch.query[e].tolist() == query
 
 
 def toy_pool(n_classes=10, per_class=25):
@@ -126,3 +160,69 @@ def test_episode_draws_disjoint_rows_labelled_in_draw_order(case, dims):
     assert again.support_items == ep.support_items and again.query_items == ep.query_items
     assert np.array_equal(again.support_labels, ep.support_labels)
     assert np.array_equal(again.query_labels, ep.query_labels)
+
+
+@st.composite
+def sampler_cases(draw):
+    """Unequal class sizes, C == N, K+Q == a class's size, and both of numpy's choice regimes.
+
+    ``Generator.choice(pop, size, replace=False)`` runs Floyd's algorithm
+    unless pop > 10,000 and size > pop // 50, when it tail-shuffles. A
+    "large" case needs K+Q >= 201, so a class of 10,001 to 50·(K+Q) - 1
+    items takes the tail shuffle while smaller classes take Floyd's.
+    """
+    large = draw(st.booleans())
+    k = draw(st.integers(1, 4))
+    q = draw(st.integers(201 - k, 260 - k)) if large else draw(st.integers(1, 6))
+    need = k + q
+    n_classes = draw(st.integers(2, 4 if large else 8))
+    class_ids = draw(st.lists(st.integers(0, 10**6), min_size=n_classes, max_size=n_classes, unique=True))
+    pool, start = {}, 0
+    for c in class_ids:
+        tail = large and draw(st.booleans())
+        size = draw(st.integers(10_001, 50 * need - 1)) if tail else need + draw(st.integers(0, 30))
+        pool[c] = list(range(start, start + size))
+        start += size
+    n_way = draw(st.integers(2, n_classes))
+    spec = EpisodeSpec(n_way, k, q, draw(st.integers(0, 2**40)), draw(st.integers(0, 10**6)))
+    return pool, spec, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150)
+@given(case=sampler_cases())
+def test_batched_draws_equal_the_per_episode_choice_loop(case):
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "pop, need",
+    [(10_000, 201), (10_001, 200), (10_001, 201), (10_049, 201), (10_050, 201), (10_300, 10_300)],
+)
+def test_item_stage_regime_boundaries(pop, need):
+    # pop > 10,000 and need > pop // 50 tail-shuffles; the others run Floyd's algorithm
+    pool = {0: list(range(pop)), 7: list(range(pop, 2 * pop)), 9: list(range(2 * pop, 2 * pop + need))}
+    assert_matches_reference(pool, EpisodeSpec(2, 1, need - 1, 2**40, 5), 3)
+
+
+def test_class_stage_tail_shuffle():
+    # 10,001 classes and N = 201 > 10,001 // 50: the class draw itself tail-shuffles
+    pool = {c: [2 * c, 2 * c + 1] for c in range(10_001)}
+    assert_matches_reference(pool, EpisodeSpec(201, 1, 1, 3, 0), 2)
+
+
+def test_string_items_in_a_batch():
+    batch = sample_episode(toy_pool(), EpisodeSpec(5, 2, 3, 42, 0), count=2)
+    assert batch.classes[0].tolist() == [5, 3, 7, 0, 4]
+    assert batch.support[0, :2].tolist() == ["c5s22", "c5s1"]
+    assert_matches_reference(toy_pool(), EpisodeSpec(5, 2, 3, 42, 0), 4)
+
+
+def test_batch_errors():
+    with pytest.raises(ValueError, match="count"):
+        sample_episode(toy_pool(), EpisodeSpec(5, 2, 3, 42, 0), count=0)
+    with pytest.raises(InsufficientClasses):
+        sample_episode(toy_pool(n_classes=4), EpisodeSpec(5, 1, 1, 0, 0), count=3)
+    pool = toy_pool(n_classes=6)
+    pool[2] = pool[2][:3]  # too small for K+Q = 4; some episode of the batch draws it
+    with pytest.raises(InsufficientSamples, match="class 2 has 3 samples"):
+        sample_episode(pool, EpisodeSpec(5, 2, 2, 0, 0), count=20)

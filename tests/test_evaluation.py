@@ -10,6 +10,7 @@ from geomshot.episodes import EpisodeSpec, sample_episode
 from geomshot.errors import DegenerateProblem, InsufficientClasses
 from geomshot.evaluation import (
     ABLATION_SETTINGS,
+    PROTO_BLOCK,
     EvalReport,
     EvalSpec,
     ablation_normalization,
@@ -21,11 +22,14 @@ from geomshot.evaluation import (
     full_data_linear,
     input_space_baseline,
     multi_seed,
+    proto_predict,
+    shared_episodes,
     write_csv_table,
 )
 from geomshot.features import FeaturePool
 from geomshot.fewshot import classify, compute_prototypes
 from geomshot.nnet import MLPEncoder
+from test_fewshot import difference_form_classify, mask_loop_prototypes
 from test_pipeline import gaussian_pool, tiny_cfg, tiny_encoder_cfg
 
 
@@ -215,6 +219,36 @@ def test_eval_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     assert EvalSpec(5, 5, 15, 10, 0).base_seed == 0
     with pytest.raises(ValueError, match="base_seed"):
         EvalSpec(5, 5, 15, 10, seed)
+
+
+def test_blocked_scoring_equals_per_episode_scoring():
+    fp = noise_pool(dim=20, seed=4)
+    count = 2 * PROTO_BLOCK + 3  # the last block is partial
+    episodes = sample_episode(fp.pool, EpisodeSpec(5, 3, 4, 9, 0), count=count)
+    pred = proto_predict(fp.X, episodes)
+    assert pred.shape == (count, 5 * 4)
+    for e in range(count):
+        ep = sample_episode(fp.pool, EpisodeSpec(5, 3, 4, 9, e))
+        protos = mask_loop_prototypes(fp.X[ep.support_items], ep.support_labels, 5)
+        assert np.array_equal(pred[e], difference_form_classify(fp.X[ep.query_items], protos))
+
+
+def test_eval_spec_needs_two_ways():
+    assert EvalSpec(2, 1, 1, 1, 0).n_way == 2
+    with pytest.raises(ValueError, match="n_way must be >= 2"):
+        EvalSpec(1, 5, 15, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "seeds, episodes",
+    [((3, 4, 5), 100), ((42, 1337, 2024), 600), ((5, 3), 10), ((0, 10, 20), 10), ((7,), 50), ((0, 2, 3, 50), 6)],
+)
+def test_shared_episodes_counts_repeated_literal_seeds(seeds, episodes):
+    # oracle: episode i of seed s is drawn with the literal seed s + i
+    distinct = len({s + i for s in seeds for i in range(episodes)})
+    assert shared_episodes(seeds, episodes) == len(seeds) * episodes - distinct
+    if seeds == (3, 4, 5):
+        assert distinct == 102
 
 
 class TestCI:

@@ -152,6 +152,23 @@ class TestPrototypes:
             protonet_loss_and_grads(emb, np.array(labels, dtype=int), query, np.array([0, 1, 2]), n_way)
 
 
+    @given(
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        n_way=st.integers(1, 6),
+        k=st.integers(1, 12),
+        dim=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leading_dims_equal_separate_calls_bitwise(self, lead, n_way, k, dim, seed):
+        rng = np.random.default_rng(seed)
+        _, labels = balanced_support(rng, n_way, k, dim)
+        emb = rng.normal(size=(*lead, n_way * k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(*lead, n_way * k, 1))
+        stacked = compute_prototypes(emb, labels, n_way)
+        assert stacked.shape == (*lead, n_way, dim)
+        for index in np.ndindex(*lead):
+            assert np.array_equal(stacked[index], mask_loop_prototypes(emb[index], labels, n_way))
+
+
 class TestProtoLogProbs:
     def test_query_at_prototype_wins(self):
         protos = np.zeros((3, 4))
@@ -221,6 +238,73 @@ class TestClassify:
             for i in range(m):
                 dists = [((q[i] - c) ** 2).sum() for c in protos]
                 assert pred[i] == int(np.argmin(dists))
+
+
+def difference_form_classify(q, protos):
+    """Reference: argmin over ``((q - p)**2).sum()``, the rule the Gram screen must reproduce."""
+    return (((q[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)).argmin(axis=1)
+
+
+def gram_form_classify(q, protos):
+    """The screen alone: argmin of ``|q|² + |p|² - 2 q·p``, without the exact re-decision."""
+    return ((q * q).sum(axis=1)[:, None] + (protos * protos).sum(axis=1)[None, :] - 2.0 * q @ protos.T).argmin(axis=1)
+
+
+@st.composite
+def near_tie_problems(draw):
+    """Queries and prototypes far from the origin, with prototypes and queries close together."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, d = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    offset = 10.0 ** draw(st.integers(-3, 6)) * rng.normal(size=d)
+    spread = 10.0 ** draw(st.integers(-12, 0)) * max(1.0, float(np.abs(offset).max()))
+    protos = offset + spread * rng.normal(size=(n, d))
+    if n > 1 and draw(st.booleans()):
+        protos[rng.integers(1, n)] = protos[0]  # a duplicate prototype
+    queries = protos[rng.integers(0, n, size=m)] + spread * 10.0 ** draw(st.integers(-6, 1)) * rng.normal(size=(m, d))
+    return queries, protos
+
+
+class TestScreenedClassify:
+    def test_exact_ties_go_to_the_lowest_class(self):
+        protos = np.array([[3.0, 0.0, 1.0], [-3.0, 0.0, 1.0], [3.0, 0.0, 1.0]])
+        queries = np.array([[0.0, y, 1.0] for y in (-2.0, 0.0, 0.5, 7.0)])  # equidistant from all three
+        assert classify(queries, protos).tolist() == [0, 0, 0, 0]
+        assert classify(protos[2:] + 1e-3, protos).tolist() == [0]  # duplicate of class 0
+
+    def test_near_ties_at_1e6_follow_the_difference_form(self):
+        rng = np.random.default_rng(12)
+        base = 1e6 * rng.normal(size=16)
+        protos = base + 1e-4 * rng.normal(size=(5, 16))
+        queries = base + 1e-4 * rng.normal(size=(400, 16))
+        expected = difference_form_classify(queries, protos)
+        assert np.array_equal(classify(queries, protos), expected)
+        # the Gram form alone gets some of these wrong: the exact re-decision is doing work
+        assert (gram_form_classify(queries, protos) != expected).any()
+
+    def test_non_finite_values_follow_the_difference_form(self):
+        protos = np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]])
+        queries = np.array([[0.0, 0.9], [np.nan, 0.0], [np.inf, 0.0], [2.0, 2.0], [1e200, 1e200]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(classify(queries, protos), difference_form_classify(queries, protos))
+
+    @given(problem=near_tie_problems())
+    def test_matches_the_difference_form(self, problem):
+        queries, protos = problem
+        assert np.array_equal(classify(queries, protos), difference_form_classify(queries, protos))
+
+    def test_leading_dims(self):
+        rng = np.random.default_rng(13)
+        queries = rng.normal(size=(3, 4, 7, 5))
+        protos = rng.normal(size=(3, 4, 6, 5))
+        protos[1, 2, 3] = protos[1, 2, 0]
+        queries[2, 1, :3] = protos[2, 1, :3] + 1e-15
+        pred = classify(queries, protos)
+        assert pred.shape == (3, 4, 7)
+        for index in np.ndindex(3, 4):
+            assert np.array_equal(pred[index], difference_form_classify(queries[index], protos[index]))
+        shared = classify(queries, protos[0, 0])  # prototypes broadcast over the leading dims
+        for index in np.ndindex(3, 4):
+            assert np.array_equal(shared[index], difference_form_classify(queries[index], protos[0, 0]))
 
 
 class TestSupCon:

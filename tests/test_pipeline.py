@@ -205,7 +205,8 @@ class TestAdapt:
      ("learning_rate", float("inf")), ("learning_rate", "1e-4"),
      ("temperature", 0.0), ("temperature", -0.07), ("temperature", float("inf")),
      ("weight_decay", -1e-4), ("weight_decay", float("nan")),
-     ("supcon_weight", -0.5), ("supcon_weight", float("inf")), ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True)],
+     ("supcon_weight", -0.5), ("supcon_weight", float("inf")), ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True),
+     ("n_way", 1), ("k_shot", 0), ("q_query", 0)],
 )
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
