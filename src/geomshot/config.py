@@ -72,11 +72,14 @@ def parse_data(doc: dict, where: str = "data") -> DataConfig:
         raise InvalidConfig(
             f"{where}.representation must be one of {REPRESENTATIONS}, got {representation!r}"
         )
+    normalize = section.get("normalize", True)
+    if type(normalize) is not bool:
+        raise InvalidConfig(f"{where}.normalize must be a boolean, got {normalize!r}")
     return DataConfig(
         data_root=Path(section["data_root"]),
         split=Path(section["split"]),
         representation=representation,
-        normalize=bool(section.get("normalize", True)),
+        normalize=normalize,
     )
 
 

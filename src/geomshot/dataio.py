@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
 from .npyio import load_keypoints
-from .rng import STREAM_SPLIT, make_rng
+from .rng import STREAM_SPLIT, check_seed, make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -147,6 +147,7 @@ def stratified_split(catalog: DatasetCatalog, train_fraction: float, seed: int) 
     decimal value, clamped so both sides get at least one sample when
     n_c >= 2). Single-sample classes go entirely to train with a warning.
     """
+    check_seed("split seed", seed)
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     train: list[str] = []

@@ -5,8 +5,9 @@ five fingers form four-joint chains Thumb 1-4, Index 5-8, Middle 9-12,
 Ring 13-16, Pinky 17-20. The math works on stacks: ``featurize`` maps
 (N, 21, 3) to an (N, D) matrix plus an (N,) degenerate mask, and
 ``apply_transforms`` gives each hand of a stack its own similarity
-transform. The one-hand functions (``raw_features``, ``joint_angles``,
-``raw_angle_features``, ``apply_transform``) are one-row calls into them,
+transform from rotation, scale and translation arrays. The one-hand
+functions (``raw_features``, ``joint_angles``, ``raw_angle_features``,
+``apply_transform``, ``SimilarityTransform``) are one-row calls into them,
 so a hand gets the same bits alone or in a stack.
 
 Three feature representations are derived from a hand:
@@ -121,19 +122,7 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
-            raise ShapeError("rotation must be 3x3 and translation length 3")
-        if not np.all(np.isfinite(self.rotation)) or not np.isfinite(self.scale):
-            raise ShapeError("transform entries must be finite")
-        if self.scale <= 0:
-            raise ShapeError("scale must be positive")
-        err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > 1e-10:
-            raise ShapeError(f"rotation is not orthogonal (max error {err:.2e})")
-        if abs(np.linalg.det(self.rotation) - 1.0) > 1e-10:
-            raise ShapeError("rotation must have determinant +1")
+        self.rotation, _, self.translation = check_similarities(self.rotation, self.scale, self.translation)
 
     def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
         """Transform equivalent to applying ``other`` first, then ``self``."""
@@ -144,6 +133,31 @@ class SimilarityTransform:
         )
 
 
+def rotation_errors(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|R^T R - I|`` (..., 3, 3) and ``|det R - 1|`` (...) of a (..., 3, 3) stack of rotations."""
+    return np.abs(rotation.swapaxes(-1, -2) @ rotation - np.eye(3)), np.abs(np.linalg.det(rotation) - 1.0)
+
+
+def check_similarities(rotation, scale, translation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check (..., 3, 3) rotations, (...) scales and (..., 3) translations; return them as float64.
+
+    Each rotation must be orthogonal and have determinant +1, both within 1e-10.
+    """
+    rotation, scale, translation = (np.asarray(a, dtype=np.float64) for a in (rotation, scale, translation))
+    if rotation.shape != scale.shape + (3, 3) or translation.shape != scale.shape + (3,):
+        raise ShapeError("rotation must be 3x3 and translation length 3")
+    if not (np.isfinite(rotation).all() and np.isfinite(scale).all()):
+        raise ShapeError("transform entries must be finite")
+    if scale.min(initial=np.inf) <= 0:
+        raise ShapeError("scale must be positive")
+    orthogonality, determinant = (e.max(initial=0.0) for e in rotation_errors(rotation))
+    if orthogonality > 1e-10:
+        raise ShapeError(f"rotation is not orthogonal (max error {orthogonality:.2e})")
+    if determinant > 1e-10:
+        raise ShapeError("rotation must have determinant +1")
+    return rotation, scale, translation
+
+
 _EXPECTED_SHAPE = {None: "(..., 21, 3)", 2: "(21, 3)", 3: "(N, 21, 3)"}
 
 
@@ -152,7 +166,7 @@ def _check_hands(points, ndim: int | None = None) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim < 2 or arr.shape[-2:] != (NUM_KEYPOINTS, 3) or ndim not in (None, arr.ndim):
         raise InvalidKeypoints(f"expected shape {_EXPECTED_SHAPE[ndim]}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidKeypoints("keypoints contain non-finite values")
     return arr
 
@@ -270,32 +284,41 @@ def raw_angle_features(points: np.ndarray, normalize: bool = True) -> FeatureVec
     return _one_hand(points, "raw_angle", normalize)
 
 
-def apply_transforms(points: np.ndarray, transforms) -> np.ndarray:
-    """Map the keypoints p of hand i to scale_i * R_i @ p + t_i: (N, 21, 3) -> (N, 21, 3)."""
+def apply_transforms(points: np.ndarray, rotation, scale, translation) -> np.ndarray:
+    """Map the keypoints p of hand i to scale[i] * rotation[i] @ p + translation[i]: (N, 21, 3) -> (N, 21, 3).
+
+    The (N, 3, 3), (N,) and (N, 3) transform arrays pass ``check_similarities``.
+    """
     h = _check_hands(points, ndim=3)
-    if len(transforms) != len(h):
-        raise ShapeError(f"{len(transforms)} transforms for {len(h)} hands")
-    rotation = np.array([t.rotation for t in transforms]).reshape(-1, 3, 3)
-    scale = np.array([t.scale for t in transforms], dtype=np.float64)
-    translation = np.array([t.translation for t in transforms]).reshape(-1, 1, 3)
-    return scale[:, None, None] * h @ rotation.swapaxes(1, 2) + translation
+    rotation, scale, translation = check_similarities(rotation, scale, translation)
+    if scale.shape != (len(h),):
+        raise ShapeError(f"{scale.shape} transforms for {len(h)} hands")
+    return scale[:, None, None] * h @ rotation.swapaxes(1, 2) + translation[:, None, :]
 
 
 def apply_transform(points: np.ndarray, transform: SimilarityTransform) -> np.ndarray:
     """Map every keypoint p to scale * R @ p + t."""
-    return apply_transforms(validate_keypoints(points)[None], [transform])[0]
+    t = transform
+    return apply_transforms(validate_keypoints(points)[None], t.rotation[None], [t.scale], t.translation[None])[0]
 
 
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrices of unit quaternions (w, x, y, z): (..., 4) -> (..., 3, 3)."""
+    q = np.asarray(q, dtype=np.float64)
+    w, x, y, z = q.T
+    return np.array([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]).T.reshape(q.shape[:-1] + (3, 3))
+
+
+def draw_similarity(rng: np.random.Generator, log_scale_range: tuple[float, float], translate_max: float):
+    """Draw from ``rng``, in this order, a unit quaternion (4,), a scale and a translation (3,)."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    scale = float(np.exp(rng.uniform(*log_scale_range)))
+    return q, scale, rng.uniform(-translate_max, translate_max, size=3)
 
 
 def sample_similarity(
@@ -303,18 +326,14 @@ def sample_similarity(
     scale_range: tuple[float, float] = (0.1, 10.0),
     translate_max: float = 10.0,
 ) -> SimilarityTransform:
-    """Random similarity transform drawn from ``rng``.
+    """Random similarity transform drawn from ``rng`` by ``draw_similarity``.
 
     Rotation is uniform over SO(3) (normalized quaternion from 4 standard
     normals), scale is log-uniform over ``scale_range`` and translation is
-    uniform in the cube [-translate_max, translate_max]^3. Draw order is
-    fixed: quaternion, scale, translation.
+    uniform in the cube [-translate_max, translate_max]^3.
     """
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
     lo, hi = scale_range
-    scale = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    translation = rng.uniform(-translate_max, translate_max, size=3)
+    q, scale, translation = draw_similarity(rng, (np.log(lo), np.log(hi)), translate_max)
     return SimilarityTransform(rotation_from_quaternion(q), scale, translation)
 
 

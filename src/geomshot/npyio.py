@@ -6,19 +6,19 @@ after reading. The writer emits version 1.0 float64 files with the same
 header layout numpy uses, so write(load(p)) round-trips byte-identically
 for float64 C-order inputs.
 
-The reader takes a file in one read. If the bytes start with one of the
-two canonical preambles (magic, v1.0 and the header numpy writes for a
-(21, 3) ``<f8`` or ``<f4`` array), the header is known without parsing;
-any other file goes through the general header parser. Both routes end in
-the same payload length check, decode and finiteness check. Bytes after
-the payload are ignored.
+A file is written with one ``os.write`` (a constant preamble plus the
+payload) and read with ``os.read`` to end of file, unbuffered. If the
+bytes start with one of the two canonical preambles (magic, v1.0 and the
+header numpy writes for a (21, 3) ``<f8`` or ``<f4`` array), the header
+is known without parsing; any other file goes through the general header
+parser. Both routes end in the same payload length check, decode and
+finiteness check. Bytes after the payload are ignored.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import struct
+import os
 
 import numpy as np
 
@@ -29,44 +29,36 @@ _MAGIC = b"\x93NUMPY"
 _SUPPORTED_DESCR = {"<f4": np.float32, "<f8": np.float64}
 _EXPECTED_SHAPE = (NUM_KEYPOINTS, 3)
 _EXPECTED_VALUES = NUM_KEYPOINTS * 3
+_READ_CHUNK = 1 << 16
 
 
-def _read_header(f, path) -> dict:
-    magic = f.read(6)
-    if magic != _MAGIC:
-        raise FormatError("magic", f"{path}: not an NPY file (got {magic!r})")
-    version = f.read(2)
-    if len(version) != 2:
+def _read_header(data: bytes, path) -> tuple[dict, int]:
+    """The header dict of an NPY file's bytes, and the offset of its payload."""
+    if data[:6] != _MAGIC:
+        raise FormatError("magic", f"{path}: not an NPY file (got {data[:6]!r})")
+    if len(data) < 8:
         raise FormatError("version", f"{path}: truncated version field")
-    major, minor = version[0], version[1]
+    major, minor = data[6], data[7]
     if (major, minor) not in ((1, 0), (2, 0)):
         raise FormatError("version", f"{path}: unsupported NPY version {major}.{minor}")
-    if major == 1:
-        raw = f.read(2)
-        if len(raw) != 2:
-            raise FormatError("header", f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<H", raw)
-    else:
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise FormatError("header", f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<I", raw)
-    header_bytes = f.read(hlen)
-    if len(header_bytes) != hlen:
+    start = 10 if major == 1 else 12  # a 2-byte (v1.0) or 4-byte (v2.0) little-endian header length
+    if len(data) < start:
+        raise FormatError("header", f"{path}: truncated header length")
+    end = start + int.from_bytes(data[8:start], "little")
+    if len(data) < end:
         raise FormatError("header", f"{path}: truncated header")
     try:
-        header = ast.literal_eval(header_bytes.decode("latin1").strip())
+        header = ast.literal_eval(data[start:end].decode("latin1").strip())
     except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError) as e:
         raise FormatError("header", f"{path}: unparsable header ({e})") from e
     if not isinstance(header, dict):
         raise FormatError("header", f"{path}: header is not a dict")
-    return header
+    return header, end
 
 
 def _parse_header(data: bytes, path) -> tuple[np.dtype, int]:
     """The general route: parse and check the header; returns the payload dtype and offset."""
-    f = io.BytesIO(data)
-    header = _read_header(f, path)
+    header, offset = _read_header(data, path)
     descr = header.get("descr")
     if not isinstance(descr, str) or descr not in _SUPPORTED_DESCR:
         raise FormatError("dtype", f"{path}: unsupported descr {descr!r}")
@@ -75,13 +67,16 @@ def _parse_header(data: bytes, path) -> tuple[np.dtype, int]:
     shape = header.get("shape")
     if not isinstance(shape, (tuple, list)) or tuple(shape) != _EXPECTED_SHAPE:
         raise FormatError("shape", f"{path}: expected (21, 3), got {shape}")
-    return np.dtype(_SUPPORTED_DESCR[descr]).newbyteorder("<"), f.tell()
+    return np.dtype(_SUPPORTED_DESCR[descr]).newbyteorder("<"), offset
 
 
 def load_keypoints(path) -> np.ndarray:
     """Read one keypoint file; returns a float64 array of shape (21, 3)."""
-    with open(path, "rb") as f:
-        data = f.read()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b"".join(iter(lambda: os.read(fd, _READ_CHUNK), b""))
+    finally:
+        os.close(fd)
     dtype = _CANONICAL.get(data[:_CANONICAL_LEN])
     if dtype is None:
         dtype, offset = _parse_header(data, path)
@@ -94,34 +89,29 @@ def load_keypoints(path) -> np.ndarray:
     return validate_keypoints(arr.reshape(_EXPECTED_SHAPE))
 
 
-def _build_header(descr: str, shape: tuple[int, ...]) -> bytes:
-    # Mirrors numpy's v1.0 header layout: dict literal, space-padded so the
-    # full preamble is a multiple of 64 bytes, newline-terminated.
-    dict_str = (
-        "{'descr': '%s', 'fortran_order': False, 'shape': %s, }"
-        % (descr, "(%s)" % ", ".join(str(d) for d in shape))
-    )
-    preamble = len(_MAGIC) + 2 + 2
-    total = preamble + len(dict_str) + 1
-    pad = (64 - total % 64) % 64
-    return dict_str.encode("latin1") + b" " * pad + b"\n"
-
-
 def _preamble(descr: str) -> bytes:
-    header = _build_header(descr, _EXPECTED_SHAPE)
-    return _MAGIC + bytes([1, 0]) + struct.pack("<H", len(header)) + header
+    # Mirrors numpy's v1.0 layout: magic, version, header length, then a dict
+    # literal space-padded so the preamble is a multiple of 64 bytes, and "\n".
+    header = "{'descr': '%s', 'fortran_order': False, 'shape': %s, }" % (descr, _EXPECTED_SHAPE)
+    header += " " * (-(len(_MAGIC) + 4 + len(header) + 1) % 64) + "\n"
+    return _MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little") + header.encode("latin1")
 
 
 # The leading bytes that np.save and write_keypoints give a C-order (21, 3)
 # float64 or float32 array. A file starting with one of them needs no header
 # parsing. Both descrs have the same length, so both preambles are 128 bytes.
+_PREAMBLE = _preamble("<f8")
 _CANONICAL = {_preamble(descr): np.dtype(descr) for descr in _SUPPORTED_DESCR}
-_CANONICAL_LEN = len(_preamble("<f8"))
+_CANONICAL_LEN = len(_PREAMBLE)
 
 
 def write_keypoints(path, points: np.ndarray) -> None:
-    """Write keypoints as a version 1.0 little-endian float64 NPY file."""
-    arr = validate_keypoints(points)
-    with open(path, "wb") as f:
-        f.write(_preamble("<f8"))
-        f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write keypoints as a version 1.0 little-endian float64 NPY file, in one write call."""
+    data = _PREAMBLE + np.ascontiguousarray(validate_keypoints(points), dtype="<f8").tobytes()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)

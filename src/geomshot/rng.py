@@ -7,7 +7,7 @@ recipes are used and documented here:
 * ``make_rng(*parts)`` -- general streams (split shuffles, weight init,
   dropout masks, synthetic data). The integer parts are fed to
   ``SeedSequence([part0, part1, ...])``, so distinct part tuples give
-  independent streams.
+  independent streams. Negative parts are refused, not wrapped to 64 bits.
 * ``episode_rng(base_seed, episode_index)`` -- episode sampling uses the
   literal sum ``base_seed + episode_index`` as the PCG64 seed, so episode
   composition is reproducible from those two integers alone.
@@ -35,10 +35,12 @@ def check_seed(name: str, value) -> None:
 
 
 def make_rng(*parts: int) -> np.random.Generator:
-    """Return a PCG64 generator for the given integer seed components."""
+    """Return a PCG64 generator for the given non-negative integer seed components."""
     if not parts:
         raise ValueError("make_rng needs at least one seed component")
-    entropy = [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
+    entropy = [int(p) for p in parts]
+    if min(entropy) < 0:
+        raise ValueError(f"make_rng seed components must be non-negative, got {entropy}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 

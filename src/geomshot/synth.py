@@ -11,10 +11,11 @@ transform.
 
 All draws are deterministic functions of (seed, class, sample index), so
 a corpus tree regenerated with the same parameters is byte-identical.
-Each sample still draws from its own stream, but the kinematics and the
-transforms run once per class on (per_class, ...) stacks, with the same
-elementwise operations as for one hand, so the bytes do not depend on
-how many hands are built together.
+Each sample draws from its own stream (noise, quaternion, log-scale,
+translation), but the kinematics, rotations and transforms run once per
+class on (per_class, ...) stacks, with the same elementwise operations
+as for one hand, so the bytes do not depend on how many hands are built
+together.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CHAIN_BASES, NUM_KEYPOINTS, apply_transforms, sample_similarity
+from .geometry import NUM_KEYPOINTS, apply_transforms, draw_similarity, rotation_from_quaternion
 from .npyio import write_keypoints
-from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, make_rng
+from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, check_seed, make_rng
 
 # Link lengths: wrist->base, then the three phalanges.
 LINK_LENGTHS = (1.0, 0.65, 0.45, 0.3)
@@ -50,6 +51,7 @@ class SynthSpec:
     name: str = "synth"
 
     def __post_init__(self):
+        check_seed("synth seed", self.seed)
         if self.n_classes < 2 or self.per_class < 1:
             raise ValueError("need at least 2 classes and 1 sample per class")
         if not (math.isfinite(self.noise) and self.noise >= 0):
@@ -75,29 +77,36 @@ def canonical_angles(params: np.ndarray) -> np.ndarray:
     return np.concatenate([flexion, [gaps.sum()], gaps])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) vectors: the same products and differences, without its axis moves."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def build_hand(params: np.ndarray, lengths: tuple[float, ...] = LINK_LENGTHS) -> np.ndarray:
     """Forward kinematics: realize (..., 19) parameters as (..., 21, 3) keypoints.
 
-    Every hand of a stack goes through the same elementwise operations a
-    single hand does, so each row equals its own one-hand call bit for bit.
+    The five chains unroll together with the same elementwise operations,
+    so each row of a stack equals its own one-hand call bit for bit.
     """
     params = np.asarray(params, dtype=np.float64)
-    flexion, gaps = params[..., :15], params[..., 15:]
+    lead = params.shape[:-1]
+    flexion, gaps = params[..., :15].reshape(lead + (5, 3)), params[..., 15:]
     base_angles = np.concatenate([np.zeros_like(gaps[..., :1]), np.cumsum(gaps, axis=-1)], axis=-1)
-    points = np.zeros(params.shape[:-1] + (NUM_KEYPOINTS, 3))
-    for f, base in enumerate(CHAIN_BASES):
-        phi = base_angles[..., f]
-        d = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
-        plane_normal = np.cross(d, _Z)
-        prev = d
-        pos = lengths[0] * d
-        points[..., base, :] = pos
-        for j in range(3):
-            theta = flexion[..., 3 * f + j, None]
-            out = -np.cos(theta) * prev + np.sin(theta) * np.cross(plane_normal, prev)
-            pos = pos + lengths[j + 1] * out
-            points[..., base + 1 + j, :] = pos
-            prev = out
+    d = np.stack([np.cos(base_angles), np.sin(base_angles), np.zeros_like(base_angles)], axis=-1)
+    plane_normal = _cross(d, _Z)
+    prev = d
+    pos = lengths[0] * d
+    chains = [pos]
+    for j in range(3):
+        theta = flexion[..., j, None]
+        out = -np.cos(theta) * prev + np.sin(theta) * _cross(plane_normal, prev)
+        pos = pos + lengths[j + 1] * out
+        chains.append(pos)
+        prev = out
+    points = np.zeros(lead + (NUM_KEYPOINTS, 3))  # wrist at the origin; chain f fills rows 1+4f..4+4f
+    points[..., 1:, :] = np.stack(chains, axis=-2).reshape(lead + (NUM_KEYPOINTS - 1, 3))
     return points
 
 
@@ -106,21 +115,24 @@ def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int) -> np.ndarra
 
     Returns (per_class, 21, 3). Sample j draws from its own stream
     ``make_rng(STREAM_SYNTH_SAMPLE, seed, class_id, j)``: the angular
-    noise, then the similarity transform. The draws stay per sample; the
-    kinematics and the transforms run once on the whole class.
+    noise, then ``draw_similarity``'s quaternion, log-scale and translation.
+    Only the draws run per sample; the kinematics, rotations, their checks
+    and the transforms run once on the whole class.
     """
-    noisy = np.tile(np.asarray(params, dtype=np.float64), (spec.per_class, 1))
-    transforms = []
-    for j in range(spec.per_class):
+    n = spec.per_class
+    noisy = np.tile(np.asarray(params, dtype=np.float64), (n, 1))
+    q, scale, translation = np.empty((n, 4)), np.empty(n), np.empty((n, 3))
+    log_scale_range = [np.log(bound) for bound in spec.scale_range]
+    for j in range(n):
         rng = make_rng(STREAM_SYNTH_SAMPLE, spec.seed, class_id, j)
         if spec.noise > 0:
             noisy[j] += rng.normal(0.0, spec.noise, size=noisy.shape[1])
         if spec.transforms:
-            transforms.append(sample_similarity(rng, spec.scale_range, spec.translate_max))
+            q[j], scale[j], translation[j] = draw_similarity(rng, log_scale_range, spec.translate_max)
     noisy[:, :15] = np.clip(noisy[:, :15], 0.05, np.pi)
     noisy[:, 15:] = np.clip(noisy[:, 15:], 0.02, 0.7)
     hands = build_hand(noisy)
-    return apply_transforms(hands, transforms) if spec.transforms else hands
+    return apply_transforms(hands, rotation_from_quaternion(q), scale, translation) if spec.transforms else hands
 
 
 def generate_corpus(spec: SynthSpec, out_root) -> dict:
@@ -132,7 +144,7 @@ def generate_corpus(spec: SynthSpec, out_root) -> dict:
         class_dir = out_root / f"class_{c:02d}"
         class_dir.mkdir(exist_ok=True)
         for j, hand in enumerate(sample_hand(spec, dictionary[c], c)):
-            write_keypoints(class_dir / f"s{j:04d}.npy", hand)
+            write_keypoints(f"{class_dir}/s{j:04d}.npy", hand)
     meta = {
         "schema_version": 1,
         "spec": asdict(spec),

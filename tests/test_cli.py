@@ -330,6 +330,32 @@ def test_synth_bad_parameter_is_one_line_error_and_writes_nothing(tmp_path, capl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-18446744073709551615"])
+def test_negative_synth_or_split_seed_is_one_line_error_and_writes_nothing(tmp_path, caplog, seed):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--classes", "2", "--per-class", "2", "--seed", seed]) == 1
+    assert not out.exists()
+    root, split = tmp_path / "good", tmp_path / "splits" / "split.json"
+    assert main(["synth", "--out", str(root), "--classes", "2", "--per-class", "3", "--seed", "1"]) == 0
+    assert main(["split", "--data-root", str(root), "--out", str(split), "--seed", seed]) == 1
+    assert not split.parent.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 2 and not any("\n" in e for e in errors)
+    assert errors[0].startswith("ValueError: synth seed must be a non-negative integer")
+    assert errors[1].startswith("ValueError: split seed must be a non-negative integer")
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 0, 1, None])
+def test_non_boolean_normalize_is_one_line_error_and_creates_no_run_dir(small_corpus, tmp_path, caplog, value):
+    doc = eval_doc(small_corpus, episodes=3)
+    doc["data"]["normalize"] = value
+    cfg = write_yaml(tmp_path / "norm.yaml", doc)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "norm"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"InvalidConfig: data.normalize must be a boolean, got {value!r}"]
+    assert not (tmp_path / "norm").exists()
+
+
 def test_degenerate_hand_in_raw_pool_is_one_line_error_naming_the_file(tmp_path, caplog):
     from geomshot.npyio import write_keypoints
 

@@ -91,6 +91,12 @@ class TestStratifiedSplit:
         two = stratified_split(cat, 0.7, 42).to_json()
         assert one == two
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
+        make_tree(tmp_path, {"a": 4, "b": 4})
+        with pytest.raises(ValueError, match="split seed must be a non-negative integer"):
+            stratified_split(build_catalog(tmp_path), 0.7, seed)
+
     def test_different_seed_changes_membership(self, tmp_path):
         make_tree(tmp_path, {"a": 30})
         cat = build_catalog(tmp_path)

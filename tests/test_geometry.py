@@ -15,12 +15,15 @@ from geomshot.geometry import (
     SimilarityTransform,
     apply_transform,
     apply_transforms,
+    check_similarities,
     featurize,
     joint_angles,
     max_pairwise_distance,
     random_transform,
     raw_angle_features,
     raw_features,
+    rotation_errors,
+    rotation_from_quaternion,
     sample_similarity,
     scale_normalize,
     triplet_table,
@@ -68,6 +71,12 @@ def hand_stack(n, seed):
     h[3, 7] = h[3, 6]
     h[10, 1] = h[10, 0]
     return h
+
+
+def stacked(transforms):
+    """The (N, 3, 3) rotations, (N,) scales and (N, 3) translations of a list of transforms."""
+    return (np.array([t.rotation for t in transforms]), np.array([t.scale for t in transforms]),
+            np.array([t.translation for t in transforms]))
 
 
 def scalar_raw_oracle(points):
@@ -372,7 +381,7 @@ class TestStackedTransforms:
     def test_rows_match_one_hand_calls_bitwise(self):
         h = hand_stack(12, 7)
         transforms = [random_transform(s) for s in range(12)]
-        out = apply_transforms(h, transforms)
+        out = apply_transforms(h, *stacked(transforms))
         for i, t in enumerate(transforms):
             # the one-hand expression apply_transform used before stacks
             assert np.array_equal(out[i], t.scale * h[i] @ t.rotation.T + t.translation)
@@ -380,7 +389,7 @@ class TestStackedTransforms:
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            apply_transforms(hand_stack(12, 8), [random_transform(0)])
+            apply_transforms(hand_stack(12, 8), *stacked([random_transform(0)]))
 
 
 @given(
@@ -394,7 +403,42 @@ def test_stacked_angles_invariant_under_random_similarities(seed, scale_lo, scal
     h = rng.normal(size=(16, 21, 3))
     transforms = [sample_similarity(rng, (scale_lo, scale_hi), translate_max) for _ in range(16)]
     before, flags_before = featurize(h, "angle")
-    after, flags_after = featurize(apply_transforms(h, transforms), "angle")
+    after, flags_after = featurize(apply_transforms(h, *stacked(transforms)), "angle")
     # near-collinear triplets turn a 1e-13 cosine error into ~1e-7 radians
     assert np.abs(after - before).max() <= 1e-6
     assert np.array_equal(flags_before, flags_after)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_stacked_rotations_and_their_checks_match_per_quaternion_calls_bitwise(seed, n):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    rotation = rotation_from_quaternion(q)
+    assert rotation.shape == (n, 3, 3)
+    assert np.array_equal(rotation, np.array([rotation_from_quaternion(row) for row in q]))
+    orthogonality, determinant = rotation_errors(rotation)
+    assert orthogonality.shape == (n, 3, 3) and determinant.shape == (n,)
+    one_by_one = [rotation_errors(r) for r in rotation]
+    assert np.array_equal(orthogonality, [o for o, _ in one_by_one])
+    assert np.array_equal(determinant, [d for _, d in one_by_one])
+    check_similarities(rotation, np.ones(n), np.zeros((n, 3)))
+    assert np.array_equal(rotation_from_quaternion(q.reshape(n, 1, 4)), rotation[:, None])
+
+
+@pytest.mark.parametrize("damage, message", [("reflect", "determinant"), ("skew", "not orthogonal")])
+def test_a_stack_with_one_bad_rotation_is_refused(damage, message):
+    rng = np.random.default_rng(9)
+    q = rng.standard_normal((12, 4))
+    rotation = rotation_from_quaternion(q / np.linalg.norm(q, axis=1, keepdims=True))
+    if damage == "reflect":
+        rotation[5, 2] *= -1.0
+    else:
+        rotation[5, 0, 1] += 1e-6
+    with pytest.raises(ShapeError, match=message):
+        check_similarities(rotation, np.ones(12), np.zeros((12, 3)))
+    with pytest.raises(ShapeError, match=message):
+        apply_transforms(hand_stack(12, 10), rotation, np.ones(12), np.zeros((12, 3)))
+    with pytest.raises(ShapeError, match=message):
+        SimilarityTransform(rotation[5], 1.0, np.zeros(3))
+    check_similarities(np.delete(rotation, 5, axis=0), np.ones(11), np.zeros((11, 3)))

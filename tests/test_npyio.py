@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -218,3 +219,39 @@ def test_canonical_files_skip_header_parsing(tmp_path, monkeypatch):
     assert np.array_equal(load_keypoints(tmp_path / "f4.npy"), _ROUTE_ARR.astype(np.float32))
     with pytest.raises(AssertionError, match="parsed"):
         load_keypoints(tmp_path / "v2.npy")
+
+
+@pytest.mark.parametrize("kind", ["long_v2_header", "long_trailing_bytes"])
+def test_file_larger_than_one_read_chunk(tmp_path, kind):
+    p = tmp_path / "h.npy"
+    padding = npyio._READ_CHUNK + 100
+    if kind == "long_v2_header":
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (21, 3), }" + " " * padding + "\n"
+        p.write_bytes(_npy_bytes(header, _ROUTE_ARR.tobytes(), (2, 0)))
+    else:
+        write_keypoints(p, _ROUTE_ARR)
+        p.write_bytes(p.read_bytes() + b"\x00" * padding)
+    assert p.stat().st_size > npyio._READ_CHUNK
+    assert np.array_equal(load_keypoints(p), _ROUTE_ARR)
+
+
+@pytest.mark.parametrize("name", [None, "missing.npy"], ids=["directory", "missing"])
+def test_unreadable_path_raises_what_a_buffered_open_raises(tmp_path, name):
+    path = tmp_path if name is None else tmp_path / name
+    with pytest.raises(OSError) as buffered:
+        with open(path, "rb") as f:
+            f.read()
+    with pytest.raises(OSError) as info:
+        load_keypoints(path)
+    assert type(info.value) is buffered.type
+    assert buffered.type in (IsADirectoryError, FileNotFoundError)
+
+
+def test_short_writes_are_continued(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:50])))
+    write_keypoints(tmp_path / "h.npy", _ROUTE_ARR)
+    monkeypatch.undo()
+    expected = io.BytesIO()
+    np.save(expected, _ROUTE_ARR)
+    assert (tmp_path / "h.npy").read_bytes() == expected.getvalue()

@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from geomshot import synth
 from geomshot.geometry import CHAIN_BASES, joint_angles, sample_similarity
 from geomshot.npyio import load_keypoints
 from geomshot.rng import STREAM_SYNTH_SAMPLE, make_rng
@@ -189,3 +191,37 @@ def test_tree_bytes_are_pinned(tmp_path, spec, digest):
 def test_spec_rejects_bad_parameters(field, value):
     with pytest.raises(ValueError):
         SynthSpec(**{field: value})
+
+
+def test_generate_corpus_calls_sample_hand_per_class_and_write_keypoints_per_file(tmp_path, monkeypatch):
+    # The traced ingest benchmark names both functions as spans it must see.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sample_hand", "write_keypoints"):
+        monkeypatch.setattr(synth, name, counting(name, getattr(synth, name)))
+    generate_corpus(SynthSpec(n_classes=3, per_class=5, seed=1), tmp_path)
+    assert calls == {"sample_hand": 3, "write_keypoints": 15}
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64) + 5, 1.5, True, "7", None])
+def test_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="synth seed must be a non-negative integer"):
+        SynthSpec(seed=seed)
+
+
+def test_negative_seed_parts_are_refused_and_large_seeds_do_not_alias(tmp_path):
+    with pytest.raises(ValueError, match="non-negative"):
+        make_rng(STREAM_SYNTH_SAMPLE, -1)
+    top = 2**64 - 1
+    # seeds below 2**64 keep their streams: SeedSequence of the same words
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([STREAM_SYNTH_SAMPLE, top])))
+    assert make_rng(STREAM_SYNTH_SAMPLE, top).integers(2**62) == expected.integers(2**62)
+    assert make_rng(2**64).integers(2**62) != make_rng(0).integers(2**62)
+    generate_corpus(SynthSpec(n_classes=2, per_class=2, seed=top), tmp_path)
+    assert len(list(tmp_path.rglob("*.npy"))) == 4
