@@ -25,9 +25,10 @@ import yaml
 
 from . import config as cfgmod
 from .dataio import build_catalog, load_split, save_split, split_pool, stratified_split
-from .errors import ConfigMismatch, GeomshotError, InvalidConfig
+from .errors import ConfigMismatch, GeomshotError
 from .evaluation import (
     EvalReport,
+    EvalSpec,
     ablation_normalization,
     episode_linear_baseline,
     evaluate,
@@ -38,8 +39,9 @@ from .evaluation import (
     write_csv_table,
 )
 from .features import build_feature_pool
+from .nnet import EncoderConfig
+from .pipeline import AdaptConfig, TrainConfig, load_encoder, pretrain_source, save_encoder, train_encoder
 from .pipeline import adapt as run_adapt
-from .pipeline import load_encoder, pretrain_source, save_encoder, train_encoder
 from .synth import SynthSpec, generate_corpus
 
 logger = logging.getLogger("geomshot")
@@ -193,15 +195,15 @@ def _write_train_log(path: Path, log: list[dict]) -> None:
 
 def _train_like(args, command: str) -> int:
     doc = cfgmod.load_config(args.config, {"data", "encoder", "train", "source"})
-    data = cfgmod.parse_data(doc)
-    train_cfg = cfgmod.parse_train(doc)
+    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
+    train_cfg = cfgmod.parse_section(doc, "train", TrainConfig)
+    source = cfgmod.parse_str(doc, "source")
     catalog, pools = _load_pools(data, ("train",))
     fp = pools["train"]
-    encoder_cfg = cfgmod.parse_encoder(doc, fp.dim)
+    encoder_cfg = cfgmod.parse_section(doc, "encoder", EncoderConfig, input_dim=fp.dim)
     with RunContext(command, args.out, args.run_id, args.config, doc, train_cfg.base_seed) as ctx:
         if command == "pretrain":
-            source = doc.get("source") or catalog.name
-            result = pretrain_source(fp, train_cfg, encoder_cfg, source)
+            result = pretrain_source(fp, train_cfg, encoder_cfg, source or catalog.name)
         else:
             result = train_encoder(fp, train_cfg, encoder_cfg, tag={"dataset": catalog.name})
         ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
@@ -224,12 +226,10 @@ def cmd_pretrain(args) -> int:
 
 def cmd_adapt(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "adapt", "train"})
-    data = cfgmod.parse_data(doc)
-    adapt_cfg = cfgmod.parse_adapt(doc)
-    train_cfg = cfgmod.parse_train(doc)
-    ckpt_path = doc.get("checkpoint")
-    if not ckpt_path:
-        raise InvalidConfig("adapt config needs a 'checkpoint' path")
+    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
+    adapt_cfg = cfgmod.parse_section(doc, "adapt", AdaptConfig, required=True)
+    train_cfg = cfgmod.parse_section(doc, "train", TrainConfig)
+    ckpt_path = cfgmod.parse_str(doc, "checkpoint", required=True)
     catalog, pools = _load_pools(data, ("train",))
     fp = pools["train"]
     encoder, meta = _load_checkpoint_encoder(ckpt_path, data, fp.dim)
@@ -252,11 +252,11 @@ def _write_report(ctx: RunContext, report: EvalReport, dataset: str, mode: str) 
 
 def cmd_eval(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval"})
-    data = cfgmod.parse_data(doc)
-    spec = cfgmod.parse_eval(doc)
+    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
+    spec = cfgmod.parse_section(doc, "eval", EvalSpec)
+    ckpt = cfgmod.parse_str(doc, "checkpoint")
     catalog, pools = _load_pools(data, ("test",))
     fp = pools["test"]
-    ckpt = doc.get("checkpoint")
     echo = {"dataset": catalog.name}
     if ckpt:
         encoder, meta = _load_checkpoint_encoder(ckpt, data, fp.dim)
@@ -272,14 +272,12 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval"})
-    data = cfgmod.parse_data(doc)
-    spec = cfgmod.parse_eval(doc)
+    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
+    spec = cfgmod.parse_section(doc, "eval", EvalSpec)
+    ckpt = cfgmod.parse_str(doc, "checkpoint", required=args.kind == "episode_linear")
     catalog, pools = _load_pools(data, ("train", "test") if args.kind == "full_data" else ("test",))
     fp = pools["test"]
     if args.kind == "episode_linear":
-        ckpt = doc.get("checkpoint")
-        if not ckpt:
-            raise InvalidConfig("episode_linear baseline needs a 'checkpoint' path")
         encoder, _ = _load_checkpoint_encoder(ckpt, data, fp.dim)
     with RunContext(f"baseline-{args.kind}", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
         if args.kind == "full_data":
@@ -308,8 +306,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_ablate(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "eval", "ablate"})
-    data = cfgmod.parse_data(doc)
-    spec = cfgmod.parse_eval(doc)
+    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
+    spec = cfgmod.parse_section(doc, "eval", EvalSpec)
     ks = cfgmod.parse_ablate(doc)
     catalog = build_catalog(data.data_root)
     split = load_split(data.split, catalog)
@@ -331,12 +329,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_multiseed(args) -> int:
     doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval", "seeds"})
-    data = cfgmod.parse_data(doc)
-    base_spec = cfgmod.parse_eval(doc)
+    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
+    base_spec = cfgmod.parse_section(doc, "eval", EvalSpec)
     seeds = cfgmod.parse_seeds(doc)
+    ckpt = cfgmod.parse_str(doc, "checkpoint")
     catalog, pools = _load_pools(data, ("test",))
     fp = pools["test"]
-    ckpt = doc.get("checkpoint")
     encoder = _load_checkpoint_encoder(ckpt, data, fp.dim)[0] if ckpt else None
     shared = shared_episodes(seeds, base_spec.episodes)
     if shared:

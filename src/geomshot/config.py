@@ -2,37 +2,31 @@
 
 Every config document carries ``schema_version: 1``; unknown keys at any
 level are errors so typos in experiment grids fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults. A section's known keys are the fields
+of its dataclass, and the dataclass checks each value's type and range
+(``schema.check_fields``): integers must be YAML integers, reals take an
+integer or a finite float, booleans must be YAML booleans and paths must
+be strings. Every breach is ``InvalidConfig: <section>.<field> must be …,
+got <repr>``, raised before any run directory exists. PyYAML reads YAML
+1.1, where a float needs a dot, so ``1e3`` is the string ``"1e3"``: write
+``1000``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
 
 from .errors import InvalidConfig
-from .evaluation import EvalSpec
 from .geometry import REPRESENTATIONS
-from .nnet import EncoderConfig
-from .pipeline import AdaptConfig, TrainConfig
+from .schema import check_fields, setting
 
 SCHEMA_VERSION = 1
 
-_DATA_KEYS = {"data_root", "split", "representation", "normalize"}
-_TRAIN_KEYS = {
-    "n_way", "k_shot", "q_query", "episodes_per_epoch", "max_epochs",
-    "patience", "base_seed", "supcon_weight", "temperature",
-    "learning_rate", "weight_decay", "clip_norm", "monitor_episodes",
-}
-_ENCODER_KEYS = {"hidden_dim", "num_hidden", "embed_dim", "dropout_p"}
-_EVAL_KEYS = {"n_way", "k_shot", "q_query", "episodes", "base_seed"}
-_ADAPT_KEYS = {"mode", "max_epochs", "learning_rate", "patience"}
-_ABLATE_KEYS = {"k_values"}
 
-
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+def _check_keys(section, allowed: set[str], where: str) -> None:
     if not isinstance(section, dict):
         raise InvalidConfig(f"{where} must be a mapping")
     unknown = set(section) - allowed
@@ -46,59 +40,45 @@ def load_config(path, top_keys: set[str]) -> dict:
         raise InvalidConfig(f"{path}: config must be a mapping")
     _check_keys(doc, top_keys | {"schema_version"}, str(path))
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise InvalidConfig(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
     return doc
 
 
 @dataclass
 class DataConfig:
-    data_root: Path
-    split: Path
-    representation: str
-    normalize: bool
+    data_root: str = setting()
+    split: str = setting()
+    representation: str = setting(choices=REPRESENTATIONS)
+    normalize: bool = setting(True)
+
+    def __post_init__(self):
+        check_fields(self, "data")
 
 
-def parse_data(doc: dict, where: str = "data") -> DataConfig:
-    section = doc.get("data")
+def parse_section(doc: dict, name: str, cls, required: bool = False, **fixed):
+    """Build ``cls`` from ``doc[name]``; ``fixed`` fields come from the caller, not the file."""
+    section = doc.get(name)
     if section is None:
-        raise InvalidConfig(f"missing required section {where!r}")
-    _check_keys(section, _DATA_KEYS, where)
-    for key in ("data_root", "split", "representation"):
-        if key not in section:
-            raise InvalidConfig(f"{where}.{key} is required")
-    representation = section["representation"]
-    if representation not in REPRESENTATIONS:
-        raise InvalidConfig(
-            f"{where}.representation must be one of {REPRESENTATIONS}, got {representation!r}"
-        )
-    normalize = section.get("normalize", True)
-    if type(normalize) is not bool:
-        raise InvalidConfig(f"{where}.normalize must be a boolean, got {normalize!r}")
-    return DataConfig(
-        data_root=Path(section["data_root"]),
-        split=Path(section["split"]),
-        representation=representation,
-        normalize=normalize,
-    )
+        if required:
+            raise InvalidConfig(f"missing required section {name!r}")
+        section = {}
+    keys = [f for f in fields(cls) if f.name not in fixed]
+    _check_keys(section, {f.name for f in keys}, name)
+    for f in keys:
+        if f.default is MISSING and f.name not in section:
+            raise InvalidConfig(f"{name}.{f.name} is required")
+    return cls(**section, **fixed)
 
 
-def parse_train(doc: dict) -> TrainConfig:
-    section = doc.get("train", {}) or {}
-    _check_keys(section, _TRAIN_KEYS, "train")
-    return TrainConfig(**section)
-
-
-def parse_encoder(doc: dict, input_dim: int) -> EncoderConfig:
-    section = doc.get("encoder", {}) or {}
-    _check_keys(section, _ENCODER_KEYS, "encoder")
-    return EncoderConfig(input_dim=input_dim, **section)
-
-
-def parse_eval(doc: dict) -> EvalSpec:
-    section = doc.get("eval", {}) or {}
-    _check_keys(section, _EVAL_KEYS, "eval")
-    return EvalSpec(**section)
+def parse_str(doc: dict, key: str, required: bool = False) -> str | None:
+    """A top-level string such as the ``checkpoint`` path; None when absent and not required."""
+    value = doc.get(key)
+    if value is None and not required:
+        return None
+    if type(value) is not str or not value:
+        raise InvalidConfig(f"{key} must be a non-empty string, got {value!r}")
+    return value
 
 
 def _int_list(values, where: str) -> tuple[int, ...]:
@@ -110,8 +90,8 @@ def _int_list(values, where: str) -> tuple[int, ...]:
 
 def parse_ablate(doc: dict) -> tuple[int, ...]:
     """The K values of the ablation table; defaults to (1, 3, 5)."""
-    section = doc.get("ablate", {}) or {}
-    _check_keys(section, _ABLATE_KEYS, "ablate")
+    section = {} if doc.get("ablate") is None else doc["ablate"]
+    _check_keys(section, {"k_values"}, "ablate")
     ks = _int_list(section.get("k_values", [1, 3, 5]), "ablate.k_values")
     if min(ks) < 1:
         raise InvalidConfig(f"ablate.k_values must be positive, got {list(ks)}")
@@ -124,11 +104,3 @@ def parse_seeds(doc: dict) -> tuple[int, ...]:
     if len(set(seeds)) != len(seeds) or min(seeds) < 0:
         raise InvalidConfig(f"seeds must be distinct and non-negative, got {list(seeds)}")
     return seeds
-
-
-def parse_adapt(doc: dict) -> AdaptConfig:
-    section = doc.get("adapt")
-    if section is None:
-        raise InvalidConfig("missing required section 'adapt'")
-    _check_keys(section, _ADAPT_KEYS, "adapt")
-    return AdaptConfig(**section)

@@ -79,5 +79,5 @@ class DegenerateProblem(GeomshotError):
     """Classifier fitting is ill-posed (e.g. a single class present)."""
 
 
-class InvalidConfig(GeomshotError):
-    """Configuration file is malformed or contains unknown keys."""
+class InvalidConfig(GeomshotError, ValueError):
+    """A config is malformed: an unknown key, or a value of the wrong type or range."""

@@ -43,7 +43,7 @@ from .errors import DegenerateProblem
 from .features import FeaturePool
 from .fewshot import classify, compute_prototypes
 from .nnet import MLPEncoder
-from .rng import check_seed
+from .schema import check_fields, setting
 
 REPORT_SCHEMA_VERSION = 1
 # Episodes scored per stacked block. At 75 queries and 25 support rows of 128-D,
@@ -62,18 +62,14 @@ ABLATION_SETTINGS = (
 
 @dataclass
 class EvalSpec:
-    n_way: int = 5
-    k_shot: int = 5
-    q_query: int = 15
-    episodes: int = 600
-    base_seed: int = 42
+    n_way: int = setting(5, ge=2)
+    k_shot: int = setting(5, ge=1)
+    q_query: int = setting(15, ge=1)
+    episodes: int = setting(600, ge=1)
+    base_seed: int = setting(42, ge=0)
 
     def __post_init__(self):
-        if min(self.n_way, self.k_shot, self.q_query, self.episodes) < 1:
-            raise ValueError("eval way/shot/query/episode counts must be positive")
-        if self.n_way < 2:
-            raise ValueError(f"eval n_way must be >= 2, got {self.n_way}")
-        check_seed("eval base_seed", self.base_seed)
+        check_fields(self, "eval")
 
 
 @dataclass

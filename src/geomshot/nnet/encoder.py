@@ -15,22 +15,20 @@ import numpy as np
 
 from ..errors import CacheError, ShapeError
 from ..rng import STREAM_INIT, make_rng
+from ..schema import check_fields, setting
 from .layers import BatchNorm1d, Dropout, Linear, ParamBuffer, ParamTensor, ReLU
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    input_dim: int
-    hidden_dim: int = 256
-    num_hidden: int = 2
-    embed_dim: int = 128
-    dropout_p: float = 0.3
+    input_dim: int = setting(ge=1)
+    hidden_dim: int = setting(256, ge=1)
+    num_hidden: int = setting(2, ge=1)
+    embed_dim: int = setting(128, ge=1)
+    dropout_p: float = setting(0.3, ge=0, lt=1)
 
     def __post_init__(self):
-        if min(self.input_dim, self.hidden_dim, self.num_hidden, self.embed_dim) < 1:
-            raise ValueError("encoder dimensions must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
+        check_fields(self, "encoder")
 
     def param_count(self) -> int:
         h = self.hidden_dim

@@ -19,8 +19,7 @@ and the head trains on those cached features.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from .features import FeaturePool
 from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
 from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
 from .nnet.checkpoint import load_checkpoint, save_checkpoint
-from .rng import STREAM_DROPOUT, check_seed, make_rng
+from .rng import STREAM_DROPOUT, make_rng
+from .schema import check_fields, setting
 
 logger = logging.getLogger(__name__)
 
@@ -40,61 +40,35 @@ logger = logging.getLogger(__name__)
 MONITOR_SEED_OFFSET = 1_000_000_000
 
 
-def _check_number(name: str, value, positive: bool) -> None:
-    """Require a finite real ``value`` that is > 0 (``positive``) or >= 0."""
-    ok = (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and (value > 0 if positive else value >= 0)
-    )
-    if not ok:
-        raise ValueError(f"{name} must be a finite number {'> 0' if positive else '>= 0'}, got {value!r}")
-
-
 @dataclass
 class TrainConfig:
-    n_way: int = 5
-    k_shot: int = 5
-    q_query: int = 15
-    episodes_per_epoch: int = 100
-    max_epochs: int = 100
-    patience: int = 15
-    base_seed: int = 42
-    supcon_weight: float = 0.5
-    temperature: float = 0.07
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-4
-    clip_norm: float | None = 1.0
-    monitor_episodes: int = 50
+    n_way: int = setting(5, ge=2)
+    k_shot: int = setting(5, ge=1)
+    q_query: int = setting(15, ge=1)
+    episodes_per_epoch: int = setting(100, ge=1)
+    max_epochs: int = setting(100, ge=1)
+    patience: int = setting(15, ge=1)
+    base_seed: int = setting(42, ge=0)
+    supcon_weight: float = setting(0.5, ge=0)
+    temperature: float = setting(0.07, gt=0)
+    learning_rate: float = setting(1e-4, gt=0)
+    weight_decay: float = setting(1e-4, ge=0)
+    clip_norm: float | None = setting(1.0, gt=0)
+    monitor_episodes: int = setting(50, ge=1)
 
     def __post_init__(self):
-        if min(self.episodes_per_epoch, self.max_epochs, self.patience, self.monitor_episodes) < 1:
-            raise ValueError("episode/epoch/patience counts must be positive")
-        if self.n_way < 2 or self.k_shot < 1 or self.q_query < 1:
-            raise ValueError(
-                f"train needs n_way >= 2, k_shot >= 1, q_query >= 1, got {self.n_way}, {self.k_shot}, {self.q_query}"
-            )
-        check_seed("train base_seed", self.base_seed)
-        for name in ("learning_rate", "temperature"):
-            _check_number(name, getattr(self, name), positive=True)
-        for name in ("weight_decay", "supcon_weight"):
-            _check_number(name, getattr(self, name), positive=False)
-        if self.clip_norm is not None:
-            _check_number("clip_norm", self.clip_norm, positive=True)
+        check_fields(self, "train")
 
 
 @dataclass
 class AdaptConfig:
-    mode: str = "frozen"  # frozen | target_supervised
-    max_epochs: int = 20
-    learning_rate: float = 1e-4
-    patience: int = 15
+    mode: str = setting("frozen", choices=("frozen", "target_supervised"))
+    max_epochs: int = setting(20, ge=1)
+    learning_rate: float = setting(1e-4, gt=0)
+    patience: int = setting(15, ge=1)
 
     def __post_init__(self):
-        if self.mode not in ("frozen", "target_supervised"):
-            raise ValueError(f"unknown adaptation mode {self.mode!r}")
-        _check_number("learning_rate", self.learning_rate, positive=True)
+        check_fields(self, "adapt")
 
 
 @dataclass
@@ -282,13 +256,7 @@ def adapt(
 def save_encoder(path, result: TrainResult) -> None:
     cfg = result.encoder_config
     meta = dict(result.meta)
-    meta["encoder"] = {
-        "input_dim": cfg.input_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "num_hidden": cfg.num_hidden,
-        "embed_dim": cfg.embed_dim,
-        "dropout_p": cfg.dropout_p,
-    }
+    meta["encoder"] = asdict(cfg)
     tensors = [(name, result.state[name]) for name in cfg.tensor_names()]
     save_checkpoint(path, tensors, meta)
 
@@ -299,13 +267,7 @@ def load_encoder(path) -> tuple[MLPEncoder, dict]:
     if not isinstance(enc_meta, dict):
         raise CorruptCheckpoint(f"{path}: missing encoder config in meta")
     try:
-        cfg = EncoderConfig(
-            input_dim=int(enc_meta["input_dim"]),
-            hidden_dim=int(enc_meta["hidden_dim"]),
-            num_hidden=int(enc_meta["num_hidden"]),
-            embed_dim=int(enc_meta["embed_dim"]),
-            dropout_p=float(enc_meta["dropout_p"]),
-        )
+        cfg = EncoderConfig(**{f.name: enc_meta[f.name] for f in fields(EncoderConfig)})
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
     if len(tensors) != 6 * cfg.num_hidden + 2:  # before tensor_names() lists num_hidden layers

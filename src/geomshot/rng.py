@@ -7,7 +7,8 @@ recipes are used and documented here:
 * ``make_rng(*parts)`` -- general streams (split shuffles, weight init,
   dropout masks, synthetic data). The integer parts are fed to
   ``SeedSequence([part0, part1, ...])``, so distinct part tuples give
-  independent streams. Negative parts are refused, not wrapped to 64 bits.
+  independent streams. Parts that are negative, fractional or bool are refused,
+  not wrapped to 64 bits or truncated.
 * ``episode_rng(base_seed, episode_index)`` -- episode sampling uses the
   literal sum ``base_seed + episode_index`` as the PCG64 seed, so episode
   composition is reproducible from those two integers alone.
@@ -28,20 +29,21 @@ STREAM_SYNTH_DICT = 5
 STREAM_SYNTH_SAMPLE = 6
 
 
+def _is_seed(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 0
+
+
 def check_seed(name: str, value) -> None:
     """Require a non-negative integer seed, as PCG64 does; bools are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+    if not _is_seed(value):
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def make_rng(*parts: int) -> np.random.Generator:
     """Return a PCG64 generator for the given non-negative integer seed components."""
-    if not parts:
-        raise ValueError("make_rng needs at least one seed component")
-    entropy = [int(p) for p in parts]
-    if min(entropy) < 0:
-        raise ValueError(f"make_rng seed components must be non-negative, got {entropy}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    if not parts or not all(map(_is_seed, parts)):
+        raise ValueError(f"make_rng needs non-negative integer seed components, got {parts!r}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(p) for p in parts])))
 
 
 def episode_rng(base_seed: int, episode_index: int) -> np.random.Generator:

@@ -21,15 +21,16 @@ together.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .geometry import NUM_KEYPOINTS, apply_transforms, draw_similarity, rotation_from_quaternion
 from .npyio import write_keypoints
-from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, check_seed, make_rng
+from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, make_rng
+from .schema import check_fields, setting
 
 # Link lengths: wrist->base, then the three phalanges.
 LINK_LENGTHS = (1.0, 0.65, 0.45, 0.3)
@@ -41,26 +42,19 @@ _Z = np.array([0.0, 0.0, 1.0])
 
 @dataclass
 class SynthSpec:
-    n_classes: int = 10
-    per_class: int = 200
-    noise: float = 0.05
-    transforms: bool = True
-    seed: int = 7
-    scale_range: tuple[float, float] = (0.1, 10.0)
-    translate_max: float = 10.0
-    name: str = "synth"
+    n_classes: int = setting(10, ge=2)
+    per_class: int = setting(200, ge=1)
+    noise: float = setting(0.05, ge=0)
+    transforms: bool = setting(True)
+    seed: int = setting(7, ge=0)
+    scale_range: tuple[float, float] = setting((0.1, 10.0), gt=0)
+    translate_max: float = setting(10.0, ge=0)
+    name: str = setting("synth")
 
     def __post_init__(self):
-        check_seed("synth seed", self.seed)
-        if self.n_classes < 2 or self.per_class < 1:
-            raise ValueError("need at least 2 classes and 1 sample per class")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
-        lo, hi = self.scale_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-            raise ValueError(f"scale range must be finite with 0 < min <= max, got ({lo}, {hi})")
-        if not (math.isfinite(self.translate_max) and self.translate_max >= 0):
-            raise ValueError(f"translate_max must be finite and >= 0, got {self.translate_max}")
+        check_fields(self, "synth")
+        if self.scale_range[0] > self.scale_range[1]:
+            raise InvalidConfig(f"synth.scale_range must have min <= max, got {self.scale_range!r}")
 
 
 def class_dictionary(spec: SynthSpec) -> np.ndarray:

@@ -1,11 +1,19 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomshot.cli import main
-from geomshot.nnet import load_checkpoint
+from geomshot.config import DataConfig
+from geomshot.errors import InvalidConfig
+from geomshot.evaluation import EvalSpec
+from geomshot.nnet import EncoderConfig, load_checkpoint
+from geomshot.pipeline import AdaptConfig, TrainConfig
+from geomshot.synth import SynthSpec
 
 
 def write_yaml(path, doc):
@@ -48,6 +56,23 @@ def eval_doc(corpus, episodes=30, checkpoint=None, k_shot=2):
     if checkpoint:
         doc["checkpoint"] = str(checkpoint)
     return doc
+
+
+def command_doc(corpus, command):
+    """A valid config for the run command ``command``: a train config for the three training commands,
+    with ``adapt`` and a ``checkpoint`` for adapt, and an eval config for the others."""
+    if command in ("train", "pretrain"):
+        return tiny_train_doc(corpus)
+    if command == "adapt":
+        doc = tiny_train_doc(corpus)
+        del doc["encoder"]
+        return doc | {"adapt": {"mode": "frozen"}, "checkpoint": "encoder.ckpt"}
+    return eval_doc(corpus, episodes=3)
+
+
+EVAL_COMMANDS = ("eval", "baseline --kind input_space", "ablate", "multiseed")
+TRAIN_COMMANDS = ("train", "pretrain", "adapt")
+RUN_COMMANDS = EVAL_COMMANDS + ("baseline --kind full_data",) + TRAIN_COMMANDS
 
 
 def test_split_command_deterministic(small_corpus, tmp_path):
@@ -199,10 +224,11 @@ def test_unknown_config_key_rejected(small_corpus, tmp_path):
 
 def test_unknown_ablate_key_rejected(small_corpus, tmp_path):
     doc = eval_doc(small_corpus)
-    doc["ablate"] = {"k_value": [1]}
-    cfg = write_yaml(tmp_path / "bad.yaml", doc)
-    assert main(["ablate", "--config", cfg, "--out", str(tmp_path), "--run-id", "ab"]) == 1
-    assert not (tmp_path / "ab").exists()
+    for section in ({"k_value": [1]}, [], 0):  # a section that is not a mapping once fell back to the default Ks
+        doc["ablate"] = section
+        cfg = write_yaml(tmp_path / "bad.yaml", doc)
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path), "--run-id", "ab"]) == 1
+        assert not (tmp_path / "ab").exists()
 
 
 @pytest.mark.parametrize("seeds", [[], [1, 1], [True, 2], [1.5], "42", None])
@@ -220,20 +246,28 @@ def test_bad_multiseed_seeds_are_one_line_error_and_create_no_run_dir(small_corp
 @pytest.mark.parametrize(
     "command, section, key, value, message",
     [
-        ("eval", "eval", "base_seed", -5, "ValueError: eval base_seed must be a non-negative integer"),
-        ("train", "train", "base_seed", -1, "ValueError: train base_seed must be a non-negative integer"),
-        ("eval", "eval", "base_seed", "7", "ValueError: eval base_seed must be a non-negative integer"),
-        ("eval", "eval", "base_seed", 1.5, "ValueError: eval base_seed must be a non-negative integer"),
+        ("eval", "eval", "base_seed", -5, "InvalidConfig: eval.base_seed must be a non-negative integer, got -5"),
+        ("train", "train", "base_seed", -1, "InvalidConfig: train.base_seed must be a non-negative integer, got -1"),
+        ("eval", "eval", "base_seed", "7", "InvalidConfig: eval.base_seed must be a non-negative integer, got '7'"),
+        ("eval", "eval", "base_seed", 1.5, "InvalidConfig: eval.base_seed must be a non-negative integer, got 1.5"),
         ("multiseed", None, "seeds", [-1, 2], "InvalidConfig: seeds must be distinct and non-negative"),
+        *[(c, "eval", "base_seed", True, "InvalidConfig: eval.base_seed must be a non-negative integer, got True")
+          for c in EVAL_COMMANDS[1:]],
+        *[(c, "train", "base_seed", -1, "InvalidConfig: train.base_seed must be a non-negative integer, got -1")
+          for c in TRAIN_COMMANDS[1:]],
+        *[(c, None, "checkpoint", 7, "InvalidConfig: checkpoint must be a non-empty string, got 7")
+          for c in ("eval", "baseline --kind input_space", "baseline --kind episode_linear", "multiseed", "adapt")],
+        ("adapt", None, "checkpoint", None, "InvalidConfig: checkpoint must be a non-empty string, got None"),
+        ("pretrain", None, "source", ["a"], "InvalidConfig: source must be a non-empty string, got ['a']"),
     ],
 )
 def test_bad_seed_is_one_line_error_and_creates_no_run_dir(
     small_corpus, tmp_path, caplog, command, section, key, value, message
 ):
-    doc = tiny_train_doc(small_corpus) if command == "train" else eval_doc(small_corpus, episodes=3)
+    doc = command_doc(small_corpus, command)
     (doc[section] if section else doc)[key] = value
     cfg = write_yaml(tmp_path / "neg.yaml", doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path), "--run-id", "neg"]) == 1
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path), "--run-id", "neg"]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith(message)
@@ -243,19 +277,32 @@ def test_bad_seed_is_one_line_error_and_creates_no_run_dir(
 @pytest.mark.parametrize(
     "command, section, key, value, message",
     [
-        ("train", "train", "k_shot", 0, "ValueError: train needs n_way >= 2, k_shot >= 1, q_query >= 1"),
-        ("train", "train", "q_query", 0, "ValueError: train needs n_way >= 2, k_shot >= 1, q_query >= 1"),
-        ("train", "train", "n_way", 1, "ValueError: train needs n_way >= 2, k_shot >= 1, q_query >= 1"),
-        ("eval", "eval", "n_way", 1, "ValueError: eval n_way must be >= 2"),
+        ("train", "train", "k_shot", 0, "InvalidConfig: train.k_shot must be an integer >= 1, got 0"),
+        ("train", "train", "q_query", 0, "InvalidConfig: train.q_query must be an integer >= 1, got 0"),
+        ("train", "train", "n_way", 1, "InvalidConfig: train.n_way must be an integer >= 2, got 1"),
+        ("eval", "eval", "n_way", 1, "InvalidConfig: eval.n_way must be an integer >= 2, got 1"),
+        # A float or bool where a count belongs, and YAML 1.1's 1e3, which is the string '1e3'.
+        *[(c, "eval", key, value, f"InvalidConfig: eval.{key} must be an integer >= {low}, got {value!r}")
+          for c in EVAL_COMMANDS
+          for key, value, low in (("k_shot", 2.5, 1), ("n_way", 3.0, 2), ("episodes", 2.5, 1),
+                                  ("episodes", True, 1), ("episodes", "1e3", 1))],
+        *[(c, "train", key, value, f"InvalidConfig: train.{key} must be an integer >= 1, got {value!r}")
+          for c in TRAIN_COMMANDS for key, value in (("max_epochs", 1.5), ("patience", True))],
+        *[(c, "encoder", key, value, f"InvalidConfig: encoder.{key} must be {rule}, got {value!r}")
+          for c in TRAIN_COMMANDS[:2]
+          for key, value, rule in (("hidden_dim", 16.5, "an integer >= 1"),
+                                   ("dropout_p", "0.3", "a finite number in [0, 1)"))],
+        ("adapt", "adapt", "max_epochs", 2.5, "InvalidConfig: adapt.max_epochs must be an integer >= 1, got 2.5"),
+        *[(c, "data", "data_root", 5, "InvalidConfig: data.data_root must be a string, got 5") for c in RUN_COMMANDS],
     ],
 )
 def test_bad_episode_shape_is_one_line_error_and_creates_no_run_dir(
     small_corpus, tmp_path, caplog, command, section, key, value, message
 ):
-    doc = tiny_train_doc(small_corpus) if command == "train" else eval_doc(small_corpus, episodes=3)
+    doc = command_doc(small_corpus, command)
     doc[section][key] = value
     cfg = write_yaml(tmp_path / "shape.yaml", doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path), "--run-id", "shape"]) == 1
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path), "--run-id", "shape"]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith(message)
@@ -326,7 +373,7 @@ def test_synth_bad_parameter_is_one_line_error_and_writes_nothing(tmp_path, capl
     assert main(argv) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
-    assert errors[0].startswith("ValueError: ")
+    assert errors[0].startswith("InvalidConfig: synth.")
     assert not out.exists()
 
 
@@ -341,7 +388,7 @@ def test_negative_synth_or_split_seed_is_one_line_error_and_writes_nothing(tmp_p
     assert not split.parent.exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 2 and not any("\n" in e for e in errors)
-    assert errors[0].startswith("ValueError: synth seed must be a non-negative integer")
+    assert errors[0].startswith("InvalidConfig: synth.seed must be a non-negative integer")
     assert errors[1].startswith("ValueError: split seed must be a non-negative integer")
 
 
@@ -354,6 +401,38 @@ def test_non_boolean_normalize_is_one_line_error_and_creates_no_run_dir(small_co
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"InvalidConfig: data.normalize must be a boolean, got {value!r}"]
     assert not (tmp_path / "norm").exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_schema_version_must_be_the_integer_one(small_corpus, tmp_path, caplog, version):
+    cfg = write_yaml(tmp_path / "v.yaml", eval_doc(small_corpus, episodes=3) | {"schema_version": version})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "v"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"InvalidConfig: {cfg}: schema_version must be 1, got {version!r}"]
+    assert not (tmp_path / "v").exists()
+
+
+SECTIONS = {"data": DataConfig, "train": TrainConfig, "encoder": EncoderConfig, "eval": EvalSpec,
+            "adapt": AdaptConfig, "synth": SynthSpec}
+REQUIRED = {"data": {"data_root": "d", "split": "s.json", "representation": "angle"}, "encoder": {"input_dim": 20}}
+# The Python types each annotation admits; bool is an int subclass, so type() and not isinstance.
+ADMITS = {"int": {int}, "float": {int, float}, "float | None": {int, float, type(None)}, "bool": {bool},
+          "str": {str}, "tuple[float, float]": {tuple}}
+VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(), float: st.floats(),
+          str: st.text(max_size=4), list: st.lists(st.integers(), max_size=2), tuple: st.tuples(st.floats(), st.floats()),
+          dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)}
+
+
+@pytest.mark.parametrize(
+    "section, name, kind", [(s, f.name, f.type) for s, cls in SECTIONS.items() for f in fields(cls)]
+)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_wrong_typed_value_for_any_field_is_refused_naming_the_field(section, name, kind, data):
+    value = data.draw(st.one_of([values for t, values in VALUES.items() if t not in ADMITS[kind]]))
+    with pytest.raises(InvalidConfig) as refused:
+        SECTIONS[section](**REQUIRED.get(section, {}) | {name: value})
+    assert str(refused.value).startswith(f"{section}.{name} ")
 
 
 def test_degenerate_hand_in_raw_pool_is_one_line_error_naming_the_file(tmp_path, caplog):
@@ -389,11 +468,6 @@ def _negative_byte_offset(header):
     return header
 
 
-def _huge_num_hidden(header):
-    header["meta"]["encoder"]["num_hidden"] = 10**12
-    return header
-
-
 def _set_tensor_field(index, field, value):
     def mutate(header):
         header["tensors"][index][field] = value
@@ -401,9 +475,11 @@ def _set_tensor_field(index, field, value):
     return mutate
 
 
-def _huge_hidden_dim(header):
-    header["meta"]["encoder"]["hidden_dim"] = 10**9
-    return header
+def _set_encoder_field(field, value):
+    def mutate(header):
+        header["meta"]["encoder"][field] = value
+        return header
+    return mutate
 
 
 def save_random_encoder(ckpt):
@@ -418,13 +494,17 @@ def save_random_encoder(ckpt):
 
 @pytest.mark.parametrize(
     "mutate",
-    [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset, _huge_num_hidden,
-     _set_tensor_field(2, "byte_offset", 0), _set_tensor_field(0, "byte_offset", True),
-     _set_tensor_field(0, "name", ["fc1.weight"]), _set_tensor_field(0, "shape", [20.7, 32]),
-     _set_tensor_field(0, "shape", [32, 20]), _huge_hidden_dim],
+    [_drop_byte_offset, _drop_hidden_dim, lambda header: [1, 2], _negative_byte_offset,
+     _set_encoder_field("num_hidden", 10**12), _set_tensor_field(2, "byte_offset", 0),
+     _set_tensor_field(0, "byte_offset", True), _set_tensor_field(0, "name", ["fc1.weight"]),
+     _set_tensor_field(0, "shape", [20.7, 32]), _set_tensor_field(0, "shape", [32, 20]),
+     _set_encoder_field("hidden_dim", 10**9), _set_encoder_field("hidden_dim", 32.5),
+     _set_encoder_field("num_hidden", 2.0), _set_encoder_field("num_hidden", True),
+     _set_encoder_field("embed_dim", "16"), _set_encoder_field("dropout_p", "0.3")],
     ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
          "negative-byte-offset", "huge-num-hidden", "overlapping-byte-offset", "bool-byte-offset",
-         "list-name", "float-shape", "transposed-shape", "huge-hidden-dim"],
+         "list-name", "float-shape", "transposed-shape", "huge-hidden-dim", "float-hidden-dim",
+         "float-num-hidden", "bool-num-hidden", "string-embed-dim", "string-dropout-p"],
 )
 def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
     ckpt = tmp_path / "encoder.ckpt"
@@ -444,8 +524,7 @@ def test_zero_eval_episodes_is_one_line_error(small_corpus, tmp_path, caplog):
     cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=0))
     assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "zero"]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "\n" not in errors[0]
-    assert errors[0].startswith("ValueError: ")
+    assert errors == ["InvalidConfig: eval.episodes must be an integer >= 1, got 0"]
     assert not (tmp_path / "zero").exists()
 
 

@@ -235,7 +235,7 @@ def test_blocked_scoring_equals_per_episode_scoring():
 
 def test_eval_spec_needs_two_ways():
     assert EvalSpec(2, 1, 1, 1, 0).n_way == 2
-    with pytest.raises(ValueError, match="n_way must be >= 2"):
+    with pytest.raises(ValueError, match=r"eval\.n_way must be an integer >= 2, got 1"):
         EvalSpec(1, 5, 15, 10, 0)
 
 

@@ -186,11 +186,13 @@ def test_tree_bytes_are_pinned(tmp_path, spec, digest):
     [("noise", float("nan")), ("noise", float("inf")), ("noise", -0.1),
      ("scale_range", (0.0, 1.0)), ("scale_range", (-1.0, 1.0)), ("scale_range", (2.0, 1.0)),
      ("scale_range", (0.1, float("inf"))), ("scale_range", (float("nan"), 1.0)),
-     ("translate_max", float("nan")), ("translate_max", float("inf")), ("translate_max", -1.0)],
+     ("translate_max", float("nan")), ("translate_max", float("inf")), ("translate_max", -1.0),
+     ("per_class", 2.5), ("n_classes", 3.0), ("per_class", True)],
 )
-def test_spec_rejects_bad_parameters(field, value):
-    with pytest.raises(ValueError):
-        SynthSpec(**{field: value})
+def test_spec_rejects_bad_parameters(tmp_path, field, value):
+    with pytest.raises(ValueError, match=rf"^synth\.{field} must "):
+        generate_corpus(SynthSpec(**{field: value}), tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()  # refused before generate_corpus ran
 
 
 def test_generate_corpus_calls_sample_hand_per_class_and_write_keypoints_per_file(tmp_path, monkeypatch):
@@ -211,13 +213,15 @@ def test_generate_corpus_calls_sample_hand_per_class_and_write_keypoints_per_fil
 
 @pytest.mark.parametrize("seed", [-1, -(2**64) + 5, 1.5, True, "7", None])
 def test_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
-    with pytest.raises(ValueError, match="synth seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match=r"synth\.seed must be a non-negative integer"):
         SynthSpec(seed=seed)
 
 
 def test_negative_seed_parts_are_refused_and_large_seeds_do_not_alias(tmp_path):
-    with pytest.raises(ValueError, match="non-negative"):
-        make_rng(STREAM_SYNTH_SAMPLE, -1)
+    for parts in ((STREAM_SYNTH_SAMPLE, -1), (1.5,), (True,), (STREAM_SYNTH_SAMPLE, 2.0), ()):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_rng(*parts)  # a float part was once truncated: make_rng(1.5) drew make_rng(1)'s stream
+    assert make_rng(np.int64(3)).integers(2**62) == make_rng(3).integers(2**62)
     top = 2**64 - 1
     # seeds below 2**64 keep their streams: SeedSequence of the same words
     expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([STREAM_SYNTH_SAMPLE, top])))
