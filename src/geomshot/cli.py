@@ -1,13 +1,25 @@
 """Command-line entry point.
 
-Run-style commands (train, pretrain, adapt, eval, baseline, ablate,
-multiseed) write their outputs under ``<out>/<run-id>/`` as
-``manifest.json`` plus ``report.json`` / ``tables/*.csv`` /
-``checkpoints/*.ckpt`` / ``train_log.jsonl`` as applicable. ``split`` and
-``export`` write a single file with a ``<file>.manifest.json`` sidecar;
-``synth`` writes a dataset tree with the manifest at its root. Every
-manifest embeds the resolved configuration, so a run is replayable from
-the manifest alone.
+The run commands are the rows of ``RUNS``, keyed by run name; ``baseline``
+has one row per ``--kind``, named ``baseline-<kind>``. A row gives the
+config keys the command reads, the pools it featurizes, whether it
+ignores, takes or needs a checkpoint, and its body. ``_prepare`` parses
+every section, builds every pool, loads and checks the checkpoint, and
+runs every check that depends only on the inputs, all before the run
+directory exists, so an input error leaves nothing behind. ``_run`` then
+makes ``<out>/<run-id>/``, calls the body, and writes ``manifest.json``
+however the body ends: ``status`` "ok", or "failed" plus the ``error``.
+Bodies call library functions by their module-global names, never
+through the table, so a tool that rebinds those globals (the benchmark's
+tracer) sees every call.
+
+A run directory holds ``manifest.json`` plus ``report.json`` /
+``tables/*.csv`` / ``checkpoints/*.ckpt`` / ``train_log.jsonl`` as
+applicable. ``split`` and ``export`` write one file with a
+``<file>.manifest.json`` sidecar; ``synth`` writes a dataset tree with the
+manifest at its root. Every manifest embeds the resolved configuration,
+so a run is replayable from it alone. All of these files are written
+through ``_atomic``, so each is whole or absent.
 """
 
 from __future__ import annotations
@@ -17,27 +29,20 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import yaml
 
 from . import config as cfgmod
-from .dataio import build_catalog, load_split, save_split, split_pool, stratified_split
-from .errors import ConfigMismatch, GeomshotError
-from .evaluation import (
-    EvalReport,
-    EvalSpec,
-    ablation_normalization,
-    episode_linear_baseline,
-    evaluate,
-    full_data_linear,
-    input_space_baseline,
-    multi_seed,
-    shared_episodes,
-    write_csv_table,
-)
+from .dataio import build_catalog, eligible_pool, load_split, save_split, split_pool, stratified_split
+from .errors import ConfigMismatch, DegenerateProblem, GeomshotError
+from .evaluation import (ABLATION_SETTINGS, EvalReport, EvalSpec, ablation_normalization, episode_linear_baseline,
+                         evaluate, full_data_linear, input_space_baseline, multi_seed, shared_episodes,
+                         write_csv_table)
 from .features import build_feature_pool
 from .nnet import EncoderConfig
 from .pipeline import AdaptConfig, TrainConfig, load_encoder, pretrain_source, save_encoder, train_encoder
@@ -51,120 +56,242 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _atomic(path: Path, write: Callable[[Path], object]) -> None:
+    """Write ``path`` whole or not at all.
 
-
-class RunContext:
-    """Owns the run directory and the manifest.
-
-    Used as a context manager: however the block ends, ``manifest.json`` is
-    written with ``status`` "ok", or "failed" plus the ``error`` that ended
-    the run. The default run id is ``<command>-<microsecond stamp>-<pid>``.
+    ``write(tmp)`` fills a temp file beside ``path``, which then replaces
+    it; if ``write`` raises, the temp file is removed and ``path`` is left
+    as it was. Missing parent directories are made.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
-    def __init__(self, command: str, out: str, run_id: str | None, config_path=None, config=None, seed=None):
-        self.command = command
-        stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
-        self.run_id = run_id or f"{command}-{stamp}-{os.getpid()}"
-        self.dir = Path(out) / self.run_id
-        self.dir.mkdir(parents=True)
-        self.manifest = {
-            "schema_version": 1,
-            "command": command,
-            "config_path": str(config_path) if config_path else None,
-            "config": config,
-            "output_dir": str(self.dir),
-            "run_id": self.run_id,
-            "seed": seed,
-            "started_at": _now(),
-        }
 
-    def subdir(self, name: str) -> Path:
-        d = self.dir / name
-        d.mkdir(exist_ok=True)
-        return d
-
-    def __enter__(self) -> "RunContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.manifest["finished_at"] = _now()
-        self.manifest["status"] = "ok" if exc is None else "failed"
-        if exc is not None:
-            self.manifest["error"] = f"{exc_type.__name__}: {exc}"
-        _write_json(self.dir / "manifest.json", self.manifest)
+def _json(doc: dict) -> Callable[[Path], object]:
+    """An ``_atomic`` writer of ``doc`` as indented JSON with sorted keys."""
+    return lambda tmp: tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _sidecar_manifest(path: Path, command: str, config: dict, seed=None) -> None:
-    doc = {
-        "schema_version": 1,
-        "command": command,
-        "config": config,
-        "output": str(path),
-        "seed": seed,
-        "started_at": _now(),
-        "finished_at": _now(),
-    }
-    _write_json(Path(str(path) + ".manifest.json"), doc)
-
-
-def _load_pools(data: cfgmod.DataConfig, sides: tuple[str, ...]):
-    catalog = build_catalog(data.data_root)
-    split = load_split(data.split, catalog)
-    names = {i: n for i, n in enumerate(catalog.classes)}
-    pools = {}
-    for side in sides:
-        pools[side] = build_feature_pool(
-            split_pool(catalog, split, side),
-            catalog.root,
-            data.representation,
-            data.normalize,
-            class_names=names,
-        )
-    return catalog, pools
-
-
-def _load_checkpoint_encoder(path, data: cfgmod.DataConfig, feature_dim: int):
-    encoder, meta = load_encoder(path)
-    if meta.get("representation") != data.representation:
-        raise ConfigMismatch(
-            f"checkpoint representation {meta.get('representation')!r} != "
-            f"configured {data.representation!r}"
-        )
-    if encoder.config.input_dim != feature_dim:
-        raise ConfigMismatch(
-            f"checkpoint input_dim {encoder.config.input_dim} != feature dim {feature_dim}"
-        )
-    return encoder, meta
+    doc = {"schema_version": 1, "command": command, "config": config, "output": str(path), "seed": seed,
+           "started_at": _now(), "finished_at": _now()}
+    _atomic(path.with_name(path.name + ".manifest.json"), _json(doc))
 
 
 def _report_csv_row(report, dataset: str, mode: str) -> dict:
-    return {
-        "dataset": dataset,
-        "repr": report.config.get("representation"),
-        "encoder": report.config.get("encoder"),
-        "mode": mode,
-        "K": report.config.get("k_shot"),
-        "mean": report.mean_accuracy,
-        "ci95": report.ci95_halfwidth,
-    }
+    config = report.config
+    return {"dataset": dataset, "repr": config.get("representation"), "encoder": config.get("encoder"),
+            "mode": mode, "K": config.get("k_shot"), "mean": report.mean_accuracy, "ci95": report.ci95_halfwidth}
 
 
-# -- commands ---------------------------------------------------------------
+# -- run commands -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Run:
+    """One run command.
+
+    ``keys``: the top-level config keys it reads, in parse order; any other is refused. ``sides``: the
+    pools it featurizes, each a split side or a ``(representation, normalize)`` setting of the test
+    side; episodes come from the first. ``checkpoint``: "ignored" (checked as a string, never
+    loaded), "optional" or "required". ``body(inputs, run_dir, manifest)`` does the run's work.
+    """
+
+    keys: tuple[str, ...]
+    sides: tuple
+    checkpoint: str
+    body: Callable
+
+
+# How each config key is read. The encoder gets a placeholder input_dim, so a
+# typo in it is refused before any data loads; the pool's dimension replaces it.
+_SECTIONS = {
+    "data": lambda doc: cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True),
+    "encoder": lambda doc: cfgmod.parse_section(doc, "encoder", EncoderConfig, input_dim=1),
+    "train": lambda doc: cfgmod.parse_section(doc, "train", TrainConfig),
+    "adapt": lambda doc: cfgmod.parse_section(doc, "adapt", AdaptConfig, required=True),
+    "eval": lambda doc: cfgmod.parse_section(doc, "eval", EvalSpec),
+    "ablate": cfgmod.parse_ablate,
+    "seeds": cfgmod.parse_seeds,
+    "source": lambda doc: cfgmod.parse_str(doc, "source"),
+}
+
+
+def _prepare(name: str, config_path) -> SimpleNamespace:
+    """Read and check every input of run ``name``; nothing is written."""
+    run = RUNS[name]
+    doc = cfgmod.load_config(config_path, set(run.keys))
+    p = SimpleNamespace(doc=doc, model=None, meta=None)
+    for key in run.keys:
+        if key != "checkpoint":
+            setattr(p, key, _SECTIONS[key](doc))
+    ckpt = cfgmod.parse_str(doc, "checkpoint", required=run.checkpoint == "required")
+    data = p.data
+    p.catalog = build_catalog(data.data_root)
+    split = load_split(data.split, p.catalog)
+    names = dict(enumerate(p.catalog.classes))
+    p.pools = {}
+    for side in run.sides:
+        half, *setting = ("test", *side) if isinstance(side, tuple) else (side, data.representation, data.normalize)
+        samples = split_pool(p.catalog, split, half)
+        p.pools[side] = build_feature_pool(samples, p.catalog.root, *setting, class_names=names)
+    fp = p.pools[run.sides[0]]
+    if "encoder" in run.keys:
+        p.encoder = replace(p.encoder, input_dim=fp.dim)
+    if ckpt and run.checkpoint != "ignored":
+        p.model, p.meta = load_encoder(ckpt)
+        if p.meta.get("representation") != data.representation:
+            raise ConfigMismatch(f"checkpoint representation {p.meta.get('representation')!r} != "
+                                 f"configured {data.representation!r}")
+        if p.model.config.input_dim != fp.dim:
+            raise ConfigMismatch(f"checkpoint input_dim {p.model.config.input_dim} != feature dim {fp.dim}")
+    shape = p.train if "train" in run.keys else p.eval
+    p.seed = p.seeds[0] if "seeds" in run.keys else shape.base_seed
+    if name == "baseline-full_data":
+        if len(set(p.pools["train"].pool) | set(p.pools["test"].pool)) < 2:
+            raise DegenerateProblem("need at least two classes for a linear classifier")
+    elif not ("adapt" in run.keys and p.adapt.mode == "frozen"):  # frozen adapt draws no episodes
+        k_shot = max(p.ablate) if "ablate" in run.keys else shape.k_shot
+        eligible_pool(fp.pool, k_shot, shape.q_query, shape.n_way)
+    return p
+
+
+def _run(name: str, args, p: SimpleNamespace) -> None:
+    """Make the run directory, call the body, and write the manifest however it ends."""
+    run_id = args.run_id or f"{name}-{datetime.now():%Y%m%d-%H%M%S-%f}-{os.getpid()}"
+    run_dir = Path(args.out) / run_id
+    run_dir.mkdir(parents=True)
+    manifest = {"schema_version": 1, "command": name, "config_path": str(args.config), "config": p.doc,
+                "output_dir": str(run_dir), "run_id": run_id, "seed": p.seed, "started_at": _now(),
+                "status": "failed"}
+    try:
+        RUNS[name].body(p, run_dir, manifest)
+        manifest["status"] = "ok"
+    except BaseException as e:
+        manifest["error"] = f"{type(e).__name__}: {e}"
+        raise
+    finally:
+        manifest["finished_at"] = _now()
+        _atomic(run_dir / "manifest.json", _json(manifest))
+
+
+def cmd_run(args) -> int:
+    name = f"baseline-{args.kind}" if args.command == "baseline" else args.command
+    _run(name, args, _prepare(name, args.config))
+    return 0
+
+
+def _save_training(result, run_dir: Path, manifest: dict) -> None:
+    ckpt = run_dir / "checkpoints" / "encoder.ckpt"
+    _atomic(ckpt, lambda tmp: save_encoder(tmp, result))
+    manifest["checkpoint"] = str(ckpt)
+    if result.log:  # frozen adapt trains no epochs
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in result.log)
+        _atomic(run_dir / "train_log.jsonl", lambda tmp: tmp.write_text(lines))
+        manifest["best_epoch"] = result.best_epoch
+        manifest["best_monitor_acc"] = result.best_monitor_acc
+        logger.info("best monitor accuracy %.4f (epoch %d)", result.best_monitor_acc, result.best_epoch)
+
+
+def _train(p, run_dir: Path, manifest: dict) -> None:
+    result = train_encoder(p.pools["train"], p.train, p.encoder, tag={"dataset": p.catalog.name})
+    _save_training(result, run_dir, manifest)
+
+
+def _pretrain(p, run_dir: Path, manifest: dict) -> None:
+    result = pretrain_source(p.pools["train"], p.train, p.encoder, p.source or p.catalog.name)
+    _save_training(result, run_dir, manifest)
+
+
+def _adapt(p, run_dir: Path, manifest: dict) -> None:
+    result = run_adapt(p.model, p.pools["train"], p.adapt, p.train, p.meta | {"adapted_on": p.catalog.name})
+    _save_training(result, run_dir, manifest)
+    manifest["mode"] = p.adapt.mode
+
+
+def _save_report(p, report: EvalReport, run_dir: Path, manifest: dict, mode: str) -> None:
+    row = _report_csv_row(report, p.catalog.name, mode)
+    _atomic(run_dir / "report.json", _json(report.to_doc()))
+    _atomic(run_dir / "tables" / "summary.csv", lambda tmp: write_csv_table(tmp, [row]))
+    manifest["mean_accuracy"] = report.mean_accuracy
+
+
+def _eval(p, run_dir: Path, manifest: dict) -> None:
+    echo = {"dataset": p.catalog.name}
+    if p.meta is not None:
+        echo["checkpoint_source"] = p.meta.get("source", p.meta.get("dataset", "unknown"))
+    report = evaluate(p.model, p.pools["test"], p.eval, echo)
+    _save_report(p, report, run_dir, manifest, "within")
+    logger.info("mean accuracy %.4f +/- %.4f", report.mean_accuracy, report.ci95_halfwidth)
+
+
+def _input_space(p, run_dir: Path, manifest: dict) -> None:
+    echo = {"dataset": p.catalog.name, "baseline": "input_space"}
+    _save_report(p, input_space_baseline(p.pools["test"], p.eval, echo), run_dir, manifest, "input_space")
+
+
+def _episode_linear(p, run_dir: Path, manifest: dict) -> None:
+    echo = {"dataset": p.catalog.name, "baseline": "episode_linear"}
+    report = episode_linear_baseline(p.model, p.pools["test"], p.eval, echo)
+    _save_report(p, report, run_dir, manifest, "episode_linear")
+
+
+def _full_data(p, run_dir: Path, manifest: dict) -> None:
+    accuracy = full_data_linear(p.pools["train"], p.pools["test"])
+    doc = {"schema_version": 1, "baseline": "full_data", "dataset": p.catalog.name,
+           "representation": p.data.representation, "accuracy": accuracy}
+    _atomic(run_dir / "report.json", _json(doc))
+    manifest["accuracy"] = accuracy
+    logger.info("full-data linear accuracy %.4f", accuracy)
+
+
+def _ablate(p, run_dir: Path, manifest: dict) -> None:
+    rows = ablation_normalization(lambda *setting: p.pools[setting], p.ablate, p.eval)
+    columns = ["setting", "label", "representation", "normalize", "K", "mean", "ci95"]
+    _atomic(run_dir / "report.json", _json({"schema_version": 1, "dataset": p.catalog.name, "rows": rows}))
+    _atomic(run_dir / "tables" / "ablation.csv", lambda tmp: write_csv_table(tmp, rows, columns))
+
+
+def _multiseed(p, run_dir: Path, manifest: dict) -> None:
+    shared = shared_episodes(p.seeds, p.eval.episodes)
+    if shared:
+        logger.warning("seeds %s are closer than eval.episodes (%d): %d of their %d episodes repeat another "
+                       "seed's, so across_seed_std is understated",
+                       list(p.seeds), p.eval.episodes, shared, len(p.seeds) * p.eval.episodes)
+    fp, echo = p.pools["test"], {"dataset": p.catalog.name}
+    aggregate = multi_seed(lambda seed: evaluate(p.model, fp, replace(p.eval, base_seed=seed), echo), p.seeds)
+    _atomic(run_dir / "report.json", _json({"schema_version": 1, "dataset": p.catalog.name, **aggregate}))
+    encoder = "none" if p.model is None else "mlp"
+    rows = [{"dataset": p.catalog.name, "repr": p.data.representation, "encoder": encoder, "mode": f"seed={s}",
+             "K": p.eval.k_shot, "mean": aggregate["per_seed_mean"][str(s)], "ci95": ""} for s in p.seeds]
+    _atomic(run_dir / "tables" / "multiseed.csv", lambda tmp: write_csv_table(tmp, rows))
+
+
+_TRAIN_KEYS = ("data", "encoder", "train", "source")
+_EVAL_KEYS = ("data", "eval", "checkpoint")
+_ABLATION_SIDES = tuple((representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS)
+RUNS = {
+    "train": Run(_TRAIN_KEYS, ("train",), "ignored", _train),
+    "pretrain": Run(_TRAIN_KEYS, ("train",), "ignored", _pretrain),
+    "adapt": Run(("data", "adapt", "train", "checkpoint"), ("train",), "required", _adapt),
+    "eval": Run(_EVAL_KEYS, ("test",), "optional", _eval),
+    "baseline-input_space": Run(_EVAL_KEYS, ("test",), "ignored", _input_space),
+    "baseline-episode_linear": Run(_EVAL_KEYS, ("test",), "required", _episode_linear),
+    "baseline-full_data": Run(_EVAL_KEYS, ("train", "test"), "ignored", _full_data),
+    "ablate": Run(("data", "eval", "ablate"), _ABLATION_SIDES, "ignored", _ablate),
+    "multiseed": Run(("data", "eval", "seeds", "checkpoint"), ("test",), "optional", _multiseed),
+}
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_classes=args.classes,
-        per_class=args.per_class,
-        noise=args.noise,
-        transforms=args.transforms,
-        seed=args.seed,
-        scale_range=(args.scale_min, args.scale_max),
-        translate_max=args.translate_max,
-        name=args.name,
-    )
+    spec = SynthSpec(n_classes=args.classes, per_class=args.per_class, noise=args.noise, transforms=args.transforms,
+                     seed=args.seed, scale_range=(args.scale_min, args.scale_max),
+                     translate_max=args.translate_max, name=args.name)
     out = Path(args.out)
     generate_corpus(spec, out)
     _sidecar_manifest(out / "corpus_meta.json", "synth", spec.__dict__ | {"out": str(out)}, seed=args.seed)
@@ -176,212 +303,29 @@ def cmd_split(args) -> int:
     catalog = build_catalog(args.data_root)
     split = stratified_split(catalog, args.fraction, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_split(split, out)
-    _sidecar_manifest(
-        out, "split",
-        {"data_root": str(args.data_root), "fraction": args.fraction, "seed": args.seed},
-        seed=args.seed,
-    )
+    _atomic(out, lambda tmp: save_split(split, tmp))
+    config = {"data_root": str(args.data_root), "fraction": args.fraction, "seed": args.seed}
+    _sidecar_manifest(out, "split", config, seed=args.seed)
     logger.info("split %d train / %d test -> %s", len(split.train), len(split.test), out)
-    return 0
-
-
-def _write_train_log(path: Path, log: list[dict]) -> None:
-    with open(path, "w") as f:
-        for record in log:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _train_like(args, command: str) -> int:
-    doc = cfgmod.load_config(args.config, {"data", "encoder", "train", "source"})
-    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
-    train_cfg = cfgmod.parse_section(doc, "train", TrainConfig)
-    source = cfgmod.parse_str(doc, "source")
-    catalog, pools = _load_pools(data, ("train",))
-    fp = pools["train"]
-    encoder_cfg = cfgmod.parse_section(doc, "encoder", EncoderConfig, input_dim=fp.dim)
-    with RunContext(command, args.out, args.run_id, args.config, doc, train_cfg.base_seed) as ctx:
-        if command == "pretrain":
-            result = pretrain_source(fp, train_cfg, encoder_cfg, source or catalog.name)
-        else:
-            result = train_encoder(fp, train_cfg, encoder_cfg, tag={"dataset": catalog.name})
-        ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
-        save_encoder(ckpt, result)
-        _write_train_log(ctx.dir / "train_log.jsonl", result.log)
-        ctx.manifest["checkpoint"] = str(ckpt)
-        ctx.manifest["best_epoch"] = result.best_epoch
-        ctx.manifest["best_monitor_acc"] = result.best_monitor_acc
-    logger.info("best monitor accuracy %.4f (epoch %d)", result.best_monitor_acc, result.best_epoch)
-    return 0
-
-
-def cmd_train(args) -> int:
-    return _train_like(args, "train")
-
-
-def cmd_pretrain(args) -> int:
-    return _train_like(args, "pretrain")
-
-
-def cmd_adapt(args) -> int:
-    doc = cfgmod.load_config(args.config, {"data", "checkpoint", "adapt", "train"})
-    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
-    adapt_cfg = cfgmod.parse_section(doc, "adapt", AdaptConfig, required=True)
-    train_cfg = cfgmod.parse_section(doc, "train", TrainConfig)
-    ckpt_path = cfgmod.parse_str(doc, "checkpoint", required=True)
-    catalog, pools = _load_pools(data, ("train",))
-    fp = pools["train"]
-    encoder, meta = _load_checkpoint_encoder(ckpt_path, data, fp.dim)
-    with RunContext("adapt", args.out, args.run_id, args.config, doc, train_cfg.base_seed) as ctx:
-        result = run_adapt(encoder, fp, adapt_cfg, train_cfg, meta | {"adapted_on": catalog.name})
-        out_ckpt = ctx.subdir("checkpoints") / "encoder.ckpt"
-        save_encoder(out_ckpt, result)
-        if result.log:
-            _write_train_log(ctx.dir / "train_log.jsonl", result.log)
-        ctx.manifest["checkpoint"] = str(out_ckpt)
-        ctx.manifest["mode"] = adapt_cfg.mode
-    return 0
-
-
-def _write_report(ctx: RunContext, report: EvalReport, dataset: str, mode: str) -> None:
-    (ctx.dir / "report.json").write_text(report.to_json())
-    write_csv_table(ctx.subdir("tables") / "summary.csv", [_report_csv_row(report, dataset, mode)])
-    ctx.manifest["mean_accuracy"] = report.mean_accuracy
-
-
-def cmd_eval(args) -> int:
-    doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval"})
-    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
-    spec = cfgmod.parse_section(doc, "eval", EvalSpec)
-    ckpt = cfgmod.parse_str(doc, "checkpoint")
-    catalog, pools = _load_pools(data, ("test",))
-    fp = pools["test"]
-    echo = {"dataset": catalog.name}
-    if ckpt:
-        encoder, meta = _load_checkpoint_encoder(ckpt, data, fp.dim)
-        echo["checkpoint_source"] = meta.get("source", meta.get("dataset", "unknown"))
-    else:
-        encoder = None
-    with RunContext("eval", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
-        report = evaluate(encoder, fp, spec, echo)
-        _write_report(ctx, report, catalog.name, "within")
-    logger.info("mean accuracy %.4f +/- %.4f", report.mean_accuracy, report.ci95_halfwidth)
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval"})
-    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
-    spec = cfgmod.parse_section(doc, "eval", EvalSpec)
-    ckpt = cfgmod.parse_str(doc, "checkpoint", required=args.kind == "episode_linear")
-    catalog, pools = _load_pools(data, ("train", "test") if args.kind == "full_data" else ("test",))
-    fp = pools["test"]
-    if args.kind == "episode_linear":
-        encoder, _ = _load_checkpoint_encoder(ckpt, data, fp.dim)
-    with RunContext(f"baseline-{args.kind}", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
-        if args.kind == "full_data":
-            accuracy = full_data_linear(pools["train"], fp)
-            _write_json(
-                ctx.dir / "report.json",
-                {
-                    "schema_version": 1,
-                    "baseline": "full_data",
-                    "dataset": catalog.name,
-                    "representation": data.representation,
-                    "accuracy": accuracy,
-                },
-            )
-            ctx.manifest["accuracy"] = accuracy
-            logger.info("full-data linear accuracy %.4f", accuracy)
-            return 0
-        echo = {"dataset": catalog.name, "baseline": args.kind}
-        if args.kind == "input_space":
-            report = input_space_baseline(fp, spec, echo)
-        else:  # episode_linear
-            report = episode_linear_baseline(encoder, fp, spec, echo)
-        _write_report(ctx, report, catalog.name, args.kind)
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    doc = cfgmod.load_config(args.config, {"data", "eval", "ablate"})
-    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
-    spec = cfgmod.parse_section(doc, "eval", EvalSpec)
-    ks = cfgmod.parse_ablate(doc)
-    catalog = build_catalog(data.data_root)
-    split = load_split(data.split, catalog)
-    samples = split_pool(catalog, split, "test")
-
-    def build_pool(representation, normalize):
-        return build_feature_pool(samples, catalog.root, representation, normalize)
-
-    with RunContext("ablate", args.out, args.run_id, args.config, doc, spec.base_seed) as ctx:
-        rows = ablation_normalization(build_pool, ks, spec)
-        _write_json(ctx.dir / "report.json", {"schema_version": 1, "dataset": catalog.name, "rows": rows})
-        write_csv_table(
-            ctx.subdir("tables") / "ablation.csv",
-            rows,
-            ["setting", "label", "representation", "normalize", "K", "mean", "ci95"],
-        )
-    return 0
-
-
-def cmd_multiseed(args) -> int:
-    doc = cfgmod.load_config(args.config, {"data", "checkpoint", "eval", "seeds"})
-    data = cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True)
-    base_spec = cfgmod.parse_section(doc, "eval", EvalSpec)
-    seeds = cfgmod.parse_seeds(doc)
-    ckpt = cfgmod.parse_str(doc, "checkpoint")
-    catalog, pools = _load_pools(data, ("test",))
-    fp = pools["test"]
-    encoder = _load_checkpoint_encoder(ckpt, data, fp.dim)[0] if ckpt else None
-    shared = shared_episodes(seeds, base_spec.episodes)
-    if shared:
-        logger.warning(
-            "seeds %s are closer than eval.episodes (%d): %d of their %d episodes repeat another seed's, "
-            "so across_seed_std is understated",
-            list(seeds), base_spec.episodes, shared, len(seeds) * base_spec.episodes,
-        )
-
-    def run_fn(seed):
-        return evaluate(encoder, fp, replace(base_spec, base_seed=seed), {"dataset": catalog.name})
-
-    with RunContext("multiseed", args.out, args.run_id, args.config, doc, seeds[0]) as ctx:
-        aggregate = multi_seed(run_fn, seeds)
-        _write_json(ctx.dir / "report.json", {"schema_version": 1, "dataset": catalog.name, **aggregate})
-        rows = [
-            {
-                "dataset": catalog.name,
-                "repr": data.representation,
-                "encoder": "mlp" if encoder else "none",
-                "mode": f"seed={s}",
-                "K": base_spec.k_shot,
-                "mean": aggregate["per_seed_mean"][str(s)],
-                "ci95": "",
-            }
-            for s in seeds
-        ]
-        write_csv_table(ctx.subdir("tables") / "multiseed.csv", rows)
     return 0
 
 
 def cmd_export(args) -> int:
     doc = json.loads(Path(args.report).read_text())
-    report = EvalReport.from_doc(doc)
-    row = _report_csv_row(report, report.config.get("dataset", "unknown"), args.mode)
+    try:
+        report = EvalReport.from_doc(doc)
+        row = _report_csv_row(report, report.config.get("dataset", "unknown"), args.mode)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise GeomshotError(f"{args.report}: not an episode report ({type(e).__name__}: {e})") from None
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv_table(out, [row])
+    _atomic(out, lambda tmp: write_csv_table(tmp, [row]))
     _sidecar_manifest(out, "export", {"report": str(args.report), "mode": args.mode})
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="geomshot",
-        description="Similarity-invariant hand-angle features and few-shot evaluation",
-    )
+    parser = argparse.ArgumentParser(prog="geomshot",
+                                     description="Similarity-invariant hand-angle features and few-shot evaluation")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,26 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_split)
 
-    for name, fn, help_text in [
-        ("train", cmd_train, "episodic within-domain training"),
-        ("pretrain", cmd_pretrain, "source pretraining (tagged checkpoint)"),
-        ("adapt", cmd_adapt, "cross-domain adaptation of a checkpoint"),
-        ("eval", cmd_eval, "episodic evaluation on the test split"),
-        ("ablate", cmd_ablate, "normalization ablation table"),
-        ("multiseed", cmd_multiseed, "multi-seed evaluation aggregate"),
+    for name, help_text in [
+        ("train", "episodic within-domain training"),
+        ("pretrain", "source pretraining (tagged checkpoint)"),
+        ("adapt", "cross-domain adaptation of a checkpoint"),
+        ("eval", "episodic evaluation on the test split"),
+        ("ablate", "normalization ablation table"),
+        ("multiseed", "multi-seed evaluation aggregate"),
+        ("baseline", "baseline classifiers"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        if name == "baseline":
+            p.add_argument("--kind", required=True, choices=["input_space", "episode_linear", "full_data"])
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--run-id", default=None)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("baseline", help="baseline classifiers")
-    p.add_argument("--kind", required=True, choices=["input_space", "episode_linear", "full_data"])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--run-id", default=None)
-    p.set_defaults(fn=cmd_baseline)
+        p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("export", help="convert a report JSON to a CSV table row")
     p.add_argument("--report", required=True)
@@ -436,10 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except (GeomshotError, ValueError, OSError, yaml.YAMLError) as e:

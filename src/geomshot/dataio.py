@@ -8,8 +8,9 @@ listing of the root and of each class directory, and one read per file.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``
-with both path lists sorted. Loading a split re-validates zero
-train/test overlap and full catalog coverage.
+with both path lists sorted. Loading a split requires those types (a
+non-negative seed, a fraction in (0, 1), lists of path strings) and
+re-validates zero train/test overlap and full catalog coverage.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
 from .npyio import load_keypoints
-from .rng import STREAM_SPLIT, check_seed, make_rng
+from .rng import STREAM_SPLIT, check_seed, is_seed, make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -174,14 +175,30 @@ def save_split(split: SplitFile, path) -> None:
     Path(path).write_text(split.to_json())
 
 
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+# Each split-file field and the rule its value must meet; bool is refused where a number belongs.
+_SPLIT_FIELDS = {
+    "seed": ("a non-negative integer", is_seed),
+    "fraction": ("a number in (0, 1)", lambda v: type(v) is float and 0.0 < v < 1.0),
+    "train": ("a list of strings", _strings),
+    "test": ("a list of strings", _strings),
+}
+
+
 def load_split(path, catalog: DatasetCatalog | None = None) -> SplitFile:
     """Read a split file; if a catalog is given, validate it against it."""
     doc = json.loads(Path(path).read_text())
-    try:
-        split = SplitFile(int(doc["seed"]), float(doc["fraction"]),
-                          list(doc["train"]), list(doc["test"]))
-    except (KeyError, TypeError) as e:
-        raise InvalidSplit(f"{path}: missing field ({e})") from e
+    if not isinstance(doc, dict):
+        raise InvalidSplit(f"{path}: a split file must hold a JSON object")
+    for name, (rule, valid) in _SPLIT_FIELDS.items():
+        if name not in doc:
+            raise InvalidSplit(f"{path}: missing field {name!r}")
+        if not valid(doc[name]):
+            raise InvalidSplit(f"{path}: {name} must be {rule}, got {doc[name]!r:.60}")
+    split = SplitFile(doc["seed"], doc["fraction"], doc["train"], doc["test"])
     train_set, test_set = set(split.train), set(split.test)
     overlap = train_set & test_set
     if overlap:

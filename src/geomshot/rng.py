@@ -29,19 +29,20 @@ STREAM_SYNTH_DICT = 5
 STREAM_SYNTH_SAMPLE = 6
 
 
-def _is_seed(value) -> bool:
+def is_seed(value) -> bool:
+    """A non-negative integer, numpy's included; bools are not seeds."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 0
 
 
 def check_seed(name: str, value) -> None:
     """Require a non-negative integer seed, as PCG64 does; bools are refused."""
-    if not _is_seed(value):
+    if not is_seed(value):
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def make_rng(*parts: int) -> np.random.Generator:
     """Return a PCG64 generator for the given non-negative integer seed components."""
-    if not parts or not all(map(_is_seed, parts)):
+    if not parts or not all(map(is_seed, parts)):
         raise ValueError(f"make_rng needs non-negative integer seed components, got {parts!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(p) for p in parts])))
 

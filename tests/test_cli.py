@@ -1,5 +1,8 @@
+import argparse
 import json
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +10,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomshot.cli import main
+from geomshot.cli import build_parser, main
 from geomshot.config import DataConfig
-from geomshot.errors import InvalidConfig
+from geomshot.errors import InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
 from geomshot.nnet import EncoderConfig, load_checkpoint
 from geomshot.pipeline import AdaptConfig, TrainConfig
@@ -551,10 +554,12 @@ def test_input_error_leaves_no_run_dir_and_the_run_id_stays_free(small_corpus, t
     assert manifest["status"] == "ok" and "error" not in manifest
 
 
-def test_run_that_fails_after_start_writes_a_failed_manifest(small_corpus, tmp_path):
-    doc = eval_doc(small_corpus, episodes=5)
-    doc["eval"]["n_way"] = 7  # the corpus has 6 classes
-    cfg = write_yaml(tmp_path / "eval.yaml", doc)
+def test_run_that_fails_after_start_writes_a_failed_manifest(small_corpus, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InsufficientClasses("raised by the run body")
+
+    monkeypatch.setattr("geomshot.cli.evaluate", fail)
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=5))
     assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "f1"]) == 1
     manifest = json.loads((tmp_path / "f1" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -572,3 +577,129 @@ def test_back_to_back_default_run_ids_do_not_collide(small_corpus, tmp_path):
     for run in runs:
         assert run.name.startswith("eval-")
         assert json.loads((run / "manifest.json").read_text())["status"] == "ok"
+
+
+def one_error(caplog) -> str:
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    return errors[0]
+
+
+def corpus_with_coincident_test_hand(tmp_path):
+    """A 3-class corpus whose test side holds one hand with all 21 keypoints at one point."""
+    from geomshot.npyio import write_keypoints
+
+    root, split = tmp_path / "corpus", tmp_path / "split.json"
+    assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", "8", "--seed", "9"]) == 0
+    assert main(["split", "--data-root", str(root), "--out", str(split), "--fraction", "0.5"]) == 0
+    write_keypoints(root / json.loads(split.read_text())["test"][4], np.full((21, 3), 0.5))
+    return {"root": root, "split_path": split}
+
+
+@pytest.mark.parametrize("command", [*EVAL_COMMANDS, "baseline --kind episode_linear", *TRAIN_COMMANDS])
+def test_input_errors_found_only_in_the_data_create_no_run_dir(small_corpus, tmp_path, caplog, command):
+    ckpt = tmp_path / "encoder.ckpt"
+    save_random_encoder(ckpt)
+    doc = command_doc(small_corpus, command)
+    if command in ("eval", "multiseed", "baseline --kind episode_linear", "adapt"):
+        doc["checkpoint"] = str(ckpt)
+    doc["train" if command in TRAIN_COMMANDS else "eval"]["n_way"] = 7  # the corpus has 6 classes
+    argv = [*command.split(), "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path), "--run-id"]
+    if command == "adapt":  # frozen adaptation draws no episodes, so it needs no eligible classes
+        write_yaml(tmp_path / "c.yaml", doc)
+        assert main([*argv, "frozen"]) == 0
+        doc["adapt"]["mode"] = "target_supervised"
+    write_yaml(tmp_path / "c.yaml", doc)
+    assert main([*argv, "run"]) == 1
+    assert one_error(caplog).startswith("InsufficientClasses: 6 classes have >= ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_ablate_with_a_coincident_test_hand_creates_no_run_dir(tmp_path, caplog):
+    doc = eval_doc(corpus_with_coincident_test_hand(tmp_path), episodes=3, k_shot=1)
+    doc["ablate"] = {"k_values": [1]}
+    cfg = write_yaml(tmp_path / "ab.yaml", doc)
+    assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "runs"), "--run-id", "ab"]) == 1
+    assert one_error(caplog).startswith("DegenerateHand: ")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_failed_checkpoint_write_leaves_no_partial_file_and_a_failed_manifest(small_corpus, tmp_path, monkeypatch):
+    def save_part(path, result):
+        Path(path).write_bytes(b"partial")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("geomshot.cli.save_encoder", save_part)
+    cfg = write_yaml(tmp_path / "train.yaml", tiny_train_doc(small_corpus))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--run-id", "t"]) == 1
+    run = tmp_path / "runs" / "t"
+    assert not (run / "checkpoints" / "encoder.ckpt").exists()
+    assert list(run.rglob("*.tmp")) == []
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == "OSError: No space left on device"
+
+
+def test_encoder_typo_is_refused_before_the_data_loads(tmp_path, caplog):
+    doc = tiny_train_doc({"root": tmp_path / "absent", "split_path": tmp_path / "absent.json"})
+    doc["encoder"]["hidden_dims"] = 32
+    cfg = write_yaml(tmp_path / "train.yaml", doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path), "--run-id", "t"]) == 1
+    assert one_error(caplog) == "InvalidConfig: unknown keys in encoder: ['hidden_dims']"
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "multiseed", "baseline --kind full_data", "a JSON list"])
+def test_export_of_a_report_without_episodes_is_one_line_error(small_corpus, tmp_path, caplog, command):
+    report = tmp_path / "r" / "report.json"
+    if command == "a JSON list":
+        report.parent.mkdir()
+        report.write_text("[1, 2]")
+    else:
+        cfg = write_yaml(tmp_path / "c.yaml", eval_doc(small_corpus, episodes=3))
+        assert main([*command.split(), "--config", cfg, "--out", str(tmp_path), "--run-id", "r"]) == 0
+    caplog.clear()
+    out = tmp_path / "tables" / "row.csv"
+    assert main(["export", "--report", str(report), "--out", str(out)]) == 1
+    assert one_error(caplog).startswith(f"GeomshotError: {report}: not an episode report (")
+    assert not out.parent.exists()
+
+
+_RUN_OPTIONS = {"--config": (None, True, None, None), "--out": (None, True, None, None),
+                "--run-id": (None, False, None, None)}
+# subcommand ("" for the top level) -> option strings -> (default, required, choices, type)
+CLI_SURFACE = {
+    "": {"-v, --verbose": (False, False, None, None)},
+    "synth": {"--out": (None, True, None, None), "--classes": (10, False, None, "int"),
+              "--per-class": (200, False, None, "int"), "--noise": (0.05, False, None, "float"),
+              "--transforms, --no-transforms": (True, False, None, None), "--seed": (7, False, None, "int"),
+              "--scale-min": (0.1, False, None, "float"), "--scale-max": (10.0, False, None, "float"),
+              "--translate-max": (10.0, False, None, "float"), "--name": ("synth", False, None, None)},
+    "split": {"--data-root": (None, True, None, None), "--out": (None, True, None, None),
+              "--fraction": (0.7, False, None, "float"), "--seed": (42, False, None, "int")},
+    **{command: _RUN_OPTIONS for command in ("train", "pretrain", "adapt", "eval", "ablate", "multiseed")},
+    "baseline": {"--kind": (None, True, ["input_space", "episode_linear", "full_data"], None), **_RUN_OPTIONS},
+    "export": {"--report": (None, True, None, None), "--out": (None, True, None, None),
+               "--mode": ("within", False, None, None)},
+}
+
+
+def test_cli_surface_is_unchanged():
+    def options(parser):
+        return [(", ".join(a.option_strings), (a.default, a.required, a.choices, a.type and a.type.__name__))
+                for a in parser._actions if a.option_strings and a.dest != "help"]
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    surface = [("", options(parser))] + [(name, options(p)) for name, p in commands.items()]
+    assert surface == [(name, list(opts.items())) for name, opts in CLI_SURFACE.items()]
+
+
+def test_full_data_baseline_on_one_class_creates_no_run_dir(tmp_path, caplog):
+    root, split = tmp_path / "corpus", tmp_path / "split.json"
+    assert main(["synth", "--out", str(root), "--classes", "2", "--per-class", "6", "--seed", "9"]) == 0
+    shutil.rmtree(root / "class_01")
+    assert main(["split", "--data-root", str(root), "--out", str(split)]) == 0
+    cfg = write_yaml(tmp_path / "full.yaml", eval_doc({"root": root, "split_path": split}, episodes=3))
+    assert main(["baseline", "--kind", "full_data", "--config", cfg, "--out", str(tmp_path), "--run-id", "f"]) == 1
+    assert one_error(caplog) == "DegenerateProblem: need at least two classes for a linear classifier"
+    assert not (tmp_path / "f").exists()

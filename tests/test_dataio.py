@@ -162,6 +162,30 @@ class TestSplitFileIO:
         with pytest.raises(InvalidSplit):
             load_split(p, cat)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", -1), ("seed", "1"), ("seed", None),
+         ("fraction", "0.5"), ("fraction", True), ("fraction", 1), ("fraction", 0.0), ("fraction", 1.0),
+         ("fraction", -0.5), ("train", [["a/s000.npy"]]), ("train", "a/s000.npy"), ("train", [1]),
+         ("test", {"a/s001.npy": 1}), ("test", None), ("seed", "missing"), ("test", "missing")],
+    )
+    def test_wrong_typed_field_is_refused_naming_it(self, tmp_path, field, value):
+        doc = {"seed": 1, "fraction": 0.5, "train": ["a/s000.npy"], "test": ["a/s001.npy"]}
+        if value == "missing":
+            del doc[field]
+        else:
+            doc[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InvalidSplit, match=f"{p}: (missing field '{field}'|{field} must be )"):
+            load_split(p)
+
+    def test_split_that_is_not_an_object_is_refused(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("[1, 0.5]")
+        with pytest.raises(InvalidSplit, match="JSON object"):
+            load_split(p)
+
 
 class TestEligibleClasses:
     def test_threshold_semantics(self):
