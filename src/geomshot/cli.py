@@ -35,6 +35,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
+import numpy as np
 import yaml
 
 from . import config as cfgmod
@@ -77,10 +78,25 @@ def _json(doc: dict) -> Callable[[Path], object]:
     return lambda tmp: tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _sidecar_manifest(path: Path, command: str, config: dict, seed=None) -> None:
+def _sidecar_manifest(path: Path, command: str, config: dict, seed=None, **extra) -> None:
     doc = {"schema_version": 1, "command": command, "config": config, "output": str(path), "seed": seed,
-           "started_at": _now(), "finished_at": _now()}
+           "started_at": _now(), "finished_at": _now(), **extra}
     _atomic(path.with_name(path.name + ".manifest.json"), _json(doc))
+
+
+def _data_section(catalog, pools: dict | None = None) -> dict:
+    """The manifest's ``data``: files seen, skips by reason (count and first paths), rows and classes per pool."""
+    skipped: dict[str, list[str]] = {}
+    for path, reason in catalog.skipped:
+        skipped.setdefault(reason, []).append(path)
+    doc = {"files_seen": len(catalog.paths) + len(catalog.skipped), "rows": len(catalog.paths),
+           "classes": len(catalog.classes),
+           "skipped": {reason: {"count": len(paths), "first": paths[:5]} for reason, paths in sorted(skipped.items())}}
+    if pools is not None:
+        doc["pools"] = {side if isinstance(side, str) else f"test/{side[0]}/normalize={str(side[1]).lower()}":
+                        {"rows": len(fp.labels), "classes": int(np.count_nonzero(np.bincount(fp.labels))),
+                         "degenerate_angle_rows": fp.degenerate_angle_rows} for side, fp in pools.items()}
+    return doc
 
 
 def _report_csv_row(report, dataset: str, mode: str) -> dict:
@@ -134,12 +150,10 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
     data = p.data
     p.catalog = build_catalog(data.data_root)
     split = load_split(data.split, p.catalog)
-    names = dict(enumerate(p.catalog.classes))
     p.pools = {}
     for side in run.sides:
         half, *setting = ("test", *side) if isinstance(side, tuple) else (side, data.representation, data.normalize)
-        samples = split_pool(p.catalog, split, half)
-        p.pools[side] = build_feature_pool(samples, p.catalog.root, *setting, class_names=names)
+        p.pools[side] = build_feature_pool(split_pool(p.catalog, split, half), p.catalog.root, *setting)
     fp = p.pools[run.sides[0]]
     if "encoder" in run.keys:
         p.encoder = replace(p.encoder, input_dim=fp.dim)
@@ -153,11 +167,11 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
     shape = p.train if "train" in run.keys else p.eval
     p.seed = p.seeds[0] if "seeds" in run.keys else shape.base_seed
     if name == "baseline-full_data":
-        if len(set(p.pools["train"].pool) | set(p.pools["test"].pool)) < 2:
+        if np.count_nonzero(np.bincount(np.concatenate([p.pools["train"].labels, p.pools["test"].labels]))) < 2:
             raise DegenerateProblem("need at least two classes for a linear classifier")
     elif not ("adapt" in run.keys and p.adapt.mode == "frozen"):  # frozen adapt draws no episodes
         k_shot = max(p.ablate) if "ablate" in run.keys else shape.k_shot
-        eligible_pool(fp.pool, k_shot, shape.q_query, shape.n_way)
+        eligible_pool(fp.labels, k_shot, shape.q_query, shape.n_way)
     return p
 
 
@@ -168,7 +182,7 @@ def _run(name: str, args, p: SimpleNamespace) -> None:
     run_dir.mkdir(parents=True)
     manifest = {"schema_version": 1, "command": name, "config_path": str(args.config), "config": p.doc,
                 "output_dir": str(run_dir), "run_id": run_id, "seed": p.seed, "started_at": _now(),
-                "status": "failed"}
+                "data": _data_section(p.catalog, p.pools), "status": "failed"}
     try:
         RUNS[name].body(p, run_dir, manifest)
         manifest["status"] = "ok"
@@ -305,7 +319,7 @@ def cmd_split(args) -> int:
     out = Path(args.out)
     _atomic(out, lambda tmp: save_split(split, tmp))
     config = {"data_root": str(args.data_root), "fraction": args.fraction, "seed": args.seed}
-    _sidecar_manifest(out, "split", config, seed=args.seed)
+    _sidecar_manifest(out, "split", config, seed=args.seed, data=_data_section(catalog))
     logger.info("split %d train / %d test -> %s", len(split.train), len(split.test), out)
     return 0
 

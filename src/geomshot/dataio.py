@@ -1,16 +1,25 @@
 """Dataset catalogs, deterministic stratified splits, class eligibility.
 
 On-disk layout: ``<root>/<class_name>/<sample>.npy`` with one (21, 3)
-keypoint file per sample. Class ids are the indices of the sorted class
-directory names; sample paths are stored relative to the root in posix
-form so split files are portable. A catalog is built from one ``scandir``
-listing of the root and of each class directory, and one read per file.
+keypoint file per sample. A catalog holds a dataset's usable files as
+arrays in class-major name order: ``paths (N,)`` relative to the root in
+posix form (so split files are portable), ``labels (N,)`` (indices into
+the sorted class directory names ``classes``) and ``keypoints (N, 21,
+3)``. Every other ``*.npy`` entry is in ``skipped`` with its reason:
+``not_a_file``, ``format`` (an NPY file the reader refuses), ``keypoints``
+(non-finite values) or ``degenerate`` (a hand that ``featurize`` cannot
+scale-normalize), so every representation sees the same rows. A catalog
+is built from one ``scandir`` listing of the root and of each class
+directory, and one read per file. ``split_pool`` takes one side's rows
+as a catalog of the same classes, and ``eligible_pool`` is where labels
+become the per-class row lists the episode sampler draws from.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``
 with both path lists sorted. Loading a split requires those types (a
-non-negative seed, a fraction in (0, 1), lists of path strings) and
-re-validates zero train/test overlap and full catalog coverage.
+non-negative seed, a fraction in (0, 1), lists of distinct path strings)
+and re-validates zero train/test overlap and full catalog coverage; a
+listed path that the catalog skipped is named with its skip reason.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from operator import attrgetter
 from pathlib import Path
@@ -26,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
+from .geometry import NUM_KEYPOINTS, degenerate_hands
 from .npyio import load_keypoints
 from .rng import STREAM_SPLIT, check_seed, is_seed, make_rng
 
@@ -33,84 +44,70 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class Sample:
-    """One keypoint file: relative path, class id, cached keypoints."""
-
-    path: str
-    class_id: int
-    keypoints: np.ndarray | None = None
-
-    def load(self, root: Path) -> np.ndarray:
-        if self.keypoints is None:
-            self.keypoints = load_keypoints(Path(root) / self.path)
-        return self.keypoints
-
-
-@dataclass
 class DatasetCatalog:
+    """A dataset's usable files as row arrays; see the module docstring."""
+
     name: str
     root: Path
     classes: list[str]
-    samples: list[Sample]
-
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {c: 0 for c in range(len(self.classes))}
-        for s in self.samples:
-            counts[s.class_id] += 1
-        return counts
-
-    def by_class(self) -> dict[int, list[Sample]]:
-        pools: dict[int, list[Sample]] = {c: [] for c in range(len(self.classes))}
-        for s in self.samples:
-            pools[s.class_id].append(s)
-        return pools
+    paths: np.ndarray
+    labels: np.ndarray
+    keypoints: np.ndarray
+    skipped: list[tuple[str, str]] = field(default_factory=list)
 
 
-def build_catalog(root, name: str | None = None, keep_keypoints: bool = True) -> DatasetCatalog:
-    """Scan a dataset root and load every decodable sample.
+def build_catalog(root, name: str | None = None) -> DatasetCatalog:
+    """Scan a dataset root and load every usable sample.
 
     Each class directory is listed once; its ``*.npy`` entries (the names
     ``glob("*.npy")`` matches, hidden ones included) are read in name
-    order, one read per file. Undecodable files, and ``*.npy`` entries that
-    are not regular files, are skipped; the skipped count is logged. Empty
-    class directories are excluded (with a warning) so every class in the
-    catalog has at least one sample.
+    order, one ``load_keypoints`` call per regular file. Entries that give
+    no row are skipped with their reason, and the skips are logged. Class
+    directories left without rows are excluded (with a warning), so every
+    class in the catalog has at least one row.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
-    classes: list[str] = []
-    samples: list[Sample] = []
-    skipped = 0
     with os.scandir(root) as it:
-        class_dirs = sorted((e for e in it if e.is_dir()), key=attrgetter("name"))
-    for d in class_dirs:
-        with os.scandir(d.path) as it:
+        class_dirs = sorted(e.name for e in it if e.is_dir())
+    entries: list[tuple[int, os.DirEntry]] = []
+    for index, d in enumerate(class_dirs):
+        with os.scandir(root / d) as it:
             files = sorted((e for e in it if e.name.endswith(".npy")), key=attrgetter("name"))
-        loaded: list[Sample] = []
-        for f in files:
-            if not f.is_file():
-                skipped += 1
-                logger.debug("skipping %s: not a regular file", f.path)
-                continue
-            try:
-                kp = load_keypoints(f.path)
-            except (FormatError, InvalidKeypoints) as e:
-                skipped += 1
-                logger.debug("skipping %s: %s", f.path, e)
-                continue
-            loaded.append(Sample(f"{d.name}/{f.name}", -1, kp if keep_keypoints else None))
-        if not loaded:
-            logger.warning("class directory %s has no decodable samples; excluded", d.name)
+        entries += [(index, f) for f in files]
+    keypoints = np.empty((len(entries), NUM_KEYPOINTS, 3))  # filled in place, so no per-file arrays pile up
+    paths: list[str] = []
+    dirs: list[int] = []
+    skipped: list[tuple[str, str]] = []
+    for index, f in entries:
+        path = f"{class_dirs[index]}/{f.name}"
+        if not f.is_file():
+            skipped.append((path, "not_a_file"))
             continue
-        class_id = len(classes)
-        classes.append(d.name)
-        for s in loaded:
-            s.class_id = class_id
-        samples.extend(loaded)
+        try:
+            keypoints[len(paths)] = load_keypoints(f.path)
+        except (FormatError, InvalidKeypoints) as e:
+            skipped.append((path, "format" if isinstance(e, FormatError) else "keypoints"))
+            logger.debug("skipping %s: %s", path, e)
+            continue
+        paths.append(path)
+        dirs.append(index)
+    keypoints = keypoints[: len(paths)]
+    degenerate = degenerate_hands(keypoints)
+    skipped += [(paths[i], "degenerate") for i in np.flatnonzero(degenerate).tolist()]
+    keep = ~degenerate if degenerate.any() else slice(None)  # a slice copies nothing
+    dir_rows = np.array(dirs, dtype=np.int64)[keep]
+    rows_per_dir = np.bincount(dir_rows, minlength=len(class_dirs))
+    used = np.flatnonzero(rows_per_dir)
+    for i in np.flatnonzero(rows_per_dir == 0).tolist():
+        logger.warning("class directory %s has no usable samples; excluded", class_dirs[i])
     if skipped:
-        logger.warning("skipped %d undecodable files under %s", skipped, root)
-    return DatasetCatalog(name or root.name, root, classes, samples)
+        counts = ", ".join(f"{n} {reason}" for reason, n in sorted(Counter(r for _, r in skipped).items()))
+        logger.warning("skipped %d of %d files under %s (%s)", len(skipped), len(entries), root, counts)
+    return DatasetCatalog(name or root.name, root, [class_dirs[i] for i in used.tolist()],
+                          np.array(paths, dtype=str)[keep], np.searchsorted(used, dir_rows), keypoints[keep],
+                          skipped)
 
 
 @dataclass
@@ -153,14 +150,11 @@ def stratified_split(catalog: DatasetCatalog, train_fraction: float, seed: int) 
         raise ValueError("train_fraction must be in (0, 1)")
     train: list[str] = []
     test: list[str] = []
-    for class_id, pool in sorted(catalog.by_class().items()):
-        paths = [s.path for s in pool]
+    for class_id, class_name in enumerate(catalog.classes):
+        paths = catalog.paths[catalog.labels == class_id].tolist()
         n = len(paths)
         if n == 1:
-            logger.warning(
-                "class %s has a single sample; assigning it to train",
-                catalog.classes[class_id],
-            )
+            logger.warning("class %s has a single sample; assigning it to train", class_name)
             train.extend(paths)
             continue
         rng = make_rng(STREAM_SPLIT, seed, class_id)
@@ -198,16 +192,23 @@ def load_split(path, catalog: DatasetCatalog | None = None) -> SplitFile:
             raise InvalidSplit(f"{path}: missing field {name!r}")
         if not valid(doc[name]):
             raise InvalidSplit(f"{path}: {name} must be {rule}, got {doc[name]!r:.60}")
+    for side in ("train", "test"):
+        repeated = [p for p, n in Counter(doc[side]).items() if n > 1]
+        if repeated:
+            raise InvalidSplit(f"{path}: {side} lists {repeated[0]} more than once")
     split = SplitFile(doc["seed"], doc["fraction"], doc["train"], doc["test"])
     train_set, test_set = set(split.train), set(split.test)
     overlap = train_set & test_set
     if overlap:
         raise InvalidSplit(f"{path}: train/test overlap on {sorted(overlap)[:3]} ...")
     if catalog is not None:
-        catalog_paths = {s.path for s in catalog.samples}
+        catalog_paths = set(catalog.paths.tolist())
         covered = train_set | test_set
         missing = catalog_paths - covered
         extra = covered - catalog_paths
+        stale = sorted((p, reason) for p, reason in catalog.skipped if p in extra)
+        if stale:
+            raise InvalidSplit(f"{path}: split lists {stale[0][0]}, which the catalog skipped ({stale[0][1]})")
         if missing or extra:
             raise InvalidSplit(
                 f"{path}: split does not cover the catalog "
@@ -216,31 +217,28 @@ def load_split(path, catalog: DatasetCatalog | None = None) -> SplitFile:
     return split
 
 
-def split_pool(catalog: DatasetCatalog, split: SplitFile, side: str) -> dict[int, list[Sample]]:
-    """Per-class sample lists for one side of a split, in catalog order."""
+def split_pool(catalog: DatasetCatalog, split: SplitFile, side: str) -> DatasetCatalog:
+    """The rows of one side of a split, in catalog order, as a catalog of the same classes."""
     if side not in ("train", "test"):
         raise ValueError("side must be 'train' or 'test'")
     wanted = set(split.train if side == "train" else split.test)
-    pools: dict[int, list[Sample]] = {}
-    for s in catalog.samples:
-        if s.path in wanted:
-            pools.setdefault(s.class_id, []).append(s)
-    return pools
+    rows = [i for i, path in enumerate(catalog.paths.tolist()) if path in wanted]
+    return replace(catalog, paths=catalog.paths[rows], labels=catalog.labels[rows], keypoints=catalog.keypoints[rows])
 
 
-def eligible_classes(pool: dict[int, list], k_shot: int, q_query: int) -> list[int]:
-    """Class ids with at least K+Q samples, ascending."""
+def eligible_classes(labels: np.ndarray, k_shot: int, q_query: int) -> list[int]:
+    """Class ids with at least K+Q rows, ascending."""
     if k_shot < 1 or q_query < 1:
         raise ValueError("k_shot and q_query must be >= 1")
-    need = k_shot + q_query
-    return sorted(c for c, samples in pool.items() if len(samples) >= need)
+    return np.flatnonzero(np.bincount(labels) >= k_shot + q_query).tolist()
 
 
-def eligible_pool(pool: dict[int, list], k_shot: int, q_query: int, n_way: int) -> dict[int, list]:
-    """The classes of ``pool`` with at least K+Q samples; raises if fewer than ``n_way``."""
-    eligible = eligible_classes(pool, k_shot, q_query)
+def eligible_pool(labels: np.ndarray, k_shot: int, q_query: int, n_way: int) -> dict[int, list[int]]:
+    """Row lists, in row order, of the classes with at least K+Q rows; raises if fewer than ``n_way``."""
+    labels = np.asarray(labels)
+    eligible = eligible_classes(labels, k_shot, q_query)
     if len(eligible) < n_way:
         raise InsufficientClasses(
             f"{len(eligible)} classes have >= {k_shot + q_query} samples, need {n_way}"
         )
-    return {c: pool[c] for c in eligible}
+    return {c: np.flatnonzero(labels == c).tolist() for c in eligible}

@@ -22,8 +22,8 @@ descent iterates on A through the Gram matrix ``G = X Xᵀ``: the logits are
 end. That form is equal to the primal one in exact arithmetic and differs
 from it only in the last bits of W. With ``n >= d`` (the full-data
 baseline) W is updated directly. Both forms share one loop body over
-workspaces allocated once per fit. Episodes depend only on the pool
-index and the spec, so the normalization ablation draws each K's episodes
+workspaces allocated once per fit. Episodes depend only on the pool's
+labels and the spec, so the normalization ablation draws each K's episodes
 once and scores all three settings' feature matrices on them.
 Report JSON is emitted with sorted keys and no timestamps, making
 back-to-back runs byte-identical.
@@ -154,9 +154,9 @@ def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return emb
 
 
-def draw_episodes(pool: dict[int, list[int]], spec: EvalSpec) -> Episodes:
-    """The spec's seeded episodes over the classes of ``pool`` with at least K+Q rows."""
-    eligible = eligible_pool(pool, spec.k_shot, spec.q_query, spec.n_way)
+def draw_episodes(labels: np.ndarray, spec: EvalSpec) -> Episodes:
+    """The spec's seeded episodes over the rows of the classes with at least K+Q rows."""
+    eligible = eligible_pool(labels, spec.k_shot, spec.q_query, spec.n_way)
     first = EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, 0)
     return sample_episode(eligible, first, count=spec.episodes)
 
@@ -173,14 +173,14 @@ def _score_episodes(
 
     The per-class and confusion tallies are one ``bincount`` over
     ``true * C + pred``, with classes as positions in the pool's sorted
-    class ids.
+    labels.
     """
     emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
     pred = predict(emb, episodes)
     labels = episodes.query_labels
     accuracies = (pred == labels).mean(axis=1).tolist()
 
-    classes = sorted(fp.pool)
+    classes = np.flatnonzero(np.bincount(fp.labels)).tolist()
     # Row e maps episode e's relabelled classes 0..N-1 to pool class positions.
     lookup = np.searchsorted(classes, episodes.classes)
     true = lookup[:, labels]
@@ -210,7 +210,7 @@ def evaluate(
     """
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "none" if encoder is None else "mlp")
-    return _score_episodes(encoder, proto_predict, fp, spec, draw_episodes(fp.pool, spec), echo)
+    return _score_episodes(encoder, proto_predict, fp, spec, draw_episodes(fp.labels, spec), echo)
 
 
 def input_space_baseline(fp: FeaturePool, spec: EvalSpec, config_echo: dict | None = None) -> EvalReport:
@@ -309,27 +309,16 @@ def episode_linear_baseline(
     echo = dict(config_echo or {})
     echo.setdefault("encoder", "mlp")
     echo.setdefault("classifier", "episode_linear")
-    return _score_episodes(encoder, predict, fp, spec, draw_episodes(fp.pool, spec), echo)
+    return _score_episodes(encoder, predict, fp, spec, draw_episodes(fp.labels, spec), echo)
 
 
 def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:
     """Softmax regression on every train feature vector; test accuracy."""
-    classes = sorted(set(fp_train.pool) | set(fp_test.pool))
+    classes = np.flatnonzero(np.bincount(np.concatenate([fp_train.labels, fp_test.labels])))
     if len(classes) < 2:
         raise DegenerateProblem("need at least two classes for a linear classifier")
-    remap = {c: i for i, c in enumerate(classes)}
-
-    def matrices(fp):
-        rows, labels = [], []
-        for c, idxs in sorted(fp.pool.items()):
-            rows.append(fp.X[idxs])
-            labels.extend([remap[c]] * len(idxs))
-        return np.vstack(rows), np.array(labels)
-
-    Xtr, ytr = matrices(fp_train)
-    Xte, yte = matrices(fp_test)
-    W, b = fit_softmax_regression(Xtr, ytr, len(classes))
-    return float((_linear_predict(W, b, Xte) == yte).mean())
+    W, b = fit_softmax_regression(fp_train.X, np.searchsorted(classes, fp_train.labels), len(classes))
+    return float((_linear_predict(W, b, fp_test.X) == np.searchsorted(classes, fp_test.labels)).mean())
 
 
 def ablation_normalization(
@@ -340,20 +329,20 @@ def ablation_normalization(
     """Input-space evaluation under the three cumulative settings.
 
     ``build_pool(representation, normalize)`` must return a FeaturePool
-    for the evaluation split. Episodes depend only on the pool index, which
-    every setting must share, so each K's episodes are drawn once and
+    for the evaluation split. Episodes depend only on the pool's labels,
+    which every setting must share, so each K's episodes are drawn once and
     scored on all three feature matrices. Emits one row per (setting, K),
     setting-major.
     """
     base = spec or EvalSpec()
     pools = [build_pool(representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS]
     for (key, *_), fp in zip(ABLATION_SETTINGS, pools):
-        if fp.pool != pools[0].pool:
-            raise ValueError(f"ablation setting {key!r} does not share the first setting's pool index")
+        if not np.array_equal(fp.labels, pools[0].labels):
+            raise ValueError(f"ablation setting {key!r} does not share the first setting's labels")
     rows = {}
     for k in ks:
         k_spec = replace(base, k_shot=k)
-        episodes = draw_episodes(pools[0].pool, k_spec)
+        episodes = draw_episodes(pools[0].labels, k_spec)
         for (key, label, representation, normalize), fp in zip(ABLATION_SETTINGS, pools):
             echo = {"encoder": "none", "ablation_setting": key}
             report = _score_episodes(None, proto_predict, fp, k_spec, episodes, echo)

@@ -1,64 +1,48 @@
-"""Bridges dataset pools to dense feature matrices for episodes."""
+"""Bridges catalog rows to dense feature matrices for episodes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import Sample
+from .dataio import DatasetCatalog
 from .errors import DegenerateHand
-from .geometry import NUM_KEYPOINTS, featurize
+from .geometry import featurize
 
 
 @dataclass
 class FeaturePool:
-    """Feature matrix plus per-class row indices.
+    """Feature matrix with the class label and path of each row.
 
-    Row order is deterministic: ascending class id, catalog sample order
-    within each class, so episode composition depends only on the catalog
-    and the episode seed.
+    Rows keep the catalog's order (class-major), so episode composition
+    depends only on the labels and the episode seed.
+    ``degenerate_angle_rows`` counts the rows with a degenerate angle
+    triplet, whose angles are 0.
     """
 
     X: np.ndarray
-    pool: dict[int, list[int]]
-    paths: list[str]
+    labels: np.ndarray
+    paths: np.ndarray
     representation: str
     normalize: bool
-    class_names: dict[int, str] | None = None
+    degenerate_angle_rows: int = 0
 
     @property
     def dim(self) -> int:
         return self.X.shape[1]
 
 
-def build_feature_pool(
-    sample_pool: dict[int, list[Sample]],
-    root,
-    representation: str,
-    normalize: bool = True,
-    class_names: dict[int, str] | None = None,
-) -> FeaturePool:
-    """Load every sample of the pool and featurize them in one stacked call.
+def build_feature_pool(part: DatasetCatalog, root, representation: str, normalize: bool = True) -> FeaturePool:
+    """Featurize every row of a catalog (or one side of it) in one call.
 
-    A hand that cannot be scale-normalized (``raw``/``raw_angle`` with
-    ``normalize``) raises ``DegenerateHand`` naming its sample path; a
-    degenerate angle triplet gives 0 for that angle, as in ``featurize``.
+    The keypoints are already in ``part``; ``root`` is not read. A hand
+    that cannot be scale-normalized (``raw``/``raw_angle`` with
+    ``normalize``) raises ``DegenerateHand`` naming its path; a catalog
+    built from files has skipped those hands already.
     """
-    root = Path(root)
-    hands: list[np.ndarray] = []
-    paths: list[str] = []
-    index_pool: dict[int, list[int]] = {}
-    for class_id in sorted(sample_pool):
-        start = len(hands)
-        for sample in sample_pool[class_id]:
-            hands.append(sample.load(root))
-            paths.append(sample.path)
-        index_pool[class_id] = list(range(start, len(hands)))
-    stack = np.array(hands) if hands else np.empty((0, NUM_KEYPOINTS, 3))
     try:
-        X, _ = featurize(stack, representation, normalize=normalize)
+        X, degenerate = featurize(part.keypoints, representation, normalize=normalize)
     except DegenerateHand as e:
-        raise DegenerateHand(f"{paths[e.rows[0]]}: {e}", rows=e.rows) from None
-    return FeaturePool(X, index_pool, paths, representation, normalize, class_names)
+        raise DegenerateHand(f"{part.paths[e.rows[0]]}: {e}", rows=e.rows) from None
+    return FeaturePool(X, part.labels, part.paths, representation, normalize, int(degenerate.sum()))

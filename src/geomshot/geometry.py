@@ -215,6 +215,21 @@ def scale_normalize(points: np.ndarray) -> np.ndarray:
     return h / extent[..., None, None]
 
 
+def degenerate_hands(points: np.ndarray) -> np.ndarray:
+    """(N,) mask of the hands of an (N, 21, 3) stack that ``featurize`` cannot scale-normalize.
+
+    Two keypoints ``2 * DEGENERATE_DISTANCE`` apart on one axis stay more
+    than ``DEGENERATE_DISTANCE`` apart after wrist-centring rounds, so only
+    the hands with a smaller coordinate range on every axis take
+    ``scale_normalize``'s exact test.
+    """
+    h = _check_hands(points, ndim=3)
+    near = np.flatnonzero((h.max(axis=1) - h.min(axis=1)).max(axis=1) < 2 * DEGENERATE_DISTANCE)
+    mask = np.zeros(len(h), dtype=bool)
+    mask[near] = max_pairwise_distance(wrist_center(h[near])) < DEGENERATE_DISTANCE
+    return mask
+
+
 def _angle_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = h[:, _TRIPLET_PARENT] - h[:, _TRIPLET_PIVOT]
     v = h[:, _TRIPLET_CHILD] - h[:, _TRIPLET_PIVOT]

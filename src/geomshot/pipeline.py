@@ -198,7 +198,7 @@ def train_encoder(
         "train_config": asdict(cfg),
     }
     meta.update(tag or {})
-    pool = eligible_pool(fp.pool, cfg.k_shot, cfg.q_query, cfg.n_way)
+    pool = eligible_pool(fp.labels, cfg.k_shot, cfg.q_query, cfg.n_way)
     return _run_training(encoder, encoder, fp.X, pool, optimizer, cfg, True, meta)
 
 
@@ -237,13 +237,12 @@ def adapt(
         patience=adapt_cfg.patience,
         learning_rate=adapt_cfg.learning_rate,
     )
-    pool = eligible_pool(fp_target_train.pool, cfg.k_shot, cfg.q_query, cfg.n_way)
+    pool = eligible_pool(fp_target_train.labels, cfg.k_shot, cfg.q_query, cfg.n_way)
     # The backbone stays frozen in eval mode (running stats and dropout
     # fixed), so its features are computed once and only the head trains.
     rows = [row for c in sorted(pool) for row in pool[c]]
     feats = encoder.backbone_forward(fp_target_train.X[rows])
-    position = {row: k for k, row in enumerate(rows)}
-    pool = {c: [position[row] for row in items] for c, items in pool.items()}
+    pool = eligible_pool(fp_target_train.labels[rows], cfg.k_shot, cfg.q_query, cfg.n_way)
     optimizer = AdamW(
         encoder.head_parameters(),
         lr=adapt_cfg.learning_rate,

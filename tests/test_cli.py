@@ -14,6 +14,7 @@ from geomshot.cli import build_parser, main
 from geomshot.config import DataConfig
 from geomshot.errors import InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
+from geomshot.geometry import REPRESENTATIONS
 from geomshot.nnet import EncoderConfig, load_checkpoint
 from geomshot.pipeline import AdaptConfig, TrainConfig
 from geomshot.synth import SynthSpec
@@ -439,21 +440,17 @@ def test_a_wrong_typed_value_for_any_field_is_refused_naming_the_field(section, 
 
 
 def test_degenerate_hand_in_raw_pool_is_one_line_error_naming_the_file(tmp_path, caplog):
-    from geomshot.npyio import write_keypoints
-
-    root, split = tmp_path / "corpus", tmp_path / "split.json"
-    assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", "8", "--seed", "9"]) == 0
-    assert main(["split", "--data-root", str(root), "--out", str(split), "--fraction", "0.5"]) == 0
-    bad = json.loads(split.read_text())["test"][4]
-    write_keypoints(root / bad, np.full((21, 3), 0.5))
-    doc = eval_doc({"root": root, "split_path": split}, episodes=3, k_shot=1)
-    for representation, code in (("raw", 1), ("angle", 0)):
+    # Written after the split, the hand is skipped by the catalog, so the split is stale for every representation.
+    corpus = corpus_with_coincident_test_hand(tmp_path)
+    doc = eval_doc(corpus, episodes=3, k_shot=1)
+    for representation in REPRESENTATIONS:
+        caplog.clear()
         doc["data"]["representation"] = representation
         cfg = write_yaml(tmp_path / "eval.yaml", doc)
-        assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", representation]) == code
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "\n" not in errors[0]
-    assert errors[0].startswith(f"DegenerateHand: {bad}: max pairwise distance ")
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / "runs"), "--run-id", representation]) == 1
+        assert one_error(caplog) == (f"InvalidSplit: {corpus['split_path']}: split lists {corpus['bad']}, "
+                                     "which the catalog skipped (degenerate)")
+    assert not (tmp_path / "runs").exists()
 
 
 def _drop_byte_offset(header):
@@ -586,14 +583,15 @@ def one_error(caplog) -> str:
 
 
 def corpus_with_coincident_test_hand(tmp_path):
-    """A 3-class corpus whose test side holds one hand with all 21 keypoints at one point."""
+    """A 3-class corpus whose test side holds one hand, ``bad``, with all 21 keypoints at one point."""
     from geomshot.npyio import write_keypoints
 
     root, split = tmp_path / "corpus", tmp_path / "split.json"
     assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", "8", "--seed", "9"]) == 0
     assert main(["split", "--data-root", str(root), "--out", str(split), "--fraction", "0.5"]) == 0
-    write_keypoints(root / json.loads(split.read_text())["test"][4], np.full((21, 3), 0.5))
-    return {"root": root, "split_path": split}
+    bad = json.loads(split.read_text())["test"][4]
+    write_keypoints(root / bad, np.full((21, 3), 0.5))
+    return {"root": root, "split_path": split, "bad": bad}
 
 
 @pytest.mark.parametrize("command", [*EVAL_COMMANDS, "baseline --kind episode_linear", *TRAIN_COMMANDS])
@@ -616,12 +614,45 @@ def test_input_errors_found_only_in_the_data_create_no_run_dir(small_corpus, tmp
 
 
 def test_ablate_with_a_coincident_test_hand_creates_no_run_dir(tmp_path, caplog):
-    doc = eval_doc(corpus_with_coincident_test_hand(tmp_path), episodes=3, k_shot=1)
+    corpus = corpus_with_coincident_test_hand(tmp_path)
+    doc = eval_doc(corpus, episodes=3, k_shot=1)
     doc["ablate"] = {"k_values": [1]}
     cfg = write_yaml(tmp_path / "ab.yaml", doc)
     assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "runs"), "--run-id", "ab"]) == 1
-    assert one_error(caplog).startswith("DegenerateHand: ")
+    assert one_error(caplog) == (f"InvalidSplit: {corpus['split_path']}: split lists {corpus['bad']}, "
+                                 "which the catalog skipped (degenerate)")
     assert not (tmp_path / "runs").exists()
+
+
+def test_coincident_hand_split_after_it_is_a_counted_skip_for_every_representation(tmp_path):
+    from geomshot.npyio import write_keypoints
+
+    root, split, runs = tmp_path / "corpus", tmp_path / "split.json", tmp_path / "runs"
+    assert main(["synth", "--out", str(root), "--classes", "3", "--per-class", "10", "--seed", "9"]) == 0
+    write_keypoints(root / "class_01" / "s0000.npy", np.full((21, 3), 0.5))
+    assert main(["split", "--data-root", str(root), "--out", str(split), "--fraction", "0.5"]) == 0
+    doc = json.loads(split.read_text())
+    assert len(doc["train"]) + len(doc["test"]) == 29 and "class_01/s0000.npy" not in doc["train"] + doc["test"]
+    skipped = {"degenerate": {"count": 1, "first": ["class_01/s0000.npy"]}}
+    data = json.loads(split.with_name("split.json.manifest.json").read_text())["data"]
+    assert data == {"files_seen": 30, "rows": 29, "classes": 3, "skipped": skipped}
+
+    config = eval_doc({"root": root, "split_path": split}, episodes=3, k_shot=1)
+    test_side = {"rows": len(doc["test"]), "classes": 3, "degenerate_angle_rows": 0}
+    for representation in REPRESENTATIONS:
+        config["data"]["representation"] = representation
+        cfg = write_yaml(tmp_path / "eval.yaml", config)
+        assert main(["eval", "--config", cfg, "--out", str(runs), "--run-id", representation]) == 0
+        manifest = json.loads((runs / representation / "manifest.json").read_text())
+        assert manifest["data"] == {"files_seen": 30, "rows": 29, "classes": 3, "skipped": skipped,
+                                    "pools": {"test": test_side}}
+        assert "data" not in json.loads((runs / representation / "report.json").read_text())
+    config["ablate"] = {"k_values": [1]}
+    cfg = write_yaml(tmp_path / "ab.yaml", config)
+    assert main(["ablate", "--config", cfg, "--out", str(runs), "--run-id", "ab"]) == 0
+    pools = json.loads((runs / "ab" / "manifest.json").read_text())["data"]["pools"]
+    assert pools == {"test/raw/normalize=false": test_side, "test/raw/normalize=true": test_side,
+                     "test/angle/normalize=true": test_side}
 
 
 def test_failed_checkpoint_write_leaves_no_partial_file_and_a_failed_manifest(small_corpus, tmp_path, monkeypatch):

@@ -1,17 +1,24 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomshot.dataio import (
     build_catalog,
     eligible_classes,
+    eligible_pool,
     load_split,
     save_split,
     split_pool,
     stratified_split,
 )
-from geomshot.errors import InvalidSplit
+from geomshot.errors import InsufficientClasses, InvalidSplit
+from geomshot.features import build_feature_pool
+from geomshot.geometry import REPRESENTATIONS
 from geomshot.npyio import write_keypoints
 
 
@@ -28,7 +35,8 @@ def test_catalog_classes_sorted_and_counted(tmp_path):
     make_tree(tmp_path, {"b": 3, "a": 5, "c": 2})
     cat = build_catalog(tmp_path)
     assert cat.classes == ["a", "b", "c"]
-    assert cat.class_counts() == {0: 5, 1: 3, 2: 2}
+    assert np.bincount(cat.labels).tolist() == [5, 3, 2]
+    assert cat.keypoints.shape == (10, 21, 3) and cat.skipped == []
 
 
 def test_catalog_skips_undecodable(tmp_path, caplog):
@@ -36,7 +44,8 @@ def test_catalog_skips_undecodable(tmp_path, caplog):
     (tmp_path / "a" / "bad.npy").write_bytes(b"garbage")
     with caplog.at_level("WARNING"):
         cat = build_catalog(tmp_path)
-    assert cat.class_counts() == {0: 4}
+    assert np.bincount(cat.labels).tolist() == [4]
+    assert cat.skipped == [("a/bad.npy", "format")]
     assert "skipped 1" in caplog.text
 
 
@@ -47,7 +56,7 @@ def test_catalog_selects_what_glob_selects_in_name_order(tmp_path):
         write_keypoints(d / name, np.random.default_rng(1).normal(size=(21, 3)))
     cat = build_catalog(tmp_path)
     expected = [p.relative_to(tmp_path).as_posix() for p in sorted(d.glob("*.npy"))]
-    assert [s.path for s in cat.samples] == expected
+    assert cat.paths.tolist() == expected
     assert expected == ["a/.hidden.npy", "a/.npy", "a/B.npy", "a/s000.npy", "a/s001.npy", "a/s002.npy"]
 
 
@@ -57,8 +66,9 @@ def test_catalog_skips_and_counts_a_directory_named_like_a_sample(tmp_path, capl
     (tmp_path / "b" / "zz.npy").mkdir()
     with caplog.at_level("WARNING"):
         cat = build_catalog(tmp_path)
-    assert cat.class_counts() == {0: 3, 1: 2}
-    assert "skipped 1 undecodable files" in caplog.text
+    assert np.bincount(cat.labels).tolist() == [3, 2]
+    assert cat.skipped == [("b/zz.npy", "not_a_file")]
+    assert "skipped 1 of 6 files" in caplog.text
 
 
 def test_catalog_excludes_empty_class_dir(tmp_path, caplog):
@@ -68,6 +78,18 @@ def test_catalog_excludes_empty_class_dir(tmp_path, caplog):
         cat = build_catalog(tmp_path)
     assert cat.classes == ["a"]
     assert "empty" in caplog.text
+
+
+def test_coincident_and_tiny_hands_are_counted_degenerate_skips(tmp_path):
+    make_tree(tmp_path, {"a": 3, "b": 3, "c": 1})
+    write_keypoints(tmp_path / "b" / "s001.npy", np.full((21, 3), 0.5))
+    tiny = 1e-14 * np.random.default_rng(2).normal(size=(21, 3)) + 4.0
+    write_keypoints(tmp_path / "c" / "s000.npy", tiny)
+    cat = build_catalog(tmp_path)
+    assert cat.skipped == [("b/s001.npy", "degenerate"), ("c/s000.npy", "degenerate")]
+    assert cat.classes == ["a", "b"]  # c has no row left
+    assert np.bincount(cat.labels).tolist() == [3, 2]
+    assert "b/s001.npy" not in cat.paths.tolist()
 
 
 class TestStratifiedSplit:
@@ -82,7 +104,7 @@ class TestStratifiedSplit:
         cat = build_catalog(tmp_path)
         split = stratified_split(cat, 0.7, 1)
         pools = split_pool(cat, split, "train")
-        assert {c: len(v) for c, v in pools.items()} == {0: 4, 1: 3, 2: 2}
+        assert np.bincount(pools.labels).tolist() == [4, 3, 2]
 
     def test_deterministic_bytes(self, tmp_path):
         make_tree(tmp_path, {"a": 9, "b": 6})
@@ -120,7 +142,7 @@ class TestStratifiedSplit:
         cat = build_catalog(tmp_path)
         split = stratified_split(cat, 0.7, 3)
         assert not set(split.train) & set(split.test)
-        assert set(split.train) | set(split.test) == {s.path for s in cat.samples}
+        assert set(split.train) | set(split.test) == set(cat.paths.tolist())
 
 
 class TestSplitFileIO:
@@ -151,6 +173,30 @@ class TestSplitFileIO:
         p.write_text(json.dumps(doc))
         with pytest.raises(InvalidSplit):
             load_split(p, cat)
+
+    def test_path_listed_twice_rejected(self, tmp_path):
+        doc = {"seed": 1, "fraction": 0.5, "train": ["a/s000.npy", "a/s001.npy", "a/s000.npy"],
+               "test": ["a/s002.npy"]}
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InvalidSplit, match=f"^{p}: train lists a/s000.npy more than once$"):
+            load_split(p)
+        doc["train"], doc["test"] = doc["test"], doc["train"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InvalidSplit, match="test lists a/s000.npy more than once"):
+            load_split(p)
+
+    @pytest.mark.parametrize("bad, reason", [("garbage", "format"), ("coincident", "degenerate")])
+    def test_stale_split_names_the_skipped_path_and_reason(self, tmp_path, bad, reason):
+        make_tree(tmp_path, {"a": 4, "b": 4})
+        path = tmp_path / "split.json"
+        save_split(stratified_split(build_catalog(tmp_path), 0.5, 1), path)
+        if bad == "garbage":
+            (tmp_path / "b" / "s002.npy").write_bytes(b"garbage")
+        else:
+            write_keypoints(tmp_path / "b" / "s002.npy", np.full((21, 3), -1.0))
+        with pytest.raises(InvalidSplit, match=f"split lists b/s002.npy, which the catalog skipped \\({reason}\\)"):
+            load_split(path, build_catalog(tmp_path))
 
     def test_incomplete_coverage_rejected(self, tmp_path):
         make_tree(tmp_path, {"a": 4})
@@ -189,11 +235,86 @@ class TestSplitFileIO:
 
 class TestEligibleClasses:
     def test_threshold_semantics(self):
-        pool = {0: list(range(20)), 1: list(range(19)), 2: list(range(25)), 3: list(range(5))}
-        assert eligible_classes(pool, 5, 15) == [0, 2]
+        labels = np.repeat([0, 1, 2, 3], [20, 19, 25, 5])
+        assert eligible_classes(labels, 5, 15) == [0, 2]
 
     def test_boundary_two_samples(self):
-        assert eligible_classes({7: [1, 2]}, 1, 1) == [7]
+        assert eligible_classes(np.array([7, 7]), 1, 1) == [7]
 
     def test_nineteen_excluded_at_twenty(self):
-        assert eligible_classes({0: list(range(19))}, 5, 15) == []
+        assert eligible_classes(np.zeros(19, dtype=np.int64), 5, 15) == []
+
+    def test_pool_lists_each_eligible_class_rows_in_row_order(self):
+        labels = np.array([1, 0, 1, 0, 2, 1])
+        assert eligible_pool(labels, 1, 1, 2) == {0: [1, 3], 1: [0, 2, 5]}
+        with pytest.raises(InsufficientClasses, match="2 classes have >= 2 samples, need 3"):
+            eligible_pool(labels, 1, 1, 3)
+
+
+# How each kind of *.npy entry is written, and the skip reason the catalog gives it (None: a row).
+ENTRY_KINDS = {
+    "good": None,
+    "garbage": "format",
+    "nan": "keypoints",
+    "directory": "not_a_file",
+    "coincident": "degenerate",
+    "tiny": "degenerate",
+}
+
+
+def write_entry(path, kind, rng):
+    if kind == "good":
+        write_keypoints(path, rng.normal(size=(21, 3)) * rng.uniform(1e-3, 1e3))
+    elif kind == "garbage":
+        path.write_bytes(rng.bytes(int(rng.integers(0, 300))))
+    elif kind == "nan":
+        hand = rng.normal(size=(21, 3))
+        hand[rng.integers(21), rng.integers(3)] = np.nan
+        np.save(path, hand)
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "coincident":
+        write_keypoints(path, np.full((21, 3), rng.uniform(-1e3, 1e3)))
+    else:  # every pairwise distance below DEGENERATE_DISTANCE
+        write_keypoints(path, rng.uniform(-1e3, 1e3) + 1e-14 * rng.normal(size=(21, 3)))
+
+
+@settings(max_examples=40)
+@given(tree=st.lists(st.lists(st.sampled_from(sorted(ENTRY_KINDS)), max_size=7), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_catalog_rows_and_skips_account_for_every_entry(tree, seed):
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        expected_rows, expected_skips = [], []
+        for c, kinds in enumerate(tree):
+            (root / f"c{c}").mkdir()
+            for i, kind in enumerate(kinds):
+                name = f"c{c}/s{i}.npy"
+                write_entry(root / name, kind, rng)
+                (expected_rows if ENTRY_KINDS[kind] is None else expected_skips).append((name, ENTRY_KINDS[kind]))
+            (root / f"c{c}" / "notes.txt").write_text("not an entry")
+        cat = build_catalog(root)
+
+        assert cat.paths.tolist() == [name for name, _ in expected_rows]
+        assert sorted(cat.skipped) == sorted(expected_skips)
+        counts = np.bincount(cat.labels, minlength=len(cat.classes))
+        assert counts.sum() + len(cat.skipped) == sum(map(len, tree))
+        assert cat.classes == [f"c{c}" for c, kinds in enumerate(tree) if "good" in kinds]
+        assert counts.min(initial=1) >= 1 and cat.keypoints.shape == (len(cat.paths), 21, 3)
+
+        split = stratified_split(cat, 0.5, seed)
+        (root / "split.json").write_text(split.to_json())
+        load_split(root / "split.json", cat)
+        position = {p: i for i, p in enumerate(cat.paths.tolist())}
+        sides = [split_pool(cat, split, side) for side in ("train", "test")]
+        rows = [np.array([position[p] for p in side.paths.tolist()], dtype=np.int64) for side in sides]
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(len(cat.paths)))
+        for side, side_rows in zip(sides, rows):
+            assert np.all(np.diff(side_rows) > 0)  # catalog order
+            assert np.array_equal(side.labels, cat.labels[side_rows])
+            assert np.array_equal(side.keypoints, cat.keypoints[side_rows])
+            pools = [build_feature_pool(side, root, kind) for kind in REPRESENTATIONS]
+            for fp in pools:
+                assert np.array_equal(fp.labels, side.labels) and np.array_equal(fp.paths, side.paths)
+                assert fp.X.shape[0] == len(side.paths)

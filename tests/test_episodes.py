@@ -1,10 +1,9 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomshot.dataio import eligible_pool
 from geomshot.episodes import Episodes, EpisodeSpec, sample_episode
 from geomshot.errors import InsufficientClasses, InsufficientSamples
 from geomshot.features import FeaturePool
@@ -138,11 +137,14 @@ def pools_and_specs(draw):
 @given(case=pools_and_specs(), dims=st.tuples(st.integers(1, 5), st.integers(1, 5)))
 def test_episode_draws_disjoint_rows_labelled_in_draw_order(case, dims):
     pool, spec = case
-    n_rows = sum(len(rows) for rows in pool.values())
+    labels = np.concatenate([np.full(len(rows), c) for c, rows in pool.items()])
+    n_rows = len(labels)
     rng = np.random.default_rng(0)
-    fp_a = FeaturePool(rng.normal(size=(n_rows, dims[0])), pool, [""] * n_rows, "raw", True)
-    fp_b = FeaturePool(rng.normal(size=(n_rows, dims[1])), copy.deepcopy(pool), [""] * n_rows, "angle", False)
-    ep = sample_episode(fp_a.pool, spec)
+    fp_a = FeaturePool(rng.normal(size=(n_rows, dims[0])), labels, np.full(n_rows, ""), "raw", True)
+    fp_b = FeaturePool(rng.normal(size=(n_rows, dims[1])), labels.copy(), np.full(n_rows, ""), "angle", False)
+    shape = (spec.k_shot, spec.q_query, spec.n_way)
+    assert eligible_pool(fp_a.labels, *shape) == pool  # every class of the case serves the spec
+    ep = sample_episode(eligible_pool(fp_a.labels, *shape), spec)
     n, k, q = spec.n_way, spec.k_shot, spec.q_query
 
     assert len(set(ep.support_items)) == n * k and len(set(ep.query_items)) == n * q
@@ -155,7 +157,7 @@ def test_episode_draws_disjoint_rows_labelled_in_draw_order(case, dims):
         assert set(ep.support_items[j * k : (j + 1) * k]) <= set(pool[c])
         assert set(ep.query_items[j * q : (j + 1) * q]) <= set(pool[c])
 
-    again = sample_episode(fp_b.pool, spec)  # same pool index, other feature matrix
+    again = sample_episode(eligible_pool(fp_b.labels, *shape), spec)  # same labels, other feature matrix
     assert again.class_map == ep.class_map
     assert again.support_items == ep.support_items and again.query_items == ep.query_items
     assert np.array_equal(again.support_labels, ep.support_labels)

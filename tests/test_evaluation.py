@@ -35,14 +35,19 @@ from test_pipeline import gaussian_pool, tiny_cfg, tiny_encoder_cfg
 
 def noise_pool(n_classes=10, per_class=25, dim=12, seed=0):
     rng = np.random.default_rng(seed)
-    rows, pool = [], {}
-    for c in range(n_classes):
-        idx = []
-        for _ in range(per_class):
-            rows.append(rng.normal(size=dim))
-            idx.append(len(rows) - 1)
-        pool[c] = idx
-    return FeaturePool(np.vstack(rows), pool, [""] * len(rows), "angle", True)
+    X = np.vstack([rng.normal(size=dim) for _ in range(n_classes * per_class)])
+    return FeaturePool(X, np.repeat(np.arange(n_classes), per_class), np.full(len(X), ""), "angle", True)
+
+
+def class_rows(labels):
+    """Row lists per class, in row order: the pool ``sample_episode`` draws from."""
+    return {c: np.flatnonzero(labels == c).tolist() for c in np.unique(labels).tolist()}
+
+
+def without_rows(fp, rows):
+    """``fp`` with the given rows removed."""
+    keep = np.setdiff1d(np.arange(len(fp.labels)), rows)
+    return FeaturePool(fp.X[keep], fp.labels[keep], fp.paths[keep], fp.representation, fp.normalize)
 
 
 class TestEvaluate:
@@ -68,7 +73,7 @@ class TestEvaluate:
         report = evaluate(None, fp, spec)
         # oracle: 1-NN against the single support vector of each class
         for idx in range(30):
-            ep = sample_episode(fp.pool, EpisodeSpec(5, 1, 5, 11, idx))
+            ep = sample_episode(class_rows(fp.labels), EpisodeSpec(5, 1, 5, 11, idx))
             support = fp.X[ep.support_items]
             correct = 0
             for item, label in zip(ep.query_items, ep.query_labels):
@@ -105,7 +110,8 @@ class TestEvaluate:
 
 def reference_protocol(embed, predict, fp, spec, echo):
     """Per-episode reference: re-embed each episode's support and query rows."""
-    pool = {c: fp.pool[c] for c in eligible_classes(fp.pool, spec.k_shot, spec.q_query)}
+    rows = class_rows(fp.labels)
+    pool = {c: rows[c] for c in eligible_classes(fp.labels, spec.k_shot, spec.q_query)}
     accuracies, correct, total, confusion = [], {}, {}, {}
     for i in range(spec.episodes):
         ep = sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
@@ -130,8 +136,8 @@ class TestEmbedOnceMatchesPerEpisodeEmbedding:
     """Embedding each touched row once gives the per-episode loop's report, byte for byte."""
 
     def setup_method(self):
-        self.fp = noise_pool(dim=20, seed=8)
-        self.fp.pool[4] = self.fp.pool[4][:6]  # one class too small to be eligible
+        fp = noise_pool(dim=20, seed=8)
+        self.fp = without_rows(fp, np.flatnonzero(fp.labels == 4)[6:])  # one class too small to be eligible
         self.encoder = MLPEncoder(tiny_encoder_cfg(), seed=5)
         x = np.random.default_rng(9).normal(size=(32, 20))
         self.encoder.forward(x, train=True, rng=np.random.default_rng(10))
@@ -191,13 +197,12 @@ class TestAblationDrawsOncePerK:
 
     def test_rows_byte_identical_with_an_ineligible_class(self):
         base = noise_pool(n_classes=6, per_class=12, dim=9, seed=4)
-        base.pool[2] = base.pool[2][:5]  # eligible at K=1 only (Q=4)
+        base = without_rows(base, np.flatnonzero(base.labels == 2)[5:])  # eligible at K=1 only (Q=4)
 
         def build(representation, normalize):
             shift = {"raw": 0.0, "angle": 1.0}[representation] + (0.5 if normalize else 0.0)
             X = np.sin(base.X * (1.0 + shift))
-            return FeaturePool(X, {c: list(r) for c, r in base.pool.items()}, base.paths,
-                               representation, normalize)
+            return FeaturePool(X, base.labels.copy(), base.paths, representation, normalize)
 
         spec = EvalSpec(4, 1, 4, 30, 9)
         expected = self.report_bytes(reference_ablation(build, (1, 2, 7), spec))
@@ -206,9 +211,7 @@ class TestAblationDrawsOncePerK:
     def test_settings_with_different_pool_indices_are_refused(self):
         def build(representation, normalize):
             fp = noise_pool(seed=1)
-            if representation == "angle":
-                fp.pool[0] = fp.pool[0][1:]
-            return fp
+            return without_rows(fp, [0]) if representation == "angle" else fp
 
         with pytest.raises(ValueError, match="'angle'"):
             ablation_normalization(build, (1,), EvalSpec(5, 1, 4, 5, 0))
@@ -224,11 +227,12 @@ def test_eval_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
 def test_blocked_scoring_equals_per_episode_scoring():
     fp = noise_pool(dim=20, seed=4)
     count = 2 * PROTO_BLOCK + 3  # the last block is partial
-    episodes = sample_episode(fp.pool, EpisodeSpec(5, 3, 4, 9, 0), count=count)
+    pool = class_rows(fp.labels)
+    episodes = sample_episode(pool, EpisodeSpec(5, 3, 4, 9, 0), count=count)
     pred = proto_predict(fp.X, episodes)
     assert pred.shape == (count, 5 * 4)
     for e in range(count):
-        ep = sample_episode(fp.pool, EpisodeSpec(5, 3, 4, 9, e))
+        ep = sample_episode(pool, EpisodeSpec(5, 3, 4, 9, e))
         protos = mask_loop_prototypes(fp.X[ep.support_items], ep.support_labels, 5)
         assert np.array_equal(pred[e], difference_form_classify(fp.X[ep.query_items], protos))
 

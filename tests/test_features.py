@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geomshot import features
-from geomshot.dataio import Sample
+from geomshot.dataio import DatasetCatalog
 from geomshot.errors import DegenerateHand, ShapeError
 from geomshot.features import build_feature_pool
 from geomshot.geometry import REPRESENTATIONS
@@ -10,12 +10,11 @@ from test_geometry import hand_stack, reference_features
 
 
 def sample_pool(hands, per_class=4):
-    """Samples with their keypoints in memory, ``per_class`` per class."""
-    pool = {}
-    for i, h in enumerate(hands):
-        c = i // per_class
-        pool.setdefault(c, []).append(Sample(f"class_{c:02d}/s{i:04d}.npy", c, h))
-    return pool
+    """A catalog of in-memory hands, ``per_class`` per class."""
+    labels = np.arange(len(hands)) // per_class
+    paths = np.array([f"class_{c:02d}/s{i:04d}.npy" for i, c in enumerate(labels)], dtype=str)
+    classes = [f"class_{c:02d}" for c in range(len(set(labels.tolist())))]
+    return DatasetCatalog("memory", "unused-root", classes, paths, labels, np.asarray(hands).reshape(-1, 21, 3))
 
 
 @pytest.mark.parametrize("normalize", [True, False])
@@ -32,8 +31,10 @@ def test_pool_matches_per_row_reference_in_one_featurize_call(monkeypatch, kind,
     hands = hand_stack(24, 9)
     fp = build_feature_pool(sample_pool(hands), "unused-root", kind, normalize)
     assert calls == [24]
-    assert np.array_equal(fp.X, np.array([reference_features(h, kind, normalize)[0] for h in hands]))
-    assert fp.pool == {c: list(range(4 * c, 4 * c + 4)) for c in range(6)}
+    reference = [reference_features(h, kind, normalize) for h in hands]
+    assert np.array_equal(fp.X, np.array([values for values, _ in reference]))
+    assert fp.degenerate_angle_rows == sum(degenerate for _, degenerate in reference)
+    assert fp.labels.tolist() == [c for c in range(6) for _ in range(4)]
     assert fp.paths[5] == "class_01/s0005.npy"
 
 
@@ -47,13 +48,14 @@ def test_coincident_hand_names_its_path_in_raw_pools():
         assert info.value.rows == [6]
     angle = build_feature_pool(pool, "unused-root", "angle")
     assert np.array_equal(angle.X[6], np.zeros(20))
+    assert angle.degenerate_angle_rows == 3  # rows 3 and 10 of hand_stack, and the coincident row 6
     unnormalized = build_feature_pool(pool, "unused-root", "raw", normalize=False)
     assert np.array_equal(unnormalized.X[6], np.full(63, 3.0))
 
 
 def test_empty_pool_has_zero_rows():
-    fp = build_feature_pool({}, "unused-root", "raw_angle")
-    assert fp.X.shape == (0, 83) and fp.pool == {} and fp.paths == []
+    fp = build_feature_pool(sample_pool([]), "unused-root", "raw_angle")
+    assert fp.X.shape == (0, 83) and len(fp.labels) == 0 and len(fp.paths) == 0
 
 
 def test_unknown_representation_rejected():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomshot.errors import DegenerateHand, InvalidKeypoints, ShapeError
@@ -16,6 +16,7 @@ from geomshot.geometry import (
     apply_transform,
     apply_transforms,
     check_similarities,
+    degenerate_hands,
     featurize,
     joint_angles,
     max_pairwise_distance,
@@ -442,3 +443,20 @@ def test_a_stack_with_one_bad_rotation_is_refused(damage, message):
     with pytest.raises(ShapeError, match=message):
         SimilarityTransform(rotation[5], 1.0, np.zeros(3))
     check_similarities(np.delete(rotation, 5, axis=0), np.ones(11), np.zeros((11, 3)))
+
+
+@settings(max_examples=300)
+@given(offset=st.floats(-1e6, 1e6), spread=st.floats(1e-15, 1e-11), flat_axes=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_degenerate_screen_agrees_with_the_exact_test(offset, spread, flat_axes, seed):
+    # Hands spread about the threshold along 3 - flat_axes axes, at large and small offsets.
+    hands = offset + spread * np.random.default_rng(seed).normal(size=(8, 21, 3))
+    hands[..., :flat_axes] = offset
+    exact = max_pairwise_distance(wrist_center(hands)) < DEGENERATE_DISTANCE
+    assert np.array_equal(degenerate_hands(hands), exact)
+    for hand, degenerate in zip(hands, exact):
+        if degenerate:
+            with pytest.raises(DegenerateHand):
+                scale_normalize(wrist_center(hand))
+        else:
+            scale_normalize(wrist_center(hand))

@@ -19,14 +19,9 @@ def gaussian_pool(n_classes=4, per_class=30, dim=20, sep=30.0, seed=0, represent
     """Linearly separable synthetic clusters as a ready feature pool."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=sep, size=(n_classes, dim))
-    rows, pool = [], {}
-    for c in range(n_classes):
-        idx = []
-        for _ in range(per_class):
-            rows.append(centers[c] + rng.normal(size=dim))
-            idx.append(len(rows) - 1)
-        pool[c] = idx
-    return FeaturePool(np.vstack(rows), pool, [""] * len(rows), representation, True)
+    rows = [centers[c] + rng.normal(size=dim) for c in range(n_classes) for _ in range(per_class)]
+    labels = np.repeat(np.arange(n_classes), per_class)
+    return FeaturePool(np.vstack(rows), labels, np.full(len(rows), ""), representation, True)
 
 
 def tiny_cfg(**overrides):
