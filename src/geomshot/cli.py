@@ -25,6 +25,7 @@ through ``_atomic``, so each is whole or absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -337,6 +338,7 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main runs many commands in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="geomshot",
                                      description="Similarity-invariant hand-angle features and few-shot evaluation")

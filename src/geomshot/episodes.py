@@ -2,25 +2,11 @@
 
 Each episode owns a PCG64 generator seeded with the literal integer sum
 ``base_seed + episode_index``; composition is a pure function of the pool
-content/order and those two integers. The stream is pinned to numpy's
-``Generator.choice(…, replace=False)``: the classes are
-``choice(C, N)`` over the sorted class ids, then each drawn class, in draw
-order, gives ``choice(n_c, K+Q)`` over its items, the first K forming the
-support set. Episode class labels are relabelled to 0..N-1 in class draw
-order.
-
-Those choices are made without calling ``choice``. For a population of
-at most 10,000, or a sample of at most ``pop // 50``, numpy's ``choice``
-is Floyd's algorithm over bounded draws ``0..j`` for
-``j = pop-size … pop-1``, then a shuffle over bounds ``size-1 … 1``;
-otherwise it is a tail shuffle of ``arange(pop)`` over bounds
-``pop-1 … max(pop-size, 1)``. Every bound is known before its stage
-draws, and a bound of 0 draws nothing, so an episode makes one
-``integers(0, bounds, endpoint=True)`` call for its class stage and one
-for all N item stages (each class's bounds zero-padded to one width).
-Those draws are then turned into choices for every episode of a batch at
-once. ``tests/test_episodes.py`` keeps the per-episode ``choice`` loop as
-the reference.
+content/order and those two integers. The classes are
+``Generator.choice(C, N, replace=False)`` over the sorted class ids, then
+each drawn class, in draw order, gives ``choice(n_c, K+Q, replace=False)``
+over its items, the first K forming the support set. Episode class labels
+are relabelled to 0..N-1 in class draw order.
 """
 
 from __future__ import annotations
@@ -32,11 +18,6 @@ import numpy as np
 
 from .errors import InsufficientClasses, InsufficientSamples
 from .rng import episode_rng
-
-# numpy's Generator.choice(pop, size, replace=False) runs Floyd's algorithm
-# unless pop exceeds this and size exceeds pop // 50.
-_FLOYD_MAX_POP = 10_000
-
 
 @dataclass(frozen=True)
 class EpisodeSpec:
@@ -91,64 +72,19 @@ class Episodes:
         return len(self.classes)
 
 
-def _tail_shuffled(pops: np.ndarray, size: int) -> np.ndarray:
-    return (pops > _FLOYD_MAX_POP) & (size > pops // 50)
-
-
-def _choice_bounds(pops: np.ndarray, size: int) -> np.ndarray:
-    """Row r: the bounds of the draws ``choice(pops[r], size, replace=False)`` makes, zero-padded."""
-    rows = [
-        np.arange(pop - 1, max(pop - size, 1) - 1, -1)
-        if tail
-        else np.concatenate([np.arange(pop - size, pop), np.arange(size - 1, 0, -1)])
-        for pop, tail in zip(pops.tolist(), _tail_shuffled(pops, size).tolist())
-    ]
-    table = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
-    for row, bounds in zip(table, rows):
-        row[: len(bounds)] = bounds
-    return table
-
-
-def _choose(draws: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
-    """Row r of ``choice(pops[r], size, replace=False)``, from that call's bounded draws ``draws[r]``."""
-    picks = np.empty((len(pops), size), dtype=np.int64)
-    floyd = ~_tail_shuffled(pops, size)
-    if floyd.any():
-        d, first = draws[floyd], pops[floyd] - size
-        chosen = np.empty((len(d), size), dtype=np.int64)
-        for t in range(size):
-            # Floyd: keep the draw unless the row already holds it, else take pop - size + t.
-            seen = (chosen[:, :t] == d[:, t, None]).any(axis=1)
-            chosen[:, t] = np.where(seen, first + t, d[:, t])
-        rows = np.arange(len(d))
-        for t, i in enumerate(range(size - 1, 0, -1)):
-            j = d[:, size + t]
-            chosen[:, i], chosen[rows, j] = chosen[rows, j], chosen[:, i].copy()
-        picks[floyd] = chosen
-    for r in np.flatnonzero(~floyd):
-        pop = int(pops[r])
-        moved: dict[int, int] = {}  # the entries of arange(pop) that the shuffle swapped
-        for i, j in zip(range(pop - 1, max(pop - size, 1) - 1, -1), draws[r].tolist()):
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        picks[r] = [moved.get(k, k) for k in range(pop - size, pop)]
-    return picks
-
-
 def _draw(class_ids: list, sizes: np.ndarray, spec: EpisodeSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Class positions ``(count, N)`` and item positions ``(count, N, K+Q)`` of ``count`` episodes."""
     n, need = spec.n_way, spec.k_shot + spec.q_query
-    rngs = [episode_rng(spec.base_seed, spec.episode_index + e) for e in range(count)]
-    class_bounds = _choice_bounds(np.array([len(sizes)]), n)[0]
-    class_draws = np.stack([rng.integers(0, class_bounds, endpoint=True) for rng in rngs])
-    classes = _choose(class_draws, np.full(count, len(sizes)), n)
-    short = sizes[classes].ravel() < need
-    if short.any():
-        c = int(classes.ravel()[short.argmax()])
-        raise InsufficientSamples(f"class {class_ids[c]!r} has {sizes[c]} samples, episode needs {need}")
-    item_bounds = _choice_bounds(sizes, need)  # a short class's row is never drawn: that raised above
-    item_draws = np.stack([rng.integers(0, item_bounds[row].ravel(), endpoint=True) for rng, row in zip(rngs, classes)])
-    picks = _choose(item_draws.reshape(count * n, -1), sizes[classes].ravel(), need)
-    return classes, picks.reshape(count, n, need)
+    classes = np.empty((count, n), dtype=np.int64)
+    picks = np.empty((count, n, need), dtype=np.int64)
+    for e in range(count):
+        rng = episode_rng(spec.base_seed, spec.episode_index + e)
+        classes[e] = rng.choice(len(sizes), n, replace=False)
+        for j, c in enumerate(classes[e].tolist()):
+            if sizes[c] < need:
+                raise InsufficientSamples(f"class {class_ids[c]!r} has {sizes[c]} samples, episode needs {need}")
+            picks[e, j] = rng.choice(sizes[c], need, replace=False)
+    return classes, picks
 
 
 def sample_episode(pool: Mapping[Any, Sequence], spec: EpisodeSpec, count: int | None = None) -> Episode | Episodes:

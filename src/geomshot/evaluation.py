@@ -138,7 +138,7 @@ def proto_predict(emb: np.ndarray, episodes: Episodes) -> np.ndarray:
 
 def episode_rows(episodes: Episodes) -> np.ndarray:
     """Ascending rows that any of the episodes uses as support or query."""
-    return np.unique(np.concatenate([episodes.support.ravel(), episodes.query.ravel()]))
+    return np.flatnonzero(np.bincount(np.concatenate([episodes.support.ravel(), episodes.query.ravel()])))
 
 
 def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -113,16 +113,20 @@ class FeatureVector:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimilarityTransform:
-    """p -> scale * rotation @ p + translation."""
+    """p -> scale * rotation @ p + translation; checked once, and stored as read-only float64 copies."""
 
     rotation: np.ndarray
     scale: float
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation, _, self.translation = check_similarities(self.rotation, self.scale, self.translation)
+        rotation, scale, translation = check_similarities(self.rotation, self.scale, self.translation)
+        for name, value in (("rotation", rotation.copy()), ("translation", translation.copy())):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "scale", float(scale))
 
     def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
         """Transform equivalent to applying ``other`` first, then ``self``."""
@@ -308,13 +312,19 @@ def apply_transforms(points: np.ndarray, rotation, scale, translation) -> np.nda
     rotation, scale, translation = check_similarities(rotation, scale, translation)
     if scale.shape != (len(h),):
         raise ShapeError(f"{scale.shape} transforms for {len(h)} hands")
-    return scale[:, None, None] * h @ rotation.swapaxes(1, 2) + translation[:, None, :]
+    return _map_similarities(h, rotation, scale, translation)
 
 
 def apply_transform(points: np.ndarray, transform: SimilarityTransform) -> np.ndarray:
     """Map every keypoint p to scale * R @ p + t."""
-    t = transform
-    return apply_transforms(validate_keypoints(points)[None], t.rotation[None], [t.scale], t.translation[None])[0]
+    t = transform  # checked when it was constructed
+    return _map_similarities(validate_keypoints(points)[None], t.rotation[None], np.array([t.scale]),
+                             t.translation[None])[0]
+
+
+def _map_similarities(h: np.ndarray, rotation: np.ndarray, scale: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """``scale[i] * h[i] @ rotation[i]ᵀ + translation[i]`` for checked (N, 21, 3), (N, 3, 3), (N,), (N, 3) arrays."""
+    return scale[:, None, None] * h @ rotation.swapaxes(1, 2) + translation[:, None, :]
 
 
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:

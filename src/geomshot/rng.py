@@ -24,7 +24,6 @@ import numpy as np
 STREAM_SPLIT = 1
 STREAM_INIT = 2
 STREAM_DROPOUT = 3
-STREAM_MONITOR = 4
 STREAM_SYNTH_DICT = 5
 STREAM_SYNTH_SAMPLE = 6
 

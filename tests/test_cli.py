@@ -725,6 +725,11 @@ def test_cli_surface_is_unchanged():
     assert surface == [(name, list(opts.items())) for name, opts in CLI_SURFACE.items()]
 
 
+def test_the_parser_is_built_once_per_process():
+    # main runs many commands in one process; a parser per call leaves cyclic garbage behind each one
+    assert build_parser() is build_parser()
+
+
 def test_full_data_baseline_on_one_class_creates_no_run_dir(tmp_path, caplog):
     root, split = tmp_path / "corpus", tmp_path / "split.json"
     assert main(["synth", "--out", str(root), "--classes", "2", "--per-class", "6", "--seed", "9"]) == 0

@@ -1,6 +1,9 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from geomshot.evaluation import (
     ablation_normalization,
     ci95_halfwidth,
     episode_linear_baseline,
+    episode_rows,
     error_analysis,
     evaluate,
     fit_softmax_regression,
@@ -235,6 +239,36 @@ def test_blocked_scoring_equals_per_episode_scoring():
         ep = sample_episode(pool, EpisodeSpec(5, 3, 4, 9, e))
         protos = mask_loop_prototypes(fp.X[ep.support_items], ep.support_labels, 5)
         assert np.array_equal(pred[e], difference_form_classify(fp.X[ep.query_items], protos))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_episode_rows_are_the_sorted_distinct_rows(seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 8, size=int(rng.integers(60, 200)))
+    pool = {c: rows for c, rows in class_rows(labels).items() if len(rows) >= 4}
+    spec = EpisodeSpec(min(len(pool), 3), 2, 2, seed, 0)
+    episodes = sample_episode(pool, spec, count=int(rng.integers(1, 12)))
+    used = np.concatenate([episodes.support.ravel(), episodes.query.ravel()])
+    assert np.array_equal(episode_rows(episodes), np.unique(used))
+
+
+def test_encoder_evaluation_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use: about 16 ms and 1-2 MB in every process
+    script = """
+import sys
+import numpy as np
+from geomshot.evaluation import EvalSpec, evaluate
+from geomshot.features import FeaturePool
+from geomshot.nnet import EncoderConfig, MLPEncoder
+X = np.random.default_rng(0).normal(size=(40, 6))
+fp = FeaturePool(X, np.repeat(np.arange(4), 10), np.full(40, ""), "angle", True)
+evaluate(MLPEncoder(EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=4), seed=0), fp, EvalSpec(3, 2, 3, 20, 0))
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n{script}"],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_eval_spec_needs_two_ways():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -287,6 +288,18 @@ class TestApplyTransform:
         expected = (t2.scale * (t1.scale * h @ t1.rotation.T + t1.translation) @ t2.rotation.T
                     + t2.translation)
         assert np.allclose(sequential, expected, atol=1e-12)
+
+    def test_checked_fields_cannot_change(self):
+        rotation, translation = np.eye(3), np.zeros(3)
+        t = SimilarityTransform(rotation, 2.0, translation)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.rotation = np.diag([1.0, 1.0, -1.0])  # a reflection the constructor would refuse
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.scale = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.translation[0] = np.nan
+        rotation[2, 2] = -1.0  # the caller's own array stays the caller's
+        assert np.array_equal(t.rotation, np.eye(3))
 
 
 class TestRandomTransform:
