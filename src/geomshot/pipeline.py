@@ -134,7 +134,7 @@ def _run_training(
     """
     monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
-    best_state = encoder.state()
+    best_state = None  # epoch 0 always sets it: accuracy is in [0, 1] and max_epochs >= 1
     best_acc = -1.0
     best_epoch = -1
     bad_epochs = 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from geomshot.nnet import (
     clip_global_norm,
     cosine_lr,
 )
+from geomshot.nnet.optim import _BLOCK
 
 
 def scalar_param(value=0.0, grad=0.0):
@@ -103,6 +105,69 @@ def test_flat_step_matches_per_tensor_loop_bit_for_bit():
             assert np.array_equal(p.values, r.values), (t, p.name)
             assert np.array_equal(p.grad, r.grad), (t, p.name)
     assert 0 < clipped < 50
+
+
+def test_head_slice_step_matches_per_tensor_loop_bit_for_bit():
+    encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
+    head = encoder.head_parameters()
+    assert head.values.size == 32_896 and head.values.size % _BLOCK  # two full blocks and a partial one
+    backbone = encoder.flat.values[: -head.values.size].copy()
+    ref = [ParamTensor(p.name, p.values.copy()) for p in head.params]
+    m = {p.name: np.zeros_like(p.values) for p in ref}
+    v = {p.name: np.zeros_like(p.values) for p in ref}
+    opt = AdamW(head, lr=1e-3, weight_decay=1e-2, clip_norm=1.0)
+    rng = np.random.default_rng(1)
+    clipped = 0
+    for t in range(1, 21):
+        # ~33k entries: a scale up to 0.011 puts the global norm on both sides of 1
+        scale = rng.uniform(0.0, 0.011)
+        for p, r in zip(head.params, ref):
+            r.grad[...] = p.grad[...] = rng.normal(size=p.values.shape) * scale
+        norm = opt.step()
+        assert norm == per_tensor_adamw_step(ref, m, v, t, 1e-3, 1e-2, 1.0)
+        clipped += norm > 1.0
+        for p, r in zip(head.params, ref):
+            assert np.array_equal(p.values, r.values), (t, p.name)
+    assert 0 < clipped < 20
+    assert np.array_equal(encoder.flat.values[: -head.values.size], backbone)
+
+
+def test_nonfinite_gradient_in_the_last_block_aborts_without_mutation():
+    encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
+    flat = encoder.flat
+    assert flat.grad.size % _BLOCK  # the last block is partial
+    opt = AdamW(flat, lr=1e-3, weight_decay=1e-2)
+    rng = np.random.default_rng(2)
+    flat.grad[...] = rng.normal(size=flat.grad.size) * 1e-3
+    opt.step()
+    flat.grad[...] = rng.normal(size=flat.grad.size) * 1e-3
+    flat.grad[-1] = np.nan
+    before = [a.copy() for a in (flat.values, opt._m, opt._v)]
+    with pytest.raises(NonFiniteGradient):
+        opt.step()
+    for a, b in zip((flat.values, opt._m, opt._v), before):
+        assert np.array_equal(a, b)
+    assert opt.step_count == 1
+
+
+def test_optimizer_memory_is_two_buffers_plus_two_blocks():
+    encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
+    flat = encoder.flat
+    nbytes = flat.values.nbytes  # 105,088 values
+    flat.grad[...] = np.random.default_rng(3).normal(size=flat.grad.size) * 1e-3
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        opt = AdamW(flat)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        before_step = tracemalloc.get_traced_memory()[0]
+        opt.step()
+        transient = tracemalloc.get_traced_memory()[1] - before_step
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * nbytes + 2 * _BLOCK * 8 + 4096  # the moments, two scratch blocks, object headers
+    assert transient < nbytes  # no buffer-sized temporary
 
 
 class TestClipping:
