@@ -37,7 +37,6 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-import yaml
 
 from . import config as cfgmod
 from .dataio import build_catalog, eligible_pool, load_split, save_split, split_pool, stratified_split
@@ -79,9 +78,9 @@ def _json(doc: dict) -> Callable[[Path], object]:
     return lambda tmp: tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _sidecar_manifest(path: Path, command: str, config: dict, seed=None, **extra) -> None:
+def _sidecar_manifest(path: Path, command: str, config: dict, started_at: str, seed=None, **extra) -> None:
     doc = {"schema_version": 1, "command": command, "config": config, "output": str(path), "seed": seed,
-           "started_at": _now(), "finished_at": _now(), **extra}
+           "started_at": started_at, "finished_at": _now(), **extra}
     _atomic(path.with_name(path.name + ".manifest.json"), _json(doc))
 
 
@@ -304,29 +303,32 @@ RUNS = {
 
 
 def cmd_synth(args) -> int:
+    started_at = _now()
     spec = SynthSpec(n_classes=args.classes, per_class=args.per_class, noise=args.noise, transforms=args.transforms,
                      seed=args.seed, scale_range=(args.scale_min, args.scale_max),
                      translate_max=args.translate_max, name=args.name)
     out = Path(args.out)
     generate_corpus(spec, out)
-    _sidecar_manifest(out / "corpus_meta.json", "synth", spec.__dict__ | {"out": str(out)}, seed=args.seed)
+    _sidecar_manifest(out / "corpus_meta.json", "synth", spec.__dict__ | {"out": str(out)}, started_at, seed=args.seed)
     logger.info("wrote %d classes x %d samples to %s", spec.n_classes, spec.per_class, out)
     return 0
 
 
 def cmd_split(args) -> int:
+    started_at = _now()
     catalog = build_catalog(args.data_root)
     split = stratified_split(catalog, args.fraction, args.seed)
     out = Path(args.out)
     _atomic(out, lambda tmp: save_split(split, tmp))
     config = {"data_root": str(args.data_root), "fraction": args.fraction, "seed": args.seed}
-    _sidecar_manifest(out, "split", config, seed=args.seed, data=_data_section(catalog))
+    _sidecar_manifest(out, "split", config, started_at, seed=args.seed, data=_data_section(catalog))
     logger.info("split %d train / %d test -> %s", len(split.train), len(split.test), out)
     return 0
 
 
 def cmd_export(args) -> int:
-    doc = json.loads(Path(args.report).read_text())
+    started_at = _now()
+    doc = cfgmod.read_document(args.report, GeomshotError)
     try:
         report = EvalReport.from_doc(doc)
         row = _report_csv_row(report, report.config.get("dataset", "unknown"), args.mode)
@@ -334,7 +336,7 @@ def cmd_export(args) -> int:
         raise GeomshotError(f"{args.report}: not an episode report ({type(e).__name__}: {e})") from None
     out = Path(args.out)
     _atomic(out, lambda tmp: write_csv_table(tmp, [row]))
-    _sidecar_manifest(out, "export", {"report": str(args.report), "mode": args.mode})
+    _sidecar_manifest(out, "export", {"report": str(args.report), "mode": args.mode}, started_at)
     return 0
 
 
@@ -396,7 +398,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
-    except (GeomshotError, ValueError, OSError, yaml.YAMLError) as e:
+    except (GeomshotError, ValueError, OSError) as e:
         logger.error("%s: %s", type(e).__name__, e)
         return 1
 

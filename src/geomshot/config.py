@@ -1,4 +1,10 @@
-"""Strict YAML configuration loading for the CLI.
+"""Strict YAML configuration loading for the CLI, and the one reader of text documents.
+
+``read_document`` parses every text input: configs (YAML), splits, reports
+and checkpoint header lines (JSON). Text that is not UTF-8, does not parse,
+repeats a key within one mapping or nests too deeply is one line of the
+caller's error class naming the path, and the line and column where the
+parser gives them.
 
 Every config document carries ``schema_version: 1``; unknown keys at any
 level are errors so typos in experiment grids fail loudly instead of
@@ -14,30 +20,80 @@ got <repr>``, raised before any run directory exists. PyYAML reads YAML
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
 
-from .errors import InvalidConfig
+from .errors import GeomshotError, InvalidConfig
 from .geometry import REPRESENTATIONS
 from .schema import check_fields, setting
 
 SCHEMA_VERSION = 1
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """Refuses a scalar key written twice in one mapping; a key may still override a ``<<`` merge."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        written = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                if (key.tag, key.value) in written:
+                    raise yaml.MarkedYAMLError(None, None, f"found duplicate key {key.value!r}", key.start_mark)
+                written.add((key.tag, key.value))
+        return node
+
+
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"found duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads(hook=...) builds a decoder per call
+
+
+def read_document(path, error: type[GeomshotError], data: bytes | None = None, *, yaml_syntax: bool = False):
+    """Parse ``data``, else the file at ``path``, as UTF-8 YAML or JSON; each fault is one ``error`` line.
+
+    A path that cannot be read raises its own ``OSError``, which names it.
+    """
+    try:
+        text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
+        return yaml.load(text, Loader=_StrictLoader) if yaml_syntax else _JSON.decode(text)
+    except UnicodeDecodeError as e:
+        problem = f"not UTF-8 ({e.reason} at byte {e.start})"
+    except json.JSONDecodeError as e:
+        problem = f"line {e.lineno}, column {e.colno}: {e.msg}"
+    except yaml.MarkedYAMLError as e:
+        mark = e.problem_mark or e.context_mark
+        problem = ", ".join(filter(None, (e.context, e.problem)))
+        if mark:
+            problem = f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+    except yaml.reader.ReaderError as e:  # its own message names "<unicode string>", not the file
+        problem = f"character {e.position}: {e.reason}"
+    except (ValueError, yaml.YAMLError) as e:  # a repeated JSON key, an integer too long to convert
+        problem = str(e)
+    except RecursionError:
+        problem = "nested too deeply"
+    raise error(f"{path}: {' '.join(problem.split())}")
+
+
 def _check_keys(section, allowed: set[str], where: str) -> None:
     if not isinstance(section, dict):
         raise InvalidConfig(f"{where} must be a mapping")
     unknown = set(section) - allowed
-    if unknown:
-        raise InvalidConfig(f"unknown keys in {where}: {sorted(unknown)}")
+    if unknown:  # YAML keys may be of any type, so sort by repr
+        raise InvalidConfig(f"unknown keys in {where}: {sorted(unknown, key=repr)}")
 
 
 def load_config(path, top_keys: set[str]) -> dict:
-    doc = yaml.safe_load(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{path}: config must be a mapping")
+    doc = read_document(path, InvalidConfig, yaml_syntax=True)
     _check_keys(doc, top_keys | {"schema_version"}, str(path))
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:

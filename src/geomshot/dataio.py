@@ -16,7 +16,8 @@ become the per-class row lists the episode sampler draws from.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``
-with both path lists sorted. Loading a split requires those types (a
+with both path lists sorted, read by ``config.read_document`` (its faults
+are ``InvalidSplit``). Loading a split requires those types (a
 non-negative seed, a fraction in (0, 1), lists of distinct path strings)
 and re-validates zero train/test overlap and full catalog coverage; a
 listed path that the catalog skipped is named with its skip reason.
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_document
 from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
 from .geometry import NUM_KEYPOINTS, degenerate_hands
 from .npyio import load_keypoints
@@ -184,7 +186,7 @@ _SPLIT_FIELDS = {
 
 def load_split(path, catalog: DatasetCatalog | None = None) -> SplitFile:
     """Read a split file; if a catalog is given, validate it against it."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_document(path, InvalidSplit)
     if not isinstance(doc, dict):
         raise InvalidSplit(f"{path}: a split file must hold a JSON object")
     for name, (rule, valid) in _SPLIT_FIELDS.items():

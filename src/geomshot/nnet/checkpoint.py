@@ -5,7 +5,8 @@ Layout: the first line of the file is a compact JSON document
 "tensors": [{"name", "dtype", "shape", "byte_offset"}, ...]}``
 terminated by a newline; the rest of the file is the concatenation of the
 tensors' raw little-endian float64 bytes in header order, each at its
-stated offset. Loading reproduces values bit-exactly.
+stated offset. Loading reproduces values bit-exactly; ``config.read_document``
+parses the header line, and every fault is a ``CorruptCheckpoint``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import read_document
 from ..errors import CorruptCheckpoint
 
 FORMAT_NAME = "geomshot-checkpoint"
@@ -42,10 +44,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         header_line = f.readline()
         blob = f.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, an overlong int, deep nesting
-        raise CorruptCheckpoint(f"{path}: bad header ({e})") from e
+    header = read_document(path, CorruptCheckpoint, header_line)
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CorruptCheckpoint(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:

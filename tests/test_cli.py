@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geomshot.cli import build_parser, main
-from geomshot.config import DataConfig
+from geomshot import cli
+from geomshot.cli import RUNS, build_parser, main
+from geomshot.config import DataConfig, read_document
 from geomshot.errors import InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
 from geomshot.geometry import REPRESENTATIONS
@@ -739,3 +740,149 @@ def test_full_data_baseline_on_one_class_creates_no_run_dir(tmp_path, caplog):
     assert main(["baseline", "--kind", "full_data", "--config", cfg, "--out", str(tmp_path), "--run-id", "f"]) == 1
     assert one_error(caplog) == "DegenerateProblem: need at least two classes for a linear classifier"
     assert not (tmp_path / "f").exists()
+
+
+def test_sidecar_manifests_record_when_the_command_started(small_corpus, tmp_path, monkeypatch):
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=3))
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "e"]) == 0
+    work_done = []
+    # The clock reads "before" until each command's main work has run.
+    monkeypatch.setattr(cli, "_now", lambda: "after" if work_done else "before")
+    for work in ("generate_corpus", "stratified_split", "write_csv_table"):
+        def mark_done(*args, _real=getattr(cli, work), **kwargs):
+            work_done.append(True)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, work, mark_done)
+    corpus, split, row = tmp_path / "corpus", tmp_path / "split.json", tmp_path / "row.csv"
+    for argv, out in [(["synth", "--out", str(corpus), "--classes", "2", "--per-class", "3"],
+                       corpus / "corpus_meta.json"),
+                      (["split", "--data-root", str(corpus), "--out", str(split)], split),
+                      (["export", "--report", str(tmp_path / "e" / "report.json"), "--out", str(row)], row)]:
+        work_done.clear()
+        assert main(argv) == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert (manifest["started_at"], manifest["finished_at"]) == ("before", "after"), argv[0]
+
+
+def test_unknown_keys_of_mixed_types_are_one_line_error(small_corpus, tmp_path, caplog):
+    doc = eval_doc(small_corpus, episodes=3)
+    doc["data"] |= {1: 2, "foo": 3}
+    cfg = write_yaml(tmp_path / "mixed.yaml", doc)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "m"]) == 1
+    assert one_error(caplog) == "InvalidConfig: unknown keys in data: ['foo', 1]"
+
+
+def test_a_config_key_written_twice_is_refused_naming_its_line(small_corpus, tmp_path, caplog):
+    cfg = tmp_path / "twice.yaml"
+    text = yaml.safe_dump(eval_doc(small_corpus, episodes=3), default_flow_style=None, width=1000)
+    cfg.write_text(text.replace("k_shot: 2,", "k_shot: 1, k_shot: 4,"))
+    line = next(i for i, row in enumerate(cfg.read_text().splitlines(), 1) if "k_shot: 4" in row)
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path), "--run-id", "t"]) == 1
+    assert one_error(caplog).startswith(f"InvalidConfig: {cfg}: line {line}, column ")
+    assert one_error(caplog).endswith(": found duplicate key 'k_shot'")
+    assert not (tmp_path / "t").exists()
+
+
+def test_a_split_side_listed_twice_is_refused(small_corpus, tmp_path, caplog):
+    split = tmp_path / "split.json"
+    text = small_corpus["split_path"].read_text()
+    split.write_text(text.replace('"test": [', '"train": [], "test": ['))
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc({"root": small_corpus["root"], "split_path": split}))
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "t"]) == 1
+    assert one_error(caplog) == f"InvalidSplit: {split}: found duplicate key 'train'"
+
+
+def test_an_explicit_key_may_override_a_yaml_merge(tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text("c: &c {a: 0, z: 0}\nb: &b {<<: *c, a: 1}\nx: {<<: *b, a: 3}\ny: {<<: [*b, *c], q: 1}\n")
+    doc = read_document(path, InvalidConfig, yaml_syntax=True)
+    assert doc["x"] == {"a": 3, "z": 0} and doc["y"] == {"a": 1, "z": 0, "q": 1}
+
+
+@pytest.fixture(scope="module")
+def fault_corpus(tmp_path_factory):
+    """A 4-class synth corpus with its split and an untrained angle checkpoint, read by the fault tests."""
+    directory = tmp_path_factory.mktemp("faults")
+    root, split, ckpt = directory / "corpus", directory / "split.json", directory / "encoder.ckpt"
+    assert main(["synth", "--out", str(root), "--classes", "4", "--per-class", "10", "--seed", "3"]) == 0
+    assert main(["split", "--data-root", str(root), "--out", str(split), "--fraction", "0.5"]) == 0
+    save_random_encoder(ckpt)
+    return {"root": root, "split_path": split, "checkpoint": ckpt}
+
+
+# The bytes of each text-input fault; a directory and a missing file have none.
+FAULTS = {
+    "not-utf8": b"\xff\xfe",
+    "bad-json": b"{not json",
+    "open-flow-node": b"data: {data_root: [",
+    "tab-in-flow-mapping": b"data: {a: 1,\tb: 2}",
+    "deep-json": b"[" * 100_000 + b"]" * 100_000,
+    # One bracket a line: on a single line PyYAML's scanner takes over a second to look ahead for a key.
+    "deep-yaml": b"[\n" * 5_000 + b"]\n" * 5_000,
+    "top-level-list": b"[1, 2]",
+    "directory": None,
+    "missing": None,
+}
+YAML_FAULTS = [fault for fault in FAULTS if fault != "deep-json"]
+JSON_FAULTS = ["not-utf8", "bad-json", "deep-json", "top-level-list", "directory", "missing"]
+RUN_ARGVS = [name.replace("baseline-", "baseline --kind ") for name in RUNS]
+CHECKPOINT_COMMANDS = ("eval", "multiseed", "adapt", "baseline --kind episode_linear")
+FAULT_CELLS = ([("config", command, fault) for command in RUN_ARGVS for fault in YAML_FAULTS]
+               + [("split", command, fault) for command in RUN_ARGVS for fault in JSON_FAULTS]
+               + [("report", "export", fault) for fault in JSON_FAULTS]
+               + [("checkpoint", command, fault) for command in CHECKPOINT_COMMANDS for fault in JSON_FAULTS])
+INPUT_FILES = {"config": "c.yaml", "split": "split.json", "report": "report.json", "checkpoint": "encoder.ckpt"}
+
+
+def text_input_argv(corpus, tmp_path, kind, command, bad) -> list[str]:
+    """The argv of ``command`` reading ``bad`` as its ``kind`` input and valid files for every other input."""
+    if kind == "report":
+        return ["export", "--report", str(bad), "--out", str(tmp_path / "tables" / "row.csv")]
+    doc = command_doc(corpus, command)
+    if kind == "split":
+        doc["data"]["split"] = str(bad)
+    if command in CHECKPOINT_COMMANDS:
+        doc["checkpoint"] = str(bad if kind == "checkpoint" else corpus["checkpoint"])
+    cfg = bad if kind == "config" else write_yaml(tmp_path / "c.yaml", doc)
+    return [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "runs"), "--run-id", "r"]
+
+
+@pytest.mark.parametrize("kind, command, fault", FAULT_CELLS, ids=["-".join(cell) for cell in FAULT_CELLS])
+def test_a_bad_text_input_is_one_line_naming_the_file(fault_corpus, tmp_path, caplog, kind, command, fault):
+    bad = tmp_path / INPUT_FILES[kind]
+    if fault == "directory":
+        bad.mkdir()
+    elif fault != "missing":
+        bad.write_bytes(FAULTS[fault])
+    assert main(text_input_argv(fault_corpus, tmp_path, kind, command, bad)) == 1
+    assert str(bad) in one_error(caplog)
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "tables").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+MIXED_KEYS = st.text(max_size=3) | st.integers(-2, 2) | st.booleans() | st.none()
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(MIXED_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+TEXT_INPUTS = st.one_of(
+    st.binary(max_size=40),
+    DOCUMENTS.map(lambda doc: yaml.safe_dump(doc, sort_keys=False).encode()),
+    DOCUMENTS.map(lambda doc: json.dumps(doc).encode()),  # mixed keys may repeat once made strings
+    # a config whose sections are drawn, so the check reaches past the top level
+    st.fixed_dictionaries({"data": DOCUMENTS, "eval": DOCUMENTS}).map(
+        lambda doc: yaml.safe_dump({"schema_version": 1, **doc}, sort_keys=False).encode()),
+)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(INPUT_FILES)), text=TEXT_INPUTS)
+def test_any_text_input_ends_in_at_most_one_error_line(fault_corpus, tmp_path_factory, caplog, kind, text):
+    caplog.clear()
+    work = tmp_path_factory.mktemp("text")
+    bad = work / INPUT_FILES[kind]
+    bad.write_bytes(text + b"\n" + bytes(16) if kind == "checkpoint" else text)  # a header line, then a payload
+    assert main(text_input_argv(fault_corpus, work, kind, "eval", bad)) in (0, 1)
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) <= 1 and not any("\n" in e for e in errors)
