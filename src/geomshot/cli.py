@@ -148,12 +148,14 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
             setattr(p, key, _SECTIONS[key](doc))
     ckpt = cfgmod.parse_str(doc, "checkpoint", required=run.checkpoint == "required")
     data = p.data
-    p.catalog = build_catalog(data.data_root)
-    split = load_split(data.split, p.catalog)
+    catalog = build_catalog(data.data_root)
+    split = load_split(data.split, catalog)
     p.pools = {}
     for side in run.sides:
         half, *setting = ("test", *side) if isinstance(side, tuple) else (side, data.representation, data.normalize)
-        p.pools[side] = build_feature_pool(split_pool(p.catalog, split, half), p.catalog.root, *setting)
+        p.pools[side] = build_feature_pool(split_pool(catalog, split, half), catalog.root, *setting)
+    # The pools hold the features; the run keeps the catalog's names and skips, not its (N, 21, 3) keypoints.
+    p.catalog = replace(catalog, keypoints=None)
     fp = p.pools[run.sides[0]]
     if "encoder" in run.keys:
         p.encoder = replace(p.encoder, input_dim=fp.dim)

@@ -81,9 +81,16 @@ def compute_prototypes(support_emb: np.ndarray, labels: np.ndarray, n_way: int) 
 
 
 def squared_distances(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """``((q - p)**2).sum()`` for every query and prototype: ``(..., M, D)``, ``(..., N, D)`` -> ``(..., M, N)``."""
-    diff = query_emb[..., :, None, :] - protos[..., None, :, :]
-    return (diff**2).sum(axis=-1)
+    """``((q - p)**2).sum()`` for every query and prototype: ``(..., M, D)``, ``(..., N, D)`` -> ``(..., M, N)``.
+
+    One prototype column at a time, so no ``(..., M, N, D)`` difference cube is held.
+    """
+    n = protos.shape[-2]
+    out = np.empty(np.broadcast_shapes(query_emb.shape[:-1], protos.shape[:-2] + (1,)) + (n,))
+    for j in range(n):
+        diff = query_emb - protos[..., j:j + 1, :]
+        np.sum(np.square(diff, out=diff), axis=-1, out=out[..., j])
+    return out
 
 
 def proto_log_probs(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:
@@ -171,31 +178,36 @@ def _normalize_rows(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _supcon_terms(emb: np.ndarray, labels: np.ndarray, temperature: float):
+    """The loss, then what its gradient reads: the normalized rows and their
+    norms, the ``(B, B)`` similarities, the positive mask, the anchors, each
+    row's log denominator, and a ``(B, B)`` work array free to overwrite."""
     emb = np.asarray(emb, dtype=np.float64)
     labels = np.asarray(labels)
     b = emb.shape[0]
     if b < 2:
         raise ShapeError("contrastive loss needs at least 2 embeddings")
     z, norms = _normalize_rows(emb)
-    sim = z @ z.T / temperature
-    off_diag = ~np.eye(b, dtype=bool)
-    pos = (labels[:, None] == labels[None, :]) & off_diag
+    sim = z @ z.T
+    sim /= temperature
+    pos = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos, False)
     anchors = pos.any(axis=1)
     if not anchors.any():
         raise NoPositivesError("no anchor has a same-label positive")
     # log denominator over a != i, numerically stabilized
-    neg_inf = -np.inf
-    masked = np.where(off_diag, sim, neg_inf)
-    shift = masked.max(axis=1, keepdims=True)
-    lse = shift + np.log(np.exp(masked - shift).sum(axis=1, keepdims=True))
-    return z, norms, sim, off_diag, pos, anchors, lse
+    work = sim.copy()
+    np.fill_diagonal(work, -np.inf)
+    shift = work.max(axis=1, keepdims=True)
+    work -= shift
+    lse = shift + np.log(np.exp(work, out=work).sum(axis=1, keepdims=True))
+    log_ratio = np.subtract(sim, lse, out=work)
+    log_ratio *= pos
+    loss = float((-log_ratio.sum(axis=1)[anchors] / pos.sum(axis=1)[anchors]).mean())
+    return loss, z, norms, sim, pos, anchors, lse, work
 
 
 def supcon_loss(emb: np.ndarray, labels: np.ndarray, temperature: float = DEFAULT_TEMPERATURE) -> float:
-    z, _, sim, _, pos, anchors, lse = _supcon_terms(emb, labels, temperature)
-    log_ratio = sim - lse
-    per_anchor = -(log_ratio * pos).sum(axis=1)[anchors] / pos.sum(axis=1)[anchors]
-    return float(per_anchor.mean())
+    return _supcon_terms(emb, labels, temperature)[0]
 
 
 def supcon_loss_and_grad(
@@ -206,20 +218,23 @@ def supcon_loss_and_grad(
     The loss is non-differentiable at a zero embedding; norms are floored
     at 1e-12 (the mainstream-framework convention), so callers must keep
     embeddings away from exact zero. Any realistic encoder width does.
+    The ``(B, B)`` terms live in two arrays, overwritten as each one dies.
     """
-    z, norms, sim, off_diag, pos, anchors, lse = _supcon_terms(emb, labels, temperature)
-    log_ratio = sim - lse
-    n_pos = pos.sum(axis=1)
-    n_anchors = int(anchors.sum())
-    loss = float((-(log_ratio * pos).sum(axis=1)[anchors] / n_pos[anchors]).mean())
+    loss, z, norms, w, pos, anchors, lse, work = _supcon_terms(emb, labels, temperature)
 
-    # d loss / d sim[i, a] = (softmax_i(a) - 1[a in P(i)] / |P(i)|) / |I|
-    softmax = np.where(off_diag, np.exp(sim - lse), 0.0)
-    w = np.zeros_like(sim)
-    w[anchors] = softmax[anchors] - pos[anchors] / n_pos[anchors, None]
-    w /= n_anchors
+    # d loss / d sim[i, a] = (softmax_i(a) - 1[a in P(i)] / |P(i)|) / |I|, in place of sim
+    np.exp(np.subtract(w, lse, out=w), out=w)
+    np.fill_diagonal(w, 0.0)
+    w -= np.divide(pos, np.maximum(pos.sum(axis=1), 1)[:, None], out=work)
+    w[~anchors] = 0.0  # rows without a positive are not anchors
+    w /= int(anchors.sum())
     # sim is z @ z.T / tau: accumulate both row and column occurrences.
-    d_z = (w + w.T) @ z / temperature
+    d_z = np.add(w, w.T, out=work) @ z
+    del w, work
+    d_z /= temperature
     # through the row normalization z = e / |e|
-    d_emb = (d_z - z * (d_z * z).sum(axis=1, keepdims=True)) / norms
-    return loss, d_emb
+    zz = d_z * z
+    np.multiply(z, zz.sum(axis=1, keepdims=True), out=zz)
+    d_z -= zz
+    d_z /= norms
+    return loss, d_z

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,38 +40,43 @@ def save_checkpoint(path, tensors: list[tuple[str, np.ndarray]], meta: dict) -> 
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (meta, {name: array}); raises CorruptCheckpoint on mismatch."""
+    """Returns (meta, {name: array}); raises CorruptCheckpoint on mismatch.
+
+    The payload is read once, into the one array its tensors are views of.
+    """
     path = Path(path)
     with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
-    header = read_document(path, CorruptCheckpoint, header_line)
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise CorruptCheckpoint(f"{path}: not a {FORMAT_NAME} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')}")
-    meta = header.get("meta", {})
-    entries = header.get("tensors", [])
-    if not isinstance(meta, dict) or not isinstance(entries, list):
-        raise CorruptCheckpoint(f"{path}: meta must be an object and tensors a list")
-    # The tensors must tile the payload: each starts where the previous one ends.
-    spans: dict[str, tuple[int, list[int]]] = {}
-    offset = 0
-    for entry in entries:
-        try:
-            name, dtype, shape, start = (entry[k] for k in ("name", "dtype", "shape", "byte_offset"))
-        except (KeyError, TypeError) as e:
-            raise CorruptCheckpoint(f"{path}: malformed tensor entry ({e!r})") from e
-        if not isinstance(name, str) or name in spans:
-            raise CorruptCheckpoint(f"{path}: tensor name {name!r} is not a new string")
-        dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-        if dtype != "<f8" or not dims_ok or type(start) is not int or start != offset:
-            raise CorruptCheckpoint(f"{path}: tensor {name} needs dtype <f8, int dims and offset {offset}")
-        spans[name] = (start, shape)
-        offset += math.prod(shape) * 8
-    if offset != len(blob):
-        raise CorruptCheckpoint(f"{path}: payload has {len(blob)} bytes, header accounts for {offset}")
-    flat = np.frombuffer(blob, dtype="<f8").copy()
+        header = read_document(path, CorruptCheckpoint, f.readline())
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+            raise CorruptCheckpoint(f"{path}: not a {FORMAT_NAME} file")
+        if header.get("version") != FORMAT_VERSION:
+            raise CorruptCheckpoint(f"{path}: unsupported version {header.get('version')}")
+        meta = header.get("meta", {})
+        entries = header.get("tensors", [])
+        if not isinstance(meta, dict) or not isinstance(entries, list):
+            raise CorruptCheckpoint(f"{path}: meta must be an object and tensors a list")
+        # The tensors must tile the payload: each starts where the previous one ends.
+        spans: dict[str, tuple[int, list[int]]] = {}
+        offset = 0
+        for entry in entries:
+            try:
+                name, dtype, shape, start = (entry[k] for k in ("name", "dtype", "shape", "byte_offset"))
+            except (KeyError, TypeError) as e:
+                raise CorruptCheckpoint(f"{path}: malformed tensor entry ({e!r})") from e
+            if not isinstance(name, str) or name in spans:
+                raise CorruptCheckpoint(f"{path}: tensor name {name!r} is not a new string")
+            dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+            if dtype != "<f8" or not dims_ok or type(start) is not int or start != offset:
+                raise CorruptCheckpoint(f"{path}: tensor {name} needs dtype <f8, int dims and offset {offset}")
+            spans[name] = (start, shape)
+            offset += math.prod(shape) * 8
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if offset != payload:
+            raise CorruptCheckpoint(f"{path}: payload has {payload} bytes, header accounts for {offset}")
+        flat = np.empty(offset // 8, dtype="<f8")
+        got = f.readinto(flat)
+        if got != offset:  # the file changed since its size was taken
+            raise CorruptCheckpoint(f"{path}: payload has {got} bytes, header accounts for {offset}")
     tensors = {
         name: flat[start // 8:start // 8 + math.prod(shape)].reshape(shape)
         for name, (start, shape) in spans.items()

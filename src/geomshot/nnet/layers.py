@@ -3,6 +3,13 @@
 Layers cache activations only on train-mode forwards; eval-mode forwards
 are pure. backward() consumes the cache, so calling it twice, or after an
 eval forward, raises CacheError.
+
+A layer never writes into an array its caller passed in: forward and
+backward compute in place only in arrays they allocated in the same call
+(dropout at p = 0, or in eval mode, passes its argument through as is).
+backward() writes (does not add) each parameter gradient straight into
+that tensor's ``grad``, so one backward sets every gradient of the layers
+it runs and no zeroing is needed between steps.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ F64 = np.float64
 
 
 class ParamTensor:
-    """Named trainable array with a same-shaped gradient accumulator."""
+    """Named trainable array with a same-shaped gradient that backward writes."""
 
     __slots__ = ("name", "values", "grad")
 
@@ -94,14 +101,16 @@ class Linear(Layer):
 
     def forward(self, x, train, rng=None):
         self._cache = x if train else None
-        return x @ self.weight.values + self.bias.values
+        y = x @ self.weight.values
+        y += self.bias.values
+        return y
 
     def backward(self, grad_out, input_grad: bool = True):
-        """Accumulate parameter gradients; return the input gradient, or None
+        """Write the parameter gradients; return the input gradient, or None
         without ``input_grad`` (the first trained layer's has no reader)."""
         x = self._take_cache()
-        self.weight.grad += x.T @ grad_out
-        self.bias.grad += grad_out.sum(axis=0)
+        np.matmul(x.T, grad_out, out=self.weight.grad)
+        np.sum(grad_out, axis=0, out=self.bias.grad)
         return grad_out @ self.weight.values.T if input_grad else None
 
 
@@ -137,16 +146,21 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        mask = rng.random(x.shape) >= self.p
+        y = rng.random(x.shape)
+        mask = y >= self.p
         self._cache = mask
         self.last_mask = mask
-        return x * mask / (1.0 - self.p)
+        np.multiply(x, mask, out=y)  # the uniform draws are spent: y holds the output
+        y /= 1.0 - self.p
+        return y
 
     def backward(self, grad_out):
         mask = self._take_cache()
         if self.p == 0.0:
             return grad_out
-        return grad_out * mask / (1.0 - self.p)
+        g = grad_out * mask
+        g /= 1.0 - self.p
+        return g
 
 
 class BatchNorm1d(Layer):
@@ -179,28 +193,43 @@ class BatchNorm1d(Layer):
     def forward(self, x, train, rng=None):
         if not train:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            return self.gamma.values * (x - self.running_mean) * inv_std + self.beta.values
+            y = x - self.running_mean
+            np.multiply(self.gamma.values, y, out=y)
+            y *= inv_std
+            y += self.beta.values
+            return y
         n = x.shape[0]
         if n < 2:
             raise BatchTooSmall("batch normalization needs a batch of >= 2 in train mode")
         mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        xhat = x - mean  # x - mean once, for the variance and for xhat: the bits of x.var()
+        y = np.square(xhat)
+        var = y.sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std
         m = self.momentum
         self.running_mean *= 1.0 - m
         self.running_mean += m * mean
         self.running_var *= 1.0 - m
         self.running_var += m * var * n / (n - 1)
         self._cache = (xhat, inv_std, n)
-        return self.gamma.values * xhat + self.beta.values
+        np.multiply(self.gamma.values, xhat, out=y)
+        y += self.beta.values
+        return y
 
     def backward(self, grad_out):
         xhat, inv_std, n = self._take_cache()
-        self.gamma.grad += (grad_out * xhat).sum(axis=0)
-        self.beta.grad += grad_out.sum(axis=0)
-        dxhat = grad_out * self.gamma.values
-        # Batch-coupled backward: both mean and variance depend on every row.
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
+        work = grad_out * xhat
+        np.sum(work, axis=0, out=self.gamma.grad)
+        np.sum(grad_out, axis=0, out=self.beta.grad)
+        dx = grad_out * self.gamma.values  # dxhat, turned into the input gradient in place
+        dxhat_sum = dx.sum(axis=0)
+        proj = np.multiply(dx, xhat, out=work).sum(axis=0)
+        np.multiply(xhat, proj, out=work)
+        # Batch-coupled backward, as (inv_std / n) * (n * dxhat - dxhat_sum - xhat * proj):
+        # both mean and variance depend on every row.
+        dx *= n
+        dx -= dxhat_sum
+        dx -= work
+        dx *= inv_std / n
+        return dx

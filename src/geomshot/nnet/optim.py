@@ -69,10 +69,6 @@ class AdamW:
         self.clip_norm = clip_norm
         self.step_count = 0
         self._m, self._v = np.zeros_like(buffer.values), np.zeros_like(buffer.values)
-        self._a, self._b = (np.empty(min(buffer.values.size, _BLOCK)) for _ in range(2))
-
-    def zero_grad(self) -> None:
-        self.buffer.grad.fill(0.0)
 
     def step(self) -> float:
         """One update; returns the global gradient norm before clipping."""
@@ -85,10 +81,12 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         decay, bc1, bc2 = 1.0 - self.lr * self.weight_decay, 1.0 - self.beta1**t, 1.0 - self.beta2**t
+        # Two block-sized scratch arrays, allocated per step: the forward and backward passes never hold them.
+        scratch_a, scratch_b = (np.empty(min(buf.values.size, _BLOCK)) for _ in range(2))
         for start in range(0, buf.values.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             p, g, m, v = buf.values[block], buf.grad[block], self._m[block], self._v[block]
-            a, b = self._a[:p.size], self._b[:p.size]
+            a, b = scratch_a[:p.size], scratch_b[:p.size]
             if self.weight_decay:
                 p *= decay
             m *= self.beta1

@@ -3,6 +3,11 @@
 One training step = one episode: embed support+query in train mode,
 combine the prototype NLL on the queries with the weighted contrastive
 loss over all episode embeddings, backpropagate, and take one AdamW step.
+Beside the run's state (the parameters, their gradient, AdamW's moments
+and the best-epoch snapshot), a step holds the layers' caches, which
+backward consumes layer by layer, and the embeddings' gradient: the
+embeddings and the two losses' arrays are released before backward, and
+backward writes every gradient the optimizer reads, so nothing is zeroed.
 The learning rate follows a cosine schedule over epochs. After each epoch
 a monitor accuracy is computed on held-out episodes drawn from the train
 split under a disjoint seed stream; early stopping keeps the best-monitor
@@ -105,14 +110,19 @@ def _episode_step(
     rng = make_rng(STREAM_DROPOUT, cfg.base_seed, episode_index)
     emb = model.forward(X[np.concatenate([batch.support[row], batch.query[row]])], train=True, rng=rng)
 
+    # The contrastive loss first, so its (B, B) terms never meet the prototype gradients.
+    sc, d_emb = supcon_loss_and_grad(emb, labels, cfg.temperature)
     nll, d_sup, d_qry = protonet_loss_and_grads(
         emb[:n_support], batch.support_labels, emb[n_support:], batch.query_labels, cfg.n_way
     )
-    sc, d_all = supcon_loss_and_grad(emb, labels, cfg.temperature)
-    d_emb = np.vstack([d_sup, d_qry]) + cfg.supcon_weight * d_all
+    del emb
+    # [d_sup; d_qry] + weight * d_supcon in the contrastive gradient's array; IEEE addition commutes, so bits match
+    d_emb *= cfg.supcon_weight
+    d_emb[:n_support] += d_sup
+    d_emb[n_support:] += d_qry
+    del d_sup, d_qry
 
-    optimizer.zero_grad()
-    model.backward(d_emb, input_grad=False)
+    model.backward(d_emb, input_grad=False)  # writes every gradient the optimizer reads
     grad_norm = optimizer.step()
     return LossBreakdown(nll, sc, cfg.supcon_weight, cfg.temperature), grad_norm
 
@@ -134,7 +144,9 @@ def _run_training(
     """
     monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
-    best_state = None  # epoch 0 always sets it: accuracy is in [0, 1] and max_epochs >= 1
+    # What training moves: the optimizer's values, and the running statistics when the backbone trains.
+    moving = [optimizer.buffer.values] + ([buf for _, buf in encoder.buffers()] if model is encoder else [])
+    best = [np.empty_like(a) for a in moving]  # epoch 0 always fills it: accuracy is in [0, 1] and max_epochs >= 1
     best_acc = -1.0
     best_epoch = -1
     bad_epochs = 0
@@ -162,15 +174,17 @@ def _run_training(
         if acc > best_acc:
             best_acc = acc
             best_epoch = epoch
-            best_state = encoder.state()
+            for dst, src in zip(best, moving):
+                dst[...] = src
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 logger.info("early stop after %d non-improving epochs", bad_epochs)
                 break
-    encoder.set_state(best_state)
-    return TrainResult(best_state, encoder.config, log, best_epoch, best_acc, meta)
+    for dst, src in zip(moving, best):
+        dst[...] = src
+    return TrainResult(encoder.state(), encoder.config, log, best_epoch, best_acc, meta)
 
 
 def train_encoder(

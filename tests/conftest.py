@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,6 +11,15 @@ from geomshot.synth import SynthSpec, generate_corpus
 # no time limit per example and no example database written to disk.
 settings.register_profile("geomshot", deadline=None, database=None, derandomize=True)
 settings.load_profile("geomshot")
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the peak, in bytes, of the memory allocated while ``fn`` ran and traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_hand(rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+
 from geomshot.errors import BatchTooSmall, CacheError, CorruptCheckpoint, ShapeError
 from geomshot.nnet import EncoderConfig, MLPEncoder, load_checkpoint, save_checkpoint
 from geomshot.pipeline import TrainResult, load_encoder, save_encoder
@@ -86,6 +88,20 @@ def test_skipping_the_input_gradient_keeps_parameter_gradients_bitwise(head_only
     assert np.any(grads[1] != 0.0)
 
 
+@pytest.mark.parametrize("head_only", [False, True])
+def test_one_backward_writes_every_gradient_the_optimizer_reads(head_only):
+    # The training step takes no zero_grad: backward writes, not adds, every gradient.
+    enc = MLPEncoder(EncoderConfig(input_dim=20), seed=14)
+    x = np.random.default_rng(8).normal(size=(12, 20))
+    model = enc.head if head_only else enc
+    buffer = enc.head_parameters() if head_only else enc.flat
+    inputs = enc.backbone_forward(x) if head_only else x
+    enc.flat.grad.fill(np.nan)
+    model.forward(inputs, train=True, rng=make_rng(9))
+    model.backward(np.random.default_rng(10).normal(size=(12, 128)), input_grad=False)
+    assert np.isfinite(buffer.grad).all()
+
+
 def test_train_forward_deterministic_given_rng():
     enc = MLPEncoder(EncoderConfig(input_dim=20), seed=8)
     x = np.random.default_rng(2).normal(size=(6, 20))
@@ -140,6 +156,25 @@ class TestCheckpoint:
         path.write_bytes(data[:-16])
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
+
+    def test_extra_trailing_byte_rejected(self, tmp_path):
+        enc = MLPEncoder(EncoderConfig(input_dim=20), seed=11)
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, list(enc.state().items()), {})
+        payload = path.stat().st_size - len(path.read_bytes().split(b"\n", 1)[0]) - 1
+        with open(path, "ab") as f:
+            f.write(b"\x00")
+        with pytest.raises(CorruptCheckpoint, match=f"payload has {payload + 1} bytes, header accounts for {payload}"):
+            load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        enc = MLPEncoder(EncoderConfig(input_dim=63), seed=15)  # raw_angle's width
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, list(enc.state().items()), {})
+        payload = sum(a.nbytes for a in enc.state().values())
+        (_, tensors), peak = traced_peak(lambda: load_checkpoint(path))
+        assert sum(a.nbytes for a in tensors.values()) == payload
+        assert peak <= payload + 64 * 1024
 
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "enc.ckpt"

@@ -186,3 +186,123 @@ class TestParamBuffer:
         tail.grad.fill(4.0)
         assert np.array_equal(buf.grad, [0.0, 0.0, 0.0, 4.0, 4.0, 4.0])
         assert buf.tail(0).values.size == 0
+
+
+# -- bit-for-bit against the expressions the layers used before they computed in place --------
+
+
+def ref_linear(x, weight, bias, grad_out):
+    """(output, weight gradient, bias gradient, input gradient)."""
+    return x @ weight + bias, x.T @ grad_out, grad_out.sum(axis=0), grad_out @ weight.T
+
+
+def ref_relu(x, grad_out):
+    return np.maximum(x, 0.0), grad_out * (x > 0)
+
+
+def ref_dropout(x, mask, p, grad_out):
+    return x * mask / (1.0 - p), grad_out * mask / (1.0 - p)
+
+
+def ref_batchnorm_train(x, gamma, beta, grad_out, eps=1e-5, momentum=0.1):
+    """(output, gamma gradient, beta gradient, input gradient, running mean, running var) from fresh stats."""
+    n = x.shape[0]
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    y = gamma * xhat + beta
+    dxhat = grad_out * gamma
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    running_mean, running_var = np.zeros(x.shape[1]), np.ones(x.shape[1])
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var * n / (n - 1)
+    return y, (grad_out * xhat).sum(axis=0), grad_out.sum(axis=0), dx, running_mean, running_var
+
+
+def ref_batchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    return gamma * (x - running_mean) * inv_std + beta
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def run_unchanged(fn, *arrays):
+    """fn(*arrays), asserting that it leaves every argument as it was."""
+    before = [a.copy() for a in arrays]
+    out = fn(*arrays)
+    for a, b in zip(arrays, before):
+        assert_same_bits(a, b)
+    return out
+
+
+SHAPES = [(b, w) for b in (2, 7, 100) for w in (1, 20, 256)]
+
+
+@pytest.mark.parametrize("batch,width", SHAPES)
+def test_linear_matches_reference_bitwise(batch, width):
+    rng = np.random.default_rng(batch * 1000 + width)
+    lin = Linear(width, width, "fc", make_rng(1))
+    lin.bias.values[...] = rng.normal(size=width)
+    x, g = rng.normal(size=(batch, width)), rng.normal(size=(batch, width))
+    y_ref, dw_ref, db_ref, dx_ref = ref_linear(x, lin.weight.values, lin.bias.values, g)
+    assert_same_bits(run_unchanged(lambda a: lin.forward(a, train=False), x), y_ref)
+    assert_same_bits(run_unchanged(lambda a: lin.forward(a, train=True), x), y_ref)
+    lin.weight.grad.fill(np.nan)
+    lin.bias.grad.fill(np.nan)
+    assert_same_bits(run_unchanged(lin.backward, g), dx_ref)
+    assert_same_bits(lin.weight.grad, dw_ref)
+    assert_same_bits(lin.bias.grad, db_ref)
+
+
+@pytest.mark.parametrize("batch,width", SHAPES)
+def test_relu_matches_reference_bitwise(batch, width):
+    rng = np.random.default_rng(batch * 1000 + width + 1)
+    x, g = rng.normal(size=(batch, width)), rng.normal(size=(batch, width))
+    y_ref, dx_ref = ref_relu(x, g)
+    relu = ReLU()
+    assert_same_bits(run_unchanged(lambda a: relu.forward(a, train=False), x), y_ref)
+    assert_same_bits(run_unchanged(lambda a: relu.forward(a, train=True), x), y_ref)
+    assert_same_bits(run_unchanged(relu.backward, g), dx_ref)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("batch,width", SHAPES)
+def test_dropout_matches_reference_bitwise(batch, width, p):
+    rng = np.random.default_rng(batch * 1000 + width + 2)
+    x, g = rng.normal(size=(batch, width)), rng.normal(size=(batch, width))
+    mask = make_rng(9).random(x.shape) >= p if p else np.ones(x.shape, dtype=bool)
+    y_ref, dx_ref = ref_dropout(x, mask, p, g)
+    drop = Dropout(p)
+    assert_same_bits(run_unchanged(lambda a: drop.forward(a, train=False), x), x)
+    assert_same_bits(run_unchanged(lambda a: drop.forward(a, train=True, rng=make_rng(9)), x), y_ref)
+    assert_same_bits(drop.last_mask, mask)
+    assert_same_bits(run_unchanged(drop.backward, g), dx_ref)
+
+
+@pytest.mark.parametrize("batch,width", SHAPES)
+def test_batchnorm_matches_reference_bitwise(batch, width):
+    rng = np.random.default_rng(batch * 1000 + width + 3)
+    x = rng.normal(loc=2.0, scale=3.0, size=(batch, width))
+    g = rng.normal(size=(batch, width))
+    bn = BatchNorm1d(width, "bn")
+    bn.gamma.values[...] = rng.uniform(0.5, 1.5, width)
+    bn.beta.values[...] = rng.normal(size=width)
+    y_ref, dgamma_ref, dbeta_ref, dx_ref, mean_ref, var_ref = ref_batchnorm_train(
+        x, bn.gamma.values, bn.beta.values, g)
+    assert_same_bits(run_unchanged(lambda a: bn.forward(a, train=True), x), y_ref)
+    assert_same_bits(bn.running_mean, mean_ref)
+    assert_same_bits(bn.running_var, var_ref)
+    bn.gamma.grad.fill(np.nan)
+    bn.beta.grad.fill(np.nan)
+    assert_same_bits(run_unchanged(bn.backward, g), dx_ref)
+    assert_same_bits(bn.gamma.grad, dgamma_ref)
+    assert_same_bits(bn.beta.grad, dbeta_ref)
+    eval_ref = ref_batchnorm_eval(x, bn.gamma.values, bn.beta.values, bn.running_mean, bn.running_var)
+    assert_same_bits(run_unchanged(lambda a: bn.forward(a, train=False), x), eval_ref)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from geomshot.errors import ConfigMismatch, InsufficientClasses
 from geomshot.features import FeaturePool
@@ -41,6 +42,18 @@ def tiny_cfg(**overrides):
 
 def tiny_encoder_cfg(input_dim=20):
     return EncoderConfig(input_dim=input_dim, hidden_dim=32, embed_dim=16)
+
+
+def test_training_memory_peak():
+    # What a step holds beyond the run's state (values, gradient, Adam's m and v, the best-epoch
+    # snapshot): its layer caches and the losses' arrays, each released at its last use.
+    # Traced peak, numpy 2.4: 6.17 MiB, against 7.04 MiB with accumulated gradients, out-of-place
+    # layer math and loss arrays held through backward.
+    rng = np.random.default_rng(0)
+    fp = FeaturePool(rng.normal(size=(200, 83)), np.repeat(np.arange(10), 20), np.full(200, ""), "raw_angle", True)
+    cfg = TrainConfig(n_way=5, k_shot=5, q_query=15, episodes_per_epoch=3, max_epochs=2, monitor_episodes=5)
+    _, peak = traced_peak(lambda: train_encoder(fp, cfg, EncoderConfig(input_dim=83)))
+    assert peak < 6.5 * 2**20
 
 
 class TestTraining:
