@@ -5,8 +5,10 @@ Layout: the first line of the file is a compact JSON document
 "tensors": [{"name", "dtype", "shape", "byte_offset"}, ...]}``
 terminated by a newline; the rest of the file is the concatenation of the
 tensors' raw little-endian float64 bytes in header order, each at its
-stated offset. Loading reproduces values bit-exactly; ``config.read_document``
-parses the header line, and every fault is a ``CorruptCheckpoint``.
+stated offset; an encoder's are in ``EncoderConfig`` order, so its payload is
+the encoder's state array. Loading reproduces values bit-exactly;
+``config.read_document`` parses the header line (at most 1 MiB), and every
+fault is a ``CorruptCheckpoint``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..errors import CorruptCheckpoint
 
 FORMAT_NAME = "geomshot-checkpoint"
 FORMAT_VERSION = 1
+MAX_HEADER_BYTES = 1 << 20  # a default encoder's header, with a full train_config, is under 2 KB
 
 
 def save_checkpoint(path, tensors: list[tuple[str, np.ndarray]], meta: dict) -> None:
@@ -36,7 +39,13 @@ def save_checkpoint(path, tensors: list[tuple[str, np.ndarray]], meta: dict) -> 
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": meta, "tensors": entries}
     with open(Path(path), "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.writelines(a.tobytes() for a in arrays)
+        f.writelines(arrays)  # each array's own buffer: no bytes copy
+
+
+def payload_views(flat: np.ndarray, shapes: list[tuple[str, list[int] | tuple[int, ...]]]) -> dict[str, np.ndarray]:
+    """{name: view} for ``(name, shape)`` pairs: reshaped views of ``flat``, one after another."""
+    ends = np.cumsum([math.prod(shape) for _, shape in shapes], dtype=np.int64)
+    return {name: view.reshape(shape) for (name, shape), view in zip(shapes, np.split(flat, ends))}
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -46,7 +55,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """
     path = Path(path)
     with open(path, "rb") as f:
-        header = read_document(path, CorruptCheckpoint, f.readline())
+        line = f.readline(MAX_HEADER_BYTES + 1)
+        if len(line) > MAX_HEADER_BYTES:
+            raise CorruptCheckpoint(f"{path}: header line longer than {MAX_HEADER_BYTES} bytes")
+        header = read_document(path, CorruptCheckpoint, line)
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise CorruptCheckpoint(f"{path}: not a {FORMAT_NAME} file")
         if header.get("version") != FORMAT_VERSION:
@@ -56,19 +68,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(meta, dict) or not isinstance(entries, list):
             raise CorruptCheckpoint(f"{path}: meta must be an object and tensors a list")
         # The tensors must tile the payload: each starts where the previous one ends.
-        spans: dict[str, tuple[int, list[int]]] = {}
+        shapes: dict[str, list[int]] = {}
         offset = 0
         for entry in entries:
             try:
                 name, dtype, shape, start = (entry[k] for k in ("name", "dtype", "shape", "byte_offset"))
             except (KeyError, TypeError) as e:
                 raise CorruptCheckpoint(f"{path}: malformed tensor entry ({e!r})") from e
-            if not isinstance(name, str) or name in spans:
+            if not isinstance(name, str) or name in shapes:
                 raise CorruptCheckpoint(f"{path}: tensor name {name!r} is not a new string")
             dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
             if dtype != "<f8" or not dims_ok or type(start) is not int or start != offset:
                 raise CorruptCheckpoint(f"{path}: tensor {name} needs dtype <f8, int dims and offset {offset}")
-            spans[name] = (start, shape)
+            shapes[name] = shape
             offset += math.prod(shape) * 8
         payload = os.fstat(f.fileno()).st_size - f.tell()
         if offset != payload:
@@ -77,8 +89,4 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         got = f.readinto(flat)
         if got != offset:  # the file changed since its size was taken
             raise CorruptCheckpoint(f"{path}: payload has {got} bytes, header accounts for {offset}")
-    tensors = {
-        name: flat[start // 8:start // 8 + math.prod(shape)].reshape(shape)
-        for name, (start, shape) in spans.items()
-    }
-    return meta, tensors
+    return meta, payload_views(flat, list(shapes.items()))

@@ -3,8 +3,10 @@
 The default configuration (two 256-unit hidden blocks, 128-D output,
 dropout 0.3) has 105,088 / 116,096 / 121,216 trainable parameters for
 input dimensions 20 / 63 / 83. The count covers Linear weights+biases and
-BatchNorm scale+shift; BatchNorm running statistics are buffers and are
-not counted (this accounting is pinned by test_encoder).
+BatchNorm scale+shift, not the BatchNorm running statistics (pinned by
+test_encoder). The whole state is one float64 array in checkpoint-payload
+order (``EncoderConfig.tensor_shapes``), and every parameter's values and
+every running statistic are views of it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from ..errors import CacheError, ShapeError
 from ..rng import STREAM_INIT, make_rng
 from ..schema import check_fields, setting
+from .checkpoint import payload_views
 from .layers import BatchNorm1d, Dropout, Linear, ParamBuffer, ParamTensor, ReLU
 
 
@@ -34,15 +37,15 @@ class EncoderConfig:
         h = self.hidden_dim
         return (self.input_dim + 3) * h + (self.num_hidden - 1) * (h + 3) * h + (h + 1) * self.embed_dim
 
-    def tensor_names(self) -> list[str]:
-        """Every checkpointed tensor: trainable params plus running stats."""
-        names = []
-        for i in range(1, self.num_hidden + 1):
-            names += [f"fc{i}.weight", f"fc{i}.bias", f"bn{i}.gamma", f"bn{i}.beta"]
-        names += ["head.weight", "head.bias"]
-        for i in range(1, self.num_hidden + 1):
-            names += [f"bn{i}.running_mean", f"bn{i}.running_var"]
-        return names
+    def tensor_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Every checkpointed tensor with its shape, in payload order: the
+        trainable tensors layer by layer, then the running statistics."""
+        h, layers, shapes = self.hidden_dim, range(1, self.num_hidden + 1), []
+        for i in layers:
+            shapes += [(f"fc{i}.weight", (h if i > 1 else self.input_dim, h)), (f"fc{i}.bias", (h,))]
+            shapes += [(f"bn{i}.gamma", (h,)), (f"bn{i}.beta", (h,))]
+        shapes += [("head.weight", (h, self.embed_dim)), ("head.bias", (self.embed_dim,))]
+        return shapes + [(f"bn{i}.{stat}", (h,)) for i in layers for stat in ("running_mean", "running_var")]
 
 
 class MLPEncoder:
@@ -54,30 +57,40 @@ class MLPEncoder:
     """
 
     def __init__(self, config: EncoderConfig, seed: int):
-        self.config = config
-        rng = make_rng(STREAM_INIT, seed)
+        self._build(config, np.empty(config.param_count() + 2 * config.num_hidden * config.hidden_dim),
+                    make_rng(STREAM_INIT, seed))
+
+    @classmethod
+    def from_state(cls, config: EncoderConfig, state_array: np.ndarray) -> "MLPEncoder":
+        """An encoder over ``state_array`` as is (a checkpoint's payload); no init is drawn."""
+        encoder = cls.__new__(cls)
+        encoder._build(config, state_array, None)
+        return encoder
+
+    def _build(self, config: EncoderConfig, state_array: np.ndarray, rng: np.random.Generator | None) -> None:
+        """Builds the layers over ``state_array``, moving each one's init in as it is built (none without rng)."""
+        self.config, self.state_array = config, state_array
+        n = config.param_count()
+        self.flat = ParamBuffer(state_array[:n], np.empty(n))  # filled in layer order: the head comes last
+        running = state_array[n:].reshape(config.num_hidden, 2, config.hidden_dim)  # each BatchNorm's mean, var
         self.layers = []
-        in_dim = config.input_dim
-        for i in range(1, config.num_hidden + 1):
-            self.layers.append(Linear(in_dim, config.hidden_dim, f"fc{i}", rng))
-            self.layers.append(BatchNorm1d(config.hidden_dim, f"bn{i}"))
-            self.layers.append(ReLU())
-            self.layers.append(Dropout(config.dropout_p))
-            in_dim = config.hidden_dim
-        self.head = Linear(in_dim, config.embed_dim, "head", rng)
+        for i in range(config.num_hidden):
+            fc = Linear(config.hidden_dim if i else config.input_dim, config.hidden_dim, f"fc{i + 1}", rng)
+            bn = BatchNorm1d(config.hidden_dim, f"bn{i + 1}")
+            self.flat.add(fc.parameters() + bn.parameters(), keep_values=rng is None)
+            if rng is not None:
+                running[i] = bn.running_mean, bn.running_var
+            bn.running_mean, bn.running_var = running[i]
+            self.layers += [fc, bn, ReLU(), Dropout(config.dropout_p)]
+        self.head = Linear(config.hidden_dim, config.embed_dim, "head", rng)
+        self.flat.add(self.head.parameters(), keep_values=rng is None)
         self.layers.append(self.head)
-        # Packed after every layer has drawn its init, in layer order, so the
-        # head's tensors come last and head-only training is a tail slice.
-        self.flat = ParamBuffer([p for layer in self.layers for p in layer.parameters()])
         self._train_forward = False
 
-    # -- parameter access -------------------------------------------------
+    # -- state access -----------------------------------------------------
 
     def parameters(self) -> list[ParamTensor]:
         return list(self.flat.params)
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [buf for layer in self.layers for buf in layer.buffers()]
 
     def head_parameters(self) -> ParamBuffer:
         return self.flat.tail(2)
@@ -89,12 +102,10 @@ class MLPEncoder:
         self.flat.grad.fill(0.0)
 
     def state(self) -> dict[str, np.ndarray]:
-        out = dict(zip([p.name for p in self.flat.params], self.flat.split(self.flat.values.copy())))
-        out.update({name: buf.copy() for name, buf in self.buffers()})
-        return out
+        return payload_views(self.state_array.copy(), self.config.tensor_shapes())
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, dst in [(p.name, p.values) for p in self.flat.params] + self.buffers():
+        for name, dst in payload_views(self.state_array, self.config.tensor_shapes()).items():
             if name not in state:
                 raise ShapeError(f"state is missing tensor {name}")
             arr = np.asarray(state[name], dtype=np.float64)

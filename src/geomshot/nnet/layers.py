@@ -39,35 +39,36 @@ class ParamTensor:
 
 
 class ParamBuffer:
-    """Tensors whose ``values``/``grad`` are rebound to reshaped views, in list
-    order, of one flat ``values`` and one flat ``grad`` array."""
+    """Tensors whose ``values``/``grad`` are reshaped views, in order, of one flat
+    ``values`` and one flat ``grad`` array: an encoder adds each layer's as it is built."""
 
-    def __init__(self, params: list[ParamTensor]):
-        self.params = list(params)
-        self.values = np.concatenate([p.values.ravel() for p in self.params])
-        self.grad = np.concatenate([p.grad.ravel() for p in self.params])
-        for p, values, grad in zip(self.params, self.split(self.values), self.split(self.grad)):
+    def __init__(self, values: np.ndarray, grad: np.ndarray):
+        self.values, self.grad = values, grad
+        self.params: list[ParamTensor] = []
+
+    def add(self, params: list[ParamTensor], keep_values: bool = False) -> None:
+        """Moves each tensor into the next views: its gradient is copied in, and
+        its values too, unless ``keep_values`` keeps those the array holds."""
+        for p in params:
+            start, shape = sum(q.values.size for q in self.params), p.values.shape
+            values, grad = (a[start:start + p.values.size].reshape(shape) for a in (self.values, self.grad))
+            if not keep_values:
+                values[...] = p.values
+            grad[...] = p.grad
             p.values, p.grad = values, grad
-
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of a buffer-sized flat array, one per tensor, in the tensors' shapes."""
-        ends = np.cumsum([p.values.size for p in self.params])
-        return [flat[e - p.values.size:e].reshape(p.values.shape) for p, e in zip(self.params, ends)]
+            self.params.append(p)
 
     def tail(self, n: int) -> "ParamBuffer":
         """The last ``n`` tensors, as a buffer over the same memory."""
-        tail = object.__new__(ParamBuffer)
-        tail.params = self.params[len(self.params) - n:]
-        start = self.values.size - sum(p.values.size for p in tail.params)
-        tail.values, tail.grad = self.values[start:], self.grad[start:]
+        params = self.params[len(self.params) - n:]
+        start = self.values.size - sum(p.values.size for p in params)
+        tail = ParamBuffer(self.values[start:], self.grad[start:])
+        tail.params = params
         return tail
 
 
 class Layer:
     def parameters(self) -> list[ParamTensor]:
-        return []
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
         return []
 
     def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
@@ -87,12 +88,14 @@ class Layer:
 class Linear(Layer):
     """y = x @ W + b with Kaiming-uniform weight init and zero biases.
 
-    Weights are drawn from U(-sqrt(6/fan_in), +sqrt(6/fan_in)) (ReLU gain).
+    Weights are drawn from U(-sqrt(6/fan_in), +sqrt(6/fan_in)) (ReLU gain);
+    without an ``rng`` none are drawn and the weight is left unset.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator):
+    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator | None):
         bound = np.sqrt(6.0 / in_dim)
-        self.weight = ParamTensor(f"{name}.weight", rng.uniform(-bound, bound, (in_dim, out_dim)))
+        init = np.empty((in_dim, out_dim)) if rng is None else rng.uniform(-bound, bound, (in_dim, out_dim))
+        self.weight = ParamTensor(f"{name}.weight", init)
         self.bias = ParamTensor(f"{name}.bias", np.zeros(out_dim))
         self._cache = None
 
@@ -178,17 +181,10 @@ class BatchNorm1d(Layer):
         self.beta = ParamTensor(f"{name}.beta", np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self._name = name
         self._cache = None
 
     def parameters(self):
         return [self.gamma, self.beta]
-
-    def buffers(self):
-        return [
-            (f"{self._name}.running_mean", self.running_mean),
-            (f"{self._name}.running_var", self.running_var),
-        ]
 
     def forward(self, x, train, rng=None):
         if not train:

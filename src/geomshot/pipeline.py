@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataio import eligible_pool
 from .episodes import Episodes, EpisodeSpec, sample_episode
-from .errors import ConfigMismatch, CorruptCheckpoint, ShapeError
+from .errors import ConfigMismatch, CorruptCheckpoint
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
 from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
@@ -144,9 +144,9 @@ def _run_training(
     """
     monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
-    # What training moves: the optimizer's values, and the running statistics when the backbone trains.
-    moving = [optimizer.buffer.values] + ([buf for _, buf in encoder.buffers()] if model is encoder else [])
-    best = [np.empty_like(a) for a in moving]  # epoch 0 always fills it: accuracy is in [0, 1] and max_epochs >= 1
+    # What training moves: the whole state (parameters, running statistics), or only the head's values.
+    moving = encoder.state_array if model is encoder else optimizer.buffer.values
+    best = np.empty_like(moving)  # epoch 0 always fills it: accuracy is in [0, 1] and max_epochs >= 1
     best_acc = -1.0
     best_epoch = -1
     bad_epochs = 0
@@ -174,16 +174,14 @@ def _run_training(
         if acc > best_acc:
             best_acc = acc
             best_epoch = epoch
-            for dst, src in zip(best, moving):
-                dst[...] = src
+            best[...] = moving
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 logger.info("early stop after %d non-improving epochs", bad_epochs)
                 break
-    for dst, src in zip(moving, best):
-        dst[...] = src
+    moving[...] = best
     return TrainResult(encoder.state(), encoder.config, log, best_epoch, best_acc, meta)
 
 
@@ -267,10 +265,8 @@ def adapt(
 
 
 def save_encoder(path, result: TrainResult) -> None:
-    cfg = result.encoder_config
-    meta = dict(result.meta)
-    meta["encoder"] = asdict(cfg)
-    tensors = [(name, result.state[name]) for name in cfg.tensor_names()]
+    meta = {**result.meta, "encoder": asdict(result.encoder_config)}
+    tensors = [(name, result.state[name]) for name, _ in result.encoder_config.tensor_shapes()]
     save_checkpoint(path, tensors, meta)
 
 
@@ -283,25 +279,13 @@ def load_encoder(path) -> tuple[MLPEncoder, dict]:
         cfg = EncoderConfig(**{f.name: enc_meta[f.name] for f in fields(EncoderConfig)})
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
-    if len(tensors) != 6 * cfg.num_hidden + 2:  # before tensor_names() lists num_hidden layers
+    if len(tensors) != 6 * cfg.num_hidden + 2:  # before tensor_shapes() lists num_hidden layers
         raise CorruptCheckpoint(
             f"{path}: {len(tensors)} tensors for num_hidden {cfg.num_hidden} "
             f"(expected {6 * cfg.num_hidden + 2})"
         )
-    expected = set(cfg.tensor_names())
-    if set(tensors) != expected:
-        raise CorruptCheckpoint(
-            f"{path}: tensor names do not match the encoder config "
-            f"(missing {sorted(expected - set(tensors))[:3]}, "
-            f"unexpected {sorted(set(tensors) - expected)[:3]})"
-        )
-    # Bounds the encoder built below by the payload's size.
-    n_values = cfg.param_count() + 2 * cfg.num_hidden * cfg.hidden_dim
-    if n_values != sum(t.size for t in tensors.values()):
-        raise CorruptCheckpoint(f"{path}: tensor sizes do not add up to the encoder config")
-    encoder = MLPEncoder(cfg, seed=0)
-    try:
-        encoder.set_state(tensors)
-    except ShapeError as e:
-        raise CorruptCheckpoint(f"{path}: {e}") from e
-    return encoder, meta
+    for (name, arr), (want, shape) in zip(tensors.items(), cfg.tensor_shapes()):
+        if (name, arr.shape) != (want, shape):
+            raise CorruptCheckpoint(f"{path}: tensor {name} {arr.shape} where the encoder config has {want} {shape}")
+    # So the tensors tile the payload in the encoder's order: the array they view is its state array.
+    return MLPEncoder.from_state(cfg, next(iter(tensors.values())).base), meta

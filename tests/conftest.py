@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from geomshot.dataio import build_catalog, save_split, stratified_split
+from geomshot.nnet import ParamBuffer, ParamTensor
 from geomshot.synth import SynthSpec, generate_corpus
 
 # Every property test draws the same examples on every run and machine, with
@@ -20,6 +21,14 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def packed(*params: ParamTensor) -> ParamBuffer:
+    """A buffer over two new flat arrays, with ``params`` moved in."""
+    size = sum(p.values.size for p in params)
+    buffer = ParamBuffer(np.empty(size), np.empty(size))
+    buffer.add(list(params))
+    return buffer
 
 
 def random_hand(rng: np.random.Generator) -> np.ndarray:

@@ -469,6 +469,18 @@ def _negative_byte_offset(header):
     return header
 
 
+def _swap_fc1_bias_and_bn1_gamma(header):
+    # Both are (hidden_dim,): every name and shape is right, but not in the encoder's order.
+    first, second = header["tensors"][1], header["tensors"][2]
+    first["name"], second["name"] = second["name"], first["name"]
+    return header
+
+
+def _pad_header_past_one_mib(header):
+    header["meta"]["pad"] = "x" * (1 << 20)
+    return header
+
+
 def _set_tensor_field(index, field, value):
     def mutate(header):
         header["tensors"][index][field] = value
@@ -501,11 +513,13 @@ def save_random_encoder(ckpt):
      _set_tensor_field(0, "shape", [20.7, 32]), _set_tensor_field(0, "shape", [32, 20]),
      _set_encoder_field("hidden_dim", 10**9), _set_encoder_field("hidden_dim", 32.5),
      _set_encoder_field("num_hidden", 2.0), _set_encoder_field("num_hidden", True),
-     _set_encoder_field("embed_dim", "16"), _set_encoder_field("dropout_p", "0.3")],
+     _set_encoder_field("embed_dim", "16"), _set_encoder_field("dropout_p", "0.3"),
+     _swap_fc1_bias_and_bn1_gamma, _pad_header_past_one_mib],
     ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
          "negative-byte-offset", "huge-num-hidden", "overlapping-byte-offset", "bool-byte-offset",
          "list-name", "float-shape", "transposed-shape", "huge-hidden-dim", "float-hidden-dim",
-         "float-num-hidden", "bool-num-hidden", "string-embed-dim", "string-dropout-p"],
+         "float-num-hidden", "bool-num-hidden", "string-embed-dim", "string-dropout-p",
+         "same-shape-names-swapped", "header-over-1-mib"],
 )
 def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
     ckpt = tmp_path / "encoder.ckpt"

@@ -176,6 +176,17 @@ class TestCheckpoint:
         assert sum(a.nbytes for a in tensors.values()) == payload
         assert peak <= payload + 64 * 1024
 
+    def test_header_line_over_the_limit_is_refused_after_reading_about_the_limit(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        path.write_bytes(b"x" * (8 << 20))  # no newline
+
+        def refuse():
+            with pytest.raises(CorruptCheckpoint, match=r"enc\.ckpt: header line longer than 1048576 bytes$"):
+                load_checkpoint(path)
+
+        _, peak = traced_peak(refuse)
+        assert peak < 3 << 20  # 2.03 MiB measured; the whole line would be 8 MiB
+
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "enc.ckpt"
         for header in (b"\x00\x01\x02 not json", b"[" * 100_000):  # the second nests too deep
@@ -196,7 +207,54 @@ class TestCheckpoint:
                          f"bn{i}.running_mean", f"bn{i}.running_var"}
         expected |= {"head.weight", "head.bias"}
         assert set(tensors) == expected
-        assert expected == set(cfg.tensor_names())
+        assert expected == {name for name, _ in cfg.tensor_shapes()}
+        assert [(name, t.shape) for name, t in tensors.items()] == cfg.tensor_shapes()  # the payload order
+
+
+def named_state_arrays(enc: MLPEncoder) -> dict[str, np.ndarray]:
+    """Each parameter's values and each BatchNorm's running statistics, as the layers hold them."""
+    arrays = {p.name: p.values for p in enc.parameters()}
+    for i, bn in enumerate(enc.layers[1::4], start=1):
+        arrays[f"bn{i}.running_mean"], arrays[f"bn{i}.running_var"] = bn.running_mean, bn.running_var
+    return arrays
+
+
+def test_every_tensor_is_a_view_of_the_state_array_in_payload_order(tmp_path, monkeypatch):
+    enc = MLPEncoder(EncoderConfig(input_dim=20, hidden_dim=32, embed_dim=16), seed=16)
+    enc.state_array[...] = np.arange(enc.state_array.size)
+    state = enc.state()
+    assert list(state) == [name for name, _ in enc.config.tensor_shapes()]
+    for name, arr in named_state_arrays(enc).items():
+        assert np.shares_memory(arr, enc.state_array) and np.array_equal(arr, state[name]), name
+    path = tmp_path / "enc.ckpt"
+    save_encoder(path, TrainResult(state, enc.config, [], -1, 0.0, {}))
+    payloads = []
+
+    def recording_load(path):
+        meta, tensors = load_checkpoint(path)
+        payloads.append(tensors)
+        return meta, tensors
+
+    monkeypatch.setattr("geomshot.pipeline.load_checkpoint", recording_load)
+    loaded, _ = load_encoder(path)
+    assert np.array_equal(loaded.state_array, enc.state_array)
+    for arr in list(payloads[0].values()) + list(named_state_arrays(loaded).values()):
+        assert np.shares_memory(arr, loaded.state_array)
+
+
+def test_init_load_and_save_hold_no_second_copy_of_the_state(tmp_path):
+    cfg = EncoderConfig(input_dim=83)
+    enc, init_peak = traced_peak(lambda: MLPEncoder(cfg, seed=0))
+    # A layer's init and zero gradient exist before they move in: fc2's weight is the largest.
+    fc2 = enc.layers[4].weight.values.nbytes
+    bound = enc.state_array.nbytes + enc.flat.grad.nbytes + 2 * fc2 + 64 * 1024
+    result = TrainResult(enc.state(), cfg, [], -1, 0.0, {})
+    path = tmp_path / "enc.ckpt"
+    _, save_peak = traced_peak(lambda: save_encoder(path, result))
+    _, load_peak = traced_peak(lambda: load_encoder(path))
+    assert init_peak <= bound  # 2.92 MiB
+    assert load_peak <= bound
+    assert save_peak <= 64 * 1024
 
 
 @pytest.fixture(scope="module")

@@ -163,7 +163,9 @@ class TestParamBuffer:
     def test_tensors_and_buffer_share_memory_both_ways(self):
         a = ParamTensor("a", np.arange(6.0).reshape(2, 3))
         b = ParamTensor("b", np.array([7.0, 8.0]))
-        buf = ParamBuffer([a, b])
+        buf = ParamBuffer(np.empty(8), np.empty(8))
+        buf.add([a])
+        buf.add([b])
         assert np.array_equal(buf.values, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
         assert a.values.shape == (2, 3) and a.grad.shape == (2, 3)
         a.values[1, 2] = -1.0
@@ -177,7 +179,8 @@ class TestParamBuffer:
 
     def test_tail_is_a_view_of_the_last_tensors(self):
         a, b, c = (ParamTensor(n, np.zeros(k)) for n, k in (("a", 3), ("b", 2), ("c", 1)))
-        buf = ParamBuffer([a, b, c])
+        buf = ParamBuffer(np.empty(6), np.empty(6))
+        buf.add([a, b, c])
         tail = buf.tail(2)
         assert tail.params == [b, c]
         tail.values[:] = [1.0, 2.0, 3.0]
@@ -186,6 +189,16 @@ class TestParamBuffer:
         tail.grad.fill(4.0)
         assert np.array_equal(buf.grad, [0.0, 0.0, 0.0, 4.0, 4.0, 4.0])
         assert buf.tail(0).values.size == 0
+
+    def test_add_with_keep_values_keeps_the_array_and_copies_the_gradient(self):
+        a = ParamTensor("a", np.full((2, 2), 5.0))
+        a.grad[...] = 3.0
+        values = np.array([0.0, 1.0, 2.0, 3.0, 9.0])  # room for a tensor added later
+        buf = ParamBuffer(values, np.empty(5))
+        buf.add([a], keep_values=True)
+        assert np.array_equal(a.values, [[0.0, 1.0], [2.0, 3.0]]) and np.shares_memory(a.values, values)
+        assert np.array_equal(buf.grad[:4], [3.0] * 4)
+        assert values[4] == 9.0
 
 
 # -- bit-for-bit against the expressions the layers used before they computed in place --------

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import packed
+
 from geomshot.errors import NonFiniteGradient
 from geomshot.nnet import (
     AdamW,
     EncoderConfig,
     MLPEncoder,
-    ParamBuffer,
     ParamTensor,
     clip_global_norm,
     cosine_lr,
@@ -26,7 +27,7 @@ def scalar_param(value=0.0, grad=0.0):
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = scalar_param(value=0.37)
-        opt = AdamW(ParamBuffer([p]), lr=1e-4, weight_decay=0.0)
+        opt = AdamW(packed(p), lr=1e-4, weight_decay=0.0)
         opt.step()
         assert p.values[0] == 0.37
 
@@ -35,20 +36,20 @@ class TestAdamW:
         # w=0, g=1, zero moments: m_hat = v_hat = 1, decay does nothing at 0,
         # so w1 = -lr * 1 / (sqrt(1) + eps)
         p = scalar_param(value=0.0, grad=1.0)
-        opt = AdamW(ParamBuffer([p]), lr=1e-4, weight_decay=1e-4, clip_norm=1.0)
+        opt = AdamW(packed(p), lr=1e-4, weight_decay=1e-4, clip_norm=1.0)
         opt.step()
         expected = -1e-4 / (1.0 + 1e-8)
         assert p.values[0] == pytest.approx(expected, rel=1e-15)
 
     def test_decay_term_applies_to_nonzero_weight(self):
         p = scalar_param(value=1.0, grad=0.0)
-        opt = AdamW(ParamBuffer([p]), lr=1e-3, weight_decay=0.1, clip_norm=None)
+        opt = AdamW(packed(p), lr=1e-3, weight_decay=0.1, clip_norm=None)
         opt.step()
         assert p.values[0] == pytest.approx(1.0 * (1 - 1e-3 * 0.1))
 
     def test_nonfinite_gradient_aborts_without_mutation(self):
         p = scalar_param(value=0.5, grad=np.nan)
-        opt = AdamW(ParamBuffer([p]))
+        opt = AdamW(packed(p))
         with pytest.raises(NonFiniteGradient):
             opt.step()
         assert p.values[0] == 0.5
@@ -57,7 +58,7 @@ class TestAdamW:
     def test_parameters_stay_finite_over_many_steps(self):
         rng = np.random.default_rng(0)
         p = ParamTensor("w", rng.normal(size=(8, 8)))
-        opt = AdamW(ParamBuffer([p]), lr=1e-2)
+        opt = AdamW(packed(p), lr=1e-2)
         for _ in range(200):
             p.grad[...] = rng.normal(size=(8, 8)) * 100
             opt.step()
@@ -174,7 +175,7 @@ class TestClipping:
     def test_norm_ten_scaled_by_point_one(self):
         p = ParamTensor("w", np.zeros(4))
         p.grad[...] = [10.0, 0.0, 0.0, 0.0]
-        factor = clip_global_norm(ParamBuffer([p]), 1.0)
+        factor = clip_global_norm(packed(p), 1.0)
         assert factor == pytest.approx(0.1)
         assert np.allclose(p.grad, [1.0, 0.0, 0.0, 0.0])
 
@@ -183,14 +184,14 @@ class TestClipping:
         b = ParamTensor("b", np.zeros(1))
         a.grad[...] = 3.0
         b.grad[...] = 4.0
-        clip_global_norm(ParamBuffer([a, b]), 1.0)  # joint norm 5
+        clip_global_norm(packed(a, b), 1.0)  # joint norm 5
         assert a.grad[0] == pytest.approx(0.6)
         assert b.grad[0] == pytest.approx(0.8)
 
     def test_below_threshold_untouched(self):
         p = ParamTensor("w", np.zeros(2))
         p.grad[...] = [0.3, 0.4]
-        assert clip_global_norm(ParamBuffer([p]), 1.0) == 1.0
+        assert clip_global_norm(packed(p), 1.0) == 1.0
         assert np.allclose(p.grad, [0.3, 0.4])
 
 
