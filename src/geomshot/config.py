@@ -4,7 +4,11 @@
 and checkpoint header lines (JSON). Text that is not UTF-8, does not parse,
 repeats a key within one mapping or nests too deeply is one line of the
 caller's error class naming the path, and the line and column where the
-parser gives them.
+parser gives them. A YAML text whose ``[``/``{`` brackets, counted
+against ``]``/``}`` and quotes ignored, nest deeper than
+``MAX_FLOW_DEPTH`` is refused as nested too deeply before PyYAML's
+scanner runs, because that scanner's work grows with the square of the
+depth of a flow nest written on one line.
 
 Every config document carries ``schema_version: 1``; unknown keys at any
 level are errors so typos in experiment grids fail loudly instead of
@@ -21,6 +25,7 @@ got <repr>``, raised before any run directory exists. PyYAML reads YAML
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -31,6 +36,8 @@ from .geometry import REPRESENTATIONS
 from .schema import check_fields, setting
 
 SCHEMA_VERSION = 1
+MAX_FLOW_DEPTH = 100  # PyYAML scans a one-line nest this deep in about 7 ms; a config needs 2
+_FLOW_BRACKET = re.compile(r"[][{}]")
 
 
 class _StrictLoader(yaml.SafeLoader):
@@ -58,6 +65,15 @@ def _unique_keys(pairs: list) -> dict:
 _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads(hook=...) builds a decoder per call
 
 
+def _flow_depth_over_limit(text: str) -> bool:
+    depth = 0
+    for bracket in _FLOW_BRACKET.findall(text):
+        depth += 1 if bracket in "[{" else -1
+        if depth > MAX_FLOW_DEPTH:
+            return True
+    return False
+
+
 def read_document(path, error: type[GeomshotError], data: bytes | None = None, *, yaml_syntax: bool = False):
     """Parse ``data``, else the file at ``path``, as UTF-8 YAML or JSON; each fault is one ``error`` line.
 
@@ -65,6 +81,8 @@ def read_document(path, error: type[GeomshotError], data: bytes | None = None, *
     """
     try:
         text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
+        if yaml_syntax and _flow_depth_over_limit(text):
+            raise RecursionError  # refused as the parser's own recursion limit refuses a deeper nest
         return yaml.load(text, Loader=_StrictLoader) if yaml_syntax else _JSON.decode(text)
     except UnicodeDecodeError as e:
         problem = f"not UTF-8 ({e.reason} at byte {e.start})"

@@ -36,8 +36,9 @@ class EpisodeSpec:
 class Episode:
     """Support/query items with relabelled classes.
 
-    ``class_map`` maps original class ids to relabelled ids 0..N-1;
-    items are whatever the pool lists contain (samples, indices, ...).
+    ``class_map`` maps original class ids, in draw order, to relabelled
+    ids 0..N-1, so ``list(class_map)`` is the drawn classes; items are
+    whatever the pool lists contain (samples, indices, ...).
     """
 
     class_map: dict[Any, int]
@@ -45,11 +46,6 @@ class Episode:
     support_labels: np.ndarray
     query_items: list
     query_labels: np.ndarray
-
-    @property
-    def original_classes(self) -> list:
-        inv = {v: k for k, v in self.class_map.items()}
-        return [inv[i] for i in range(len(inv))]
 
 
 @dataclass

@@ -25,14 +25,13 @@ baseline) W is updated directly. Both forms share one loop body over
 workspaces allocated once per fit. Episodes depend only on the pool's
 labels and the spec, so the normalization ablation draws each K's episodes
 once and scores all three settings' feature matrices on them.
-Report JSON is emitted with sorted keys and no timestamps, making
-back-to-back runs byte-identical.
+A report holds no timestamps (``EvalReport.to_doc``), so the report
+JSON of back-to-back runs is byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -92,9 +91,6 @@ class EvalReport:
             "per_class_accuracy": {str(k): v for k, v in sorted(self.per_class_accuracy.items())},
             "confusion": [[t, p, c] for (t, p), c in sorted(self.confusion.items())],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
     @staticmethod
     def from_doc(doc: dict) -> "EvalReport":
@@ -380,19 +376,6 @@ def multi_seed(run_fn, seeds: tuple[int, ...] = (42, 1337, 2024)) -> dict:
         "seeds": list(seeds),
         "per_seed_mean": {str(s): per_seed[s] for s in seeds},
         "across_seed_std": float(means.std(ddof=1)) if len(seeds) > 1 else 0.0,
-    }
-
-
-def error_analysis(report: EvalReport) -> dict:
-    """Per-class accuracy ranking (hardest first) and top confused pairs."""
-    ranking = sorted(report.per_class_accuracy.items(), key=lambda kv: (kv[1], kv[0]))
-    confused = [
-        (t, p, c) for (t, p), c in report.confusion.items() if t != p
-    ]
-    confused.sort(key=lambda row: (-row[2], row[0], row[1]))
-    return {
-        "per_class_ranking": [[c, acc] for c, acc in ranking],
-        "top_confused": [[t, p, c] for t, p, c in confused],
     }
 
 

@@ -102,16 +102,6 @@ class FeatureVector:
     values: np.ndarray
     degenerate: bool = False
 
-    def __post_init__(self):
-        if self.kind not in FEATURE_DIMS:
-            raise ShapeError(f"unknown feature kind {self.kind!r}")
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (FEATURE_DIMS[self.kind],):
-            raise ShapeError(
-                f"{self.kind} features must have length {FEATURE_DIMS[self.kind]}, "
-                f"got shape {self.values.shape}"
-            )
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -127,14 +117,6 @@ class SimilarityTransform:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "scale", float(scale))
-
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """Transform equivalent to applying ``other`` first, then ``self``."""
-        return SimilarityTransform(
-            rotation=self.rotation @ other.rotation,
-            scale=self.scale * other.scale,
-            translation=self.scale * self.rotation @ other.translation + self.translation,
-        )
 
 
 def rotation_errors(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,26 +328,17 @@ def draw_similarity(rng: np.random.Generator, log_scale_range: tuple[float, floa
     return q, scale, rng.uniform(-translate_max, translate_max, size=3)
 
 
-def sample_similarity(
-    rng: np.random.Generator,
+def random_transform(
+    rng_seed: int,
     scale_range: tuple[float, float] = (0.1, 10.0),
     translate_max: float = 10.0,
 ) -> SimilarityTransform:
-    """Random similarity transform drawn from ``rng`` by ``draw_similarity``.
+    """Random similarity transform drawn by ``draw_similarity`` from the generator of ``rng_seed``.
 
     Rotation is uniform over SO(3) (normalized quaternion from 4 standard
     normals), scale is log-uniform over ``scale_range`` and translation is
     uniform in the cube [-translate_max, translate_max]^3.
     """
     lo, hi = scale_range
-    q, scale, translation = draw_similarity(rng, (np.log(lo), np.log(hi)), translate_max)
+    q, scale, translation = draw_similarity(make_rng(rng_seed), (np.log(lo), np.log(hi)), translate_max)
     return SimilarityTransform(rotation_from_quaternion(q), scale, translation)
-
-
-def random_transform(
-    rng_seed: int,
-    scale_range: tuple[float, float] = (0.1, 10.0),
-    translate_max: float = 10.0,
-) -> SimilarityTransform:
-    """Deterministic ``sample_similarity`` for a given seed."""
-    return sample_similarity(make_rng(rng_seed), scale_range, translate_max)

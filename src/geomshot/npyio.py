@@ -7,12 +7,16 @@ header layout numpy uses, so write(load(p)) round-trips byte-identically
 for float64 C-order inputs.
 
 A file is written with one ``os.write`` (a constant preamble plus the
-payload) and read with ``os.read`` to end of file, unbuffered. If the
-bytes start with one of the two canonical preambles (magic, v1.0 and the
-header numpy writes for a (21, 3) ``<f8`` or ``<f4`` array), the header
-is known without parsing; any other file goes through the general header
-parser. Both routes end in the same payload length check, decode and
-finiteness check. Bytes after the payload are ignored.
+payload) and read unbuffered with ``os.read``, at most ``READ_LIMIT``
+bytes: a v2.0 preamble, numpy's own 10,000-byte header limit
+(``MAX_HEADER_BYTES``) and a float64 payload. So a large file costs no
+more than a valid one before it is refused; a longer header is refused as
+field ``header``, as numpy's reader refuses it. If the bytes start with
+one of the two canonical preambles (magic, v1.0 and the header numpy
+writes for a (21, 3) ``<f8`` or ``<f4`` array), the header is known
+without parsing; any other file goes through the general header parser.
+Both routes end in the same payload length check, decode and finiteness
+check. Bytes after the payload are ignored.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ _MAGIC = b"\x93NUMPY"
 _SUPPORTED_DESCR = {"<f4": np.float32, "<f8": np.float64}
 _EXPECTED_SHAPE = (NUM_KEYPOINTS, 3)
 _EXPECTED_VALUES = NUM_KEYPOINTS * 3
-_READ_CHUNK = 1 << 16
+MAX_HEADER_BYTES = 10_000  # numpy's default max_header_size
+READ_LIMIT = 12 + MAX_HEADER_BYTES + _EXPECTED_VALUES * 8
 
 
 def _read_header(data: bytes, path) -> tuple[dict, int]:
@@ -44,7 +49,10 @@ def _read_header(data: bytes, path) -> tuple[dict, int]:
     start = 10 if major == 1 else 12  # a 2-byte (v1.0) or 4-byte (v2.0) little-endian header length
     if len(data) < start:
         raise FormatError("header", f"{path}: truncated header length")
-    end = start + int.from_bytes(data[8:start], "little")
+    length = int.from_bytes(data[8:start], "little")
+    if length > MAX_HEADER_BYTES:
+        raise FormatError("header", f"{path}: header of {length} bytes is longer than {MAX_HEADER_BYTES}")
+    end = start + length
     if len(data) < end:
         raise FormatError("header", f"{path}: truncated header")
     try:
@@ -72,11 +80,15 @@ def _parse_header(data: bytes, path) -> tuple[np.dtype, int]:
 
 def load_keypoints(path) -> np.ndarray:
     """Read one keypoint file; returns a float64 array of shape (21, 3)."""
+    chunks, left = [], READ_LIMIT
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = b"".join(iter(lambda: os.read(fd, _READ_CHUNK), b""))
+        while left and (chunk := os.read(fd, left)):
+            chunks.append(chunk)
+            left -= len(chunk)
     finally:
         os.close(fd)
+    data = b"".join(chunks)
     dtype = _CANONICAL.get(data[:_CANONICAL_LEN])
     if dtype is None:
         dtype, offset = _parse_header(data, path)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from geomshot import cli
 from geomshot.cli import RUNS, build_parser, main
-from geomshot.config import DataConfig, read_document
+from geomshot.config import MAX_FLOW_DEPTH, DataConfig, read_document
 from geomshot.errors import InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
 from geomshot.geometry import REPRESENTATIONS
@@ -813,6 +813,36 @@ def test_an_explicit_key_may_override_a_yaml_merge(tmp_path):
     assert doc["x"] == {"a": 3, "z": 0} and doc["y"] == {"a": 1, "z": 0, "q": 1}
 
 
+def test_a_one_line_flow_nest_is_refused_before_the_yaml_scanner_runs(tmp_path, monkeypatch):
+    path = tmp_path / "deep.yaml"
+    path.write_bytes(FAULTS["deep-yaml-one-line"])
+
+    def scanner(*args, **kwargs):
+        raise AssertionError("yaml.load ran")
+
+    monkeypatch.setattr(yaml, "load", scanner)
+    with pytest.raises(InvalidConfig) as info:
+        read_document(path, InvalidConfig, yaml_syntax=True)
+    assert str(info.value) == f"{path}: nested too deeply"
+
+
+@pytest.mark.parametrize("text, refused", [
+    ("[" * MAX_FLOW_DEPTH + "]" * MAX_FLOW_DEPTH, False),
+    ("{a: " * MAX_FLOW_DEPTH + "1" + "}" * MAX_FLOW_DEPTH, False),
+    ("[" * (MAX_FLOW_DEPTH + 1) + "]" * (MAX_FLOW_DEPTH + 1), True),
+    ("[" + "{a: " * MAX_FLOW_DEPTH + "1" + "}" * MAX_FLOW_DEPTH + "]", True),
+    ("- " * 2_000 + "1", True),  # block nesting has no brackets: the parser's recursion limit refuses it
+], ids=["flow-at-limit", "mapping-at-limit", "flow-over-limit", "mixed-over-limit", "deep-block"])
+def test_yaml_nesting_limit(tmp_path, text, refused):
+    path = tmp_path / "nest.yaml"
+    path.write_text(text)
+    if refused:
+        with pytest.raises(InvalidConfig, match="nested too deeply$"):
+            read_document(path, InvalidConfig, yaml_syntax=True)
+    else:
+        read_document(path, InvalidConfig, yaml_syntax=True)
+
+
 @pytest.fixture(scope="module")
 def fault_corpus(tmp_path_factory):
     """A 4-class synth corpus with its split and an untrained angle checkpoint, read by the fault tests."""
@@ -831,8 +861,9 @@ FAULTS = {
     "open-flow-node": b"data: {data_root: [",
     "tab-in-flow-mapping": b"data: {a: 1,\tb: 2}",
     "deep-json": b"[" * 100_000 + b"]" * 100_000,
-    # One bracket a line: on a single line PyYAML's scanner takes over a second to look ahead for a key.
     "deep-yaml": b"[\n" * 5_000 + b"]\n" * 5_000,
+    # PyYAML's scanner takes over a second on this line; the flow-depth screen refuses it first.
+    "deep-yaml-one-line": b"[" * 5_000 + b"]" * 5_000,
     "top-level-list": b"[1, 2]",
     "directory": None,
     "missing": None,

@@ -38,7 +38,7 @@ def assert_matches_reference(pool, spec, count):
         at = EpisodeSpec(n, k, q, spec.base_seed, spec.episode_index + e)
         classes, support, query = reference_episode(pool, at)
         one = sample_episode(pool, at)
-        assert one.original_classes == classes and one.support_items == support and one.query_items == query
+        assert list(one.class_map) == classes and one.support_items == support and one.query_items == query
         assert batch.classes[e].tolist() == classes
         assert batch.support[e].tolist() == support and batch.query[e].tolist() == query
 
@@ -90,7 +90,7 @@ def test_relabels_in_draw_order():
     # the first drawn class labels the first K support items
     first_item_class = int(ep.support_items[0][1])  # "c<id>s<idx>"
     assert ep.class_map[first_item_class] == 0
-    assert ep.original_classes[0] == first_item_class
+    assert list(ep.class_map)[0] == first_item_class
 
 
 def test_insufficient_classes():
@@ -150,10 +150,9 @@ def test_episode_draws_disjoint_rows_labelled_in_draw_order(case, dims):
     assert len(set(ep.support_items)) == n * k and len(set(ep.query_items)) == n * q
     assert not set(ep.support_items) & set(ep.query_items)
     assert list(ep.class_map.values()) == list(range(n))
-    assert ep.original_classes == list(ep.class_map)
     assert ep.support_labels.tolist() == [j for j in range(n) for _ in range(k)]
     assert ep.query_labels.tolist() == [j for j in range(n) for _ in range(q)]
-    for j, c in enumerate(ep.original_classes):
+    for j, c in enumerate(ep.class_map):
         assert set(ep.support_items[j * k : (j + 1) * k]) <= set(pool[c])
         assert set(ep.query_items[j * q : (j + 1) * q]) <= set(pool[c])
 

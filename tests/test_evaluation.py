@@ -20,7 +20,6 @@ from geomshot.evaluation import (
     ci95_halfwidth,
     episode_linear_baseline,
     episode_rows,
-    error_analysis,
     evaluate,
     fit_softmax_regression,
     full_data_linear,
@@ -62,14 +61,14 @@ class TestEvaluate:
     def test_fixed_seed_bit_identical_json(self):
         fp = noise_pool()
         spec = EvalSpec(5, 5, 15, 50, 42)
-        a = evaluate(None, fp, spec).to_json()
-        b = evaluate(None, fp, spec).to_json()
+        a = evaluate(None, fp, spec).to_doc()
+        b = evaluate(None, fp, spec).to_doc()
         assert a == b
 
     def test_identity_encoder_equals_input_space_bitwise(self):
         fp = gaussian_pool(per_class=25)
         spec = EvalSpec(3, 2, 3, 40, 7)
-        assert evaluate(None, fp, spec).to_json() == input_space_baseline(fp, spec).to_json()
+        assert evaluate(None, fp, spec).to_doc() == input_space_baseline(fp, spec).to_doc()
 
     def test_one_shot_equals_nearest_support(self):
         fp = noise_pool(seed=3)
@@ -121,7 +120,7 @@ def reference_protocol(embed, predict, fp, spec, echo):
         ep = sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
         emb_s, emb_q = embed(fp.X[ep.support_items]), embed(fp.X[ep.query_items])
         pred = predict(emb_s, ep.support_labels, emb_q, spec.n_way)
-        originals = ep.original_classes
+        originals = list(ep.class_map)
         for true_rel, pred_rel in zip(ep.query_labels, pred):
             t, p = originals[int(true_rel)], originals[int(pred_rel)]
             correct[t] = correct.get(t, 0) + int(t == p)
@@ -155,11 +154,11 @@ class TestEmbedOnceMatchesPerEpisodeEmbedding:
 
     def test_encoder(self):
         expected = reference_protocol(self.embed, self.proto, self.fp, self.spec, {"encoder": "mlp"})
-        assert evaluate(self.encoder, self.fp, self.spec).to_json() == expected.to_json()
+        assert evaluate(self.encoder, self.fp, self.spec).to_doc() == expected.to_doc()
 
     def test_input_space(self):
         expected = reference_protocol(lambda x: x, self.proto, self.fp, self.spec, {"encoder": "none"})
-        assert evaluate(None, self.fp, self.spec).to_json() == expected.to_json()
+        assert evaluate(None, self.fp, self.spec).to_doc() == expected.to_doc()
 
     def test_episode_linear(self):
         def linear(emb_s, labels_s, emb_q, n_way):
@@ -170,7 +169,7 @@ class TestEmbedOnceMatchesPerEpisodeEmbedding:
         echo = {"encoder": "mlp", "classifier": "episode_linear"}
         expected = reference_protocol(self.embed, linear, self.fp, spec, echo)
         report = episode_linear_baseline(self.encoder, self.fp, spec, iters=40)
-        assert report.to_json() == expected.to_json()
+        assert report.to_doc() == expected.to_doc()
 
 
 def reference_ablation(build_pool, ks, spec):
@@ -439,36 +438,6 @@ class TestMultiSeed:
         mean = sum(means) / 3
         expected = math.sqrt(sum((m - mean) ** 2 for m in means) / 2)
         assert agg1["across_seed_std"] == pytest.approx(expected, abs=1e-12)
-
-
-class TestErrorAnalysis:
-    def test_perfect_classifier_has_no_confused_pairs(self):
-        fp = gaussian_pool(per_class=25, sep=100.0, seed=10)
-        report = evaluate(None, fp, EvalSpec(3, 2, 3, 30, 1))
-        assert report.mean_accuracy == 1.0
-        assert error_analysis(report)["top_confused"] == []
-
-    def test_symmetric_confusion_reported_both_ways(self):
-        from geomshot.evaluation import EvalReport
-
-        report = EvalReport(
-            episode_accuracies=[0.5],
-            mean_accuracy=0.5,
-            ci95_halfwidth=0.0,
-            per_class_accuracy={0: 0.5, 1: 0.5},
-            confusion={(0, 0): 10, (0, 1): 10, (1, 0): 10, (1, 1): 10},
-        )
-        analysis = error_analysis(report)
-        assert [0, 1, 10] in analysis["top_confused"]
-        assert [1, 0, 10] in analysis["top_confused"]
-        assert len(analysis["top_confused"]) == 2
-
-    def test_ranking_sorted_by_accuracy(self):
-        from geomshot.evaluation import EvalReport
-
-        report = EvalReport([], 0.0, 0.0, {3: 0.9, 1: 0.2, 2: 0.7}, {})
-        ranking = error_analysis(report)["per_class_ranking"]
-        assert ranking == [[1, 0.2], [2, 0.7], [3, 0.9]]
 
 
 class TestOnSynthCorpus:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from geomshot import npyio
 from geomshot.errors import FormatError, InvalidKeypoints
 from geomshot.npyio import load_keypoints, write_keypoints
+from conftest import traced_peak
 
 
 def test_reads_float64_file(tmp_path):
@@ -221,18 +222,48 @@ def test_canonical_files_skip_header_parsing(tmp_path, monkeypatch):
         load_keypoints(tmp_path / "v2.npy")
 
 
-@pytest.mark.parametrize("kind", ["long_v2_header", "long_trailing_bytes"])
-def test_file_larger_than_one_read_chunk(tmp_path, kind):
+def _padded_header(length: int) -> str:
+    """A valid (21, 3) ``<f8`` header dict, space-padded to ``length`` bytes with its newline."""
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (21, 3), }"
+    return header + " " * (length - len(header) - 1) + "\n"
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)], ids=["v1.0", "v2.0"])
+def test_header_over_numpys_limit_is_refused_as_numpy_refuses_it(tmp_path, version):
     p = tmp_path / "h.npy"
-    padding = npyio._READ_CHUNK + 100
-    if kind == "long_v2_header":
-        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (21, 3), }" + " " * padding + "\n"
-        p.write_bytes(_npy_bytes(header, _ROUTE_ARR.tobytes(), (2, 0)))
-    else:
-        write_keypoints(p, _ROUTE_ARR)
-        p.write_bytes(p.read_bytes() + b"\x00" * padding)
-    assert p.stat().st_size > npyio._READ_CHUNK
+    p.write_bytes(_npy_bytes(_padded_header(npyio.MAX_HEADER_BYTES), _ROUTE_ARR.tobytes(), version))
     assert np.array_equal(load_keypoints(p), _ROUTE_ARR)
+    assert np.array_equal(np.load(p), _ROUTE_ARR)
+    p.write_bytes(_npy_bytes(_padded_header(npyio.MAX_HEADER_BYTES + 1), _ROUTE_ARR.tobytes(), version))
+    with pytest.raises(FormatError) as info:
+        load_keypoints(p)
+    assert info.value.field == "header"
+    with pytest.raises(ValueError, match="max_header_size"):
+        np.load(p)
+
+
+def test_short_reads_are_continued_up_to_the_read_limit(tmp_path, monkeypatch):
+    p = tmp_path / "h.npy"
+    write_keypoints(p, _ROUTE_ARR)
+    p.write_bytes(p.read_bytes() + b"\x00" * (npyio.READ_LIMIT + 100))
+    real_read, returned = os.read, []
+    monkeypatch.setattr(os, "read", lambda fd, n: returned.append(real_read(fd, min(n, 50))) or returned[-1])
+    assert np.array_equal(load_keypoints(p), _ROUTE_ARR)
+    assert sum(map(len, returned)) == npyio.READ_LIMIT
+
+
+def test_large_wrong_shape_file_is_refused_without_reading_it(tmp_path):
+    p = tmp_path / "big.npy"
+    np.save(p, np.zeros((20_000, 21, 3)))
+    assert p.stat().st_size >= 10_000_000
+
+    def refusal():
+        with pytest.raises(FormatError) as info:
+            load_keypoints(p)
+        return info.value.field
+
+    field, peak = traced_peak(refusal)
+    assert field == "shape" and peak < 64 * 1024
 
 
 @pytest.mark.parametrize("name", [None, "missing.npy"], ids=["directory", "missing"])

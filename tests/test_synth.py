@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geomshot import synth
-from geomshot.geometry import CHAIN_BASES, joint_angles, sample_similarity
+from geomshot.geometry import CHAIN_BASES, draw_similarity, joint_angles, rotation_from_quaternion
 from geomshot.npyio import load_keypoints
 from geomshot.rng import STREAM_SYNTH_SAMPLE, make_rng
 from geomshot.synth import (
@@ -49,8 +49,8 @@ def reference_sample(spec, params, class_id, sample_idx):
     noisy[15:] = np.clip(noisy[15:], 0.02, 0.7)
     hand = reference_build_hand(noisy)
     if spec.transforms:
-        t = sample_similarity(rng, spec.scale_range, spec.translate_max)
-        hand = t.scale * hand @ t.rotation.T + t.translation
+        q, scale, translation = draw_similarity(rng, [np.log(b) for b in spec.scale_range], spec.translate_max)
+        hand = scale * hand @ rotation_from_quaternion(q).T + translation
     return hand
 
 
