@@ -19,7 +19,9 @@ applicable. ``split`` and ``export`` write one file with a
 ``<file>.manifest.json`` sidecar; ``synth`` writes a dataset tree with the
 manifest at its root. Every manifest embeds the resolved configuration,
 so a run is replayable from it alone. All of these files are written
-through ``_atomic``, so each is whole or absent.
+through ``config.write_atomic``, so each is whole or absent. Ctrl-C ends
+a command as one ``interrupted`` line and exit status 130; a run it stops
+leaves a manifest with ``status`` "failed".
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import config as cfgmod
+from .config import write_atomic, write_document
 from .dataio import build_catalog, eligible_pool, load_split, save_split, split_pool, stratified_split
 from .errors import ConfigMismatch, DegenerateProblem, GeomshotError
 from .evaluation import (ABLATION_SETTINGS, EvalReport, EvalSpec, ablation_normalization, episode_linear_baseline,
@@ -57,31 +60,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _atomic(path: Path, write: Callable[[Path], object]) -> None:
-    """Write ``path`` whole or not at all.
-
-    ``write(tmp)`` fills a temp file beside ``path``, which then replaces
-    it; if ``write`` raises, the temp file is removed and ``path`` is left
-    as it was. Missing parent directories are made.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _json(doc: dict) -> Callable[[Path], object]:
-    """An ``_atomic`` writer of ``doc`` as indented JSON with sorted keys."""
-    return lambda tmp: tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _sidecar_manifest(path: Path, command: str, config: dict, started_at: str, seed=None, **extra) -> None:
     doc = {"schema_version": 1, "command": command, "config": config, "output": str(path), "seed": seed,
            "started_at": started_at, "finished_at": _now(), **extra}
-    _atomic(path.with_name(path.name + ".manifest.json"), _json(doc))
+    write_document(path.with_name(path.name + ".manifest.json"), doc)
 
 
 def _data_section(catalog, pools: dict | None = None) -> dict:
@@ -193,7 +175,7 @@ def _run(name: str, args, p: SimpleNamespace) -> None:
         raise
     finally:
         manifest["finished_at"] = _now()
-        _atomic(run_dir / "manifest.json", _json(manifest))
+        write_document(run_dir / "manifest.json", manifest)
 
 
 def cmd_run(args) -> int:
@@ -204,11 +186,11 @@ def cmd_run(args) -> int:
 
 def _save_training(result, run_dir: Path, manifest: dict) -> None:
     ckpt = run_dir / "checkpoints" / "encoder.ckpt"
-    _atomic(ckpt, lambda tmp: save_encoder(tmp, result))
+    write_atomic(ckpt, lambda tmp: save_encoder(tmp, result))
     manifest["checkpoint"] = str(ckpt)
     if result.log:  # frozen adapt trains no epochs
         lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in result.log)
-        _atomic(run_dir / "train_log.jsonl", lambda tmp: tmp.write_text(lines))
+        write_atomic(run_dir / "train_log.jsonl", lambda tmp: tmp.write_text(lines))
         manifest["best_epoch"] = result.best_epoch
         manifest["best_monitor_acc"] = result.best_monitor_acc
         logger.info("best monitor accuracy %.4f (epoch %d)", result.best_monitor_acc, result.best_epoch)
@@ -232,8 +214,8 @@ def _adapt(p, run_dir: Path, manifest: dict) -> None:
 
 def _save_report(p, report: EvalReport, run_dir: Path, manifest: dict, mode: str) -> None:
     row = _report_csv_row(report, p.catalog.name, mode)
-    _atomic(run_dir / "report.json", _json(report.to_doc()))
-    _atomic(run_dir / "tables" / "summary.csv", lambda tmp: write_csv_table(tmp, [row]))
+    write_document(run_dir / "report.json", report.to_doc())
+    write_atomic(run_dir / "tables" / "summary.csv", lambda tmp: write_csv_table(tmp, [row]))
     manifest["mean_accuracy"] = report.mean_accuracy
 
 
@@ -261,7 +243,7 @@ def _full_data(p, run_dir: Path, manifest: dict) -> None:
     accuracy = full_data_linear(p.pools["train"], p.pools["test"])
     doc = {"schema_version": 1, "baseline": "full_data", "dataset": p.catalog.name,
            "representation": p.data.representation, "accuracy": accuracy}
-    _atomic(run_dir / "report.json", _json(doc))
+    write_document(run_dir / "report.json", doc)
     manifest["accuracy"] = accuracy
     logger.info("full-data linear accuracy %.4f", accuracy)
 
@@ -269,8 +251,8 @@ def _full_data(p, run_dir: Path, manifest: dict) -> None:
 def _ablate(p, run_dir: Path, manifest: dict) -> None:
     rows = ablation_normalization(lambda *setting: p.pools[setting], p.ablate, p.eval)
     columns = ["setting", "label", "representation", "normalize", "K", "mean", "ci95"]
-    _atomic(run_dir / "report.json", _json({"schema_version": 1, "dataset": p.catalog.name, "rows": rows}))
-    _atomic(run_dir / "tables" / "ablation.csv", lambda tmp: write_csv_table(tmp, rows, columns))
+    write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.catalog.name, "rows": rows})
+    write_atomic(run_dir / "tables" / "ablation.csv", lambda tmp: write_csv_table(tmp, rows, columns))
 
 
 def _multiseed(p, run_dir: Path, manifest: dict) -> None:
@@ -281,11 +263,11 @@ def _multiseed(p, run_dir: Path, manifest: dict) -> None:
                        list(p.seeds), p.eval.episodes, shared, len(p.seeds) * p.eval.episodes)
     fp, echo = p.pools["test"], {"dataset": p.catalog.name}
     aggregate = multi_seed(lambda seed: evaluate(p.model, fp, replace(p.eval, base_seed=seed), echo), p.seeds)
-    _atomic(run_dir / "report.json", _json({"schema_version": 1, "dataset": p.catalog.name, **aggregate}))
+    write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.catalog.name, **aggregate})
     encoder = "none" if p.model is None else "mlp"
     rows = [{"dataset": p.catalog.name, "repr": p.data.representation, "encoder": encoder, "mode": f"seed={s}",
              "K": p.eval.k_shot, "mean": aggregate["per_seed_mean"][str(s)], "ci95": ""} for s in p.seeds]
-    _atomic(run_dir / "tables" / "multiseed.csv", lambda tmp: write_csv_table(tmp, rows))
+    write_atomic(run_dir / "tables" / "multiseed.csv", lambda tmp: write_csv_table(tmp, rows))
 
 
 _TRAIN_KEYS = ("data", "encoder", "train", "source")
@@ -321,7 +303,7 @@ def cmd_split(args) -> int:
     catalog = build_catalog(args.data_root)
     split = stratified_split(catalog, args.fraction, args.seed)
     out = Path(args.out)
-    _atomic(out, lambda tmp: save_split(split, tmp))
+    save_split(split, out)
     config = {"data_root": str(args.data_root), "fraction": args.fraction, "seed": args.seed}
     _sidecar_manifest(out, "split", config, started_at, seed=args.seed, data=_data_section(catalog))
     logger.info("split %d train / %d test -> %s", len(split.train), len(split.test), out)
@@ -337,7 +319,7 @@ def cmd_export(args) -> int:
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise GeomshotError(f"{args.report}: not an episode report ({type(e).__name__}: {e})") from None
     out = Path(args.out)
-    _atomic(out, lambda tmp: write_csv_table(tmp, [row]))
+    write_atomic(out, lambda tmp: write_csv_table(tmp, [row]))
     _sidecar_manifest(out, "export", {"report": str(args.report), "mode": args.mode}, started_at)
     return 0
 
@@ -350,16 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic keypoint corpus")
+    spec = SynthSpec()
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--transforms", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale-min", type=float, default=0.1)
-    p.add_argument("--scale-max", type=float, default=10.0)
-    p.add_argument("--translate-max", type=float, default=10.0)
-    p.add_argument("--name", default="synth")
+    p.add_argument("--classes", type=int, default=spec.n_classes)
+    p.add_argument("--per-class", type=int, default=spec.per_class)
+    p.add_argument("--noise", type=float, default=spec.noise)
+    p.add_argument("--transforms", action=argparse.BooleanOptionalAction, default=spec.transforms)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--scale-min", type=float, default=spec.scale_range[0])
+    p.add_argument("--scale-max", type=float, default=spec.scale_range[1])
+    p.add_argument("--translate-max", type=float, default=spec.translate_max)
+    p.add_argument("--name", default=spec.name)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("split", help="deterministic stratified train/test split")
@@ -403,6 +386,9 @@ def main(argv=None) -> int:
     except (GeomshotError, ValueError, OSError) as e:
         logger.error("%s: %s", type(e).__name__, e)
         return 1
+    except KeyboardInterrupt:
+        logger.error("interrupted")
+        return 130
 
 
 if __name__ == "__main__":

@@ -4,11 +4,14 @@
 and checkpoint header lines (JSON). Text that is not UTF-8, does not parse,
 repeats a key within one mapping or nests too deeply is one line of the
 caller's error class naming the path, and the line and column where the
-parser gives them. A YAML text whose ``[``/``{`` brackets, counted
-against ``]``/``}`` and quotes ignored, nest deeper than
-``MAX_FLOW_DEPTH`` is refused as nested too deeply before PyYAML's
-scanner runs, because that scanner's work grows with the square of the
-depth of a flow nest written on one line.
+parser gives them. A YAML config is read only up to ``MAX_CONFIG_BYTES``,
+and a longer one is refused. A YAML text with more than ``MAX_FLOW_DEPTH``
+``[``/``{`` openers, quotes ignored, is refused as nested too deeply before
+PyYAML's scanner runs, because that scanner's work grows with the square
+of the depth of a flow nest written on one line, and no nest is deeper
+than its openers. ``write_document`` writes every JSON document the
+package produces (manifests, reports, splits, corpus metadata), indented
+with sorted keys, through ``write_atomic``.
 
 Every config document carries ``schema_version: 1``; unknown keys at any
 level are errors so typos in experiment grids fail loudly instead of
@@ -24,10 +27,13 @@ got <repr>``, raised before any run directory exists. PyYAML reads YAML
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
-import re
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -36,8 +42,9 @@ from .geometry import REPRESENTATIONS
 from .schema import check_fields, setting
 
 SCHEMA_VERSION = 1
-MAX_FLOW_DEPTH = 100  # PyYAML scans a one-line nest this deep in about 7 ms; a config needs 2
-_FLOW_BRACKET = re.compile(r"[][{}]")
+MAX_FLOW_DEPTH = 100  # flow openers a config may hold: PyYAML scans a one-line nest this deep in about 7 ms
+MAX_CONFIG_BYTES = 1 << 20  # a config is a few hundred bytes; splits and reports, which list rows, have no cap
+_CONFIG_READS = MAX_CONFIG_BYTES // io.DEFAULT_BUFFER_SIZE + 1  # one 1 MiB read per config raised peak RSS 0.06 MB
 
 
 class _StrictLoader(yaml.SafeLoader):
@@ -65,23 +72,19 @@ def _unique_keys(pairs: list) -> dict:
 _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads(hook=...) builds a decoder per call
 
 
-def _flow_depth_over_limit(text: str) -> bool:
-    depth = 0
-    for bracket in _FLOW_BRACKET.findall(text):
-        depth += 1 if bracket in "[{" else -1
-        if depth > MAX_FLOW_DEPTH:
-            return True
-    return False
-
-
 def read_document(path, error: type[GeomshotError], data: bytes | None = None, *, yaml_syntax: bool = False):
     """Parse ``data``, else the file at ``path``, as UTF-8 YAML or JSON; each fault is one ``error`` line.
 
     A path that cannot be read raises its own ``OSError``, which names it.
     """
     try:
+        if data is None and yaml_syntax:  # in buffer-sized reads, as read(n) allocates n bytes before it reads
+            with open(path, "rb") as f:
+                data = b"".join(itertools.islice(iter(lambda: f.read(io.DEFAULT_BUFFER_SIZE), b""), _CONFIG_READS))
+            if len(data) > MAX_CONFIG_BYTES:
+                raise ValueError(f"longer than {MAX_CONFIG_BYTES} bytes")
         text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
-        if yaml_syntax and _flow_depth_over_limit(text):
+        if yaml_syntax and text.count("[") + text.count("{") > MAX_FLOW_DEPTH:
             raise RecursionError  # refused as the parser's own recursion limit refuses a deeper nest
         return yaml.load(text, Loader=_StrictLoader) if yaml_syntax else _JSON.decode(text)
     except UnicodeDecodeError as e:
@@ -100,6 +103,28 @@ def read_document(path, error: type[GeomshotError], data: bytes | None = None, *
     except RecursionError:
         problem = "nested too deeply"
     raise error(f"{path}: {' '.join(problem.split())}")
+
+
+def write_atomic(path, write: Callable[[Path], object]) -> None:
+    """Write ``path`` whole or not at all.
+
+    ``write(tmp)`` fills a temp file beside ``path``, which then replaces
+    it; if ``write`` raises, the temp file is removed and ``path`` is left
+    as it was. Missing parent directories are made.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_document(path, doc) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with sorted keys, whole or not at all."""
+    write_atomic(path, lambda tmp: tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n"))
 
 
 def _check_keys(section, allowed: set[str], where: str) -> None:

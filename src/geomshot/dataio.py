@@ -16,8 +16,9 @@ become the per-class row lists the episode sampler draws from.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``
-with both path lists sorted, read by ``config.read_document`` (its faults
-are ``InvalidSplit``). Loading a split requires those types (a
+with both path lists sorted, written by ``config.write_document`` (whole
+or absent) and read by ``config.read_document`` (its faults are
+``InvalidSplit``). Loading a split requires those types (a
 non-negative seed, a fraction in (0, 1), lists of distinct path strings)
 and re-validates zero train/test overlap and full catalog coverage; a
 listed path that the catalog skipped is named with its skip reason.
@@ -25,18 +26,17 @@ listed path that the catalog skipped is named with its skip reason.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .config import read_document
+from .config import read_document, write_document
 from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
 from .geometry import NUM_KEYPOINTS, degenerate_hands
 from .npyio import load_keypoints
@@ -61,7 +61,7 @@ class DatasetCatalog:
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
 
-def build_catalog(root, name: str | None = None) -> DatasetCatalog:
+def build_catalog(root) -> DatasetCatalog:
     """Scan a dataset root and load every usable sample.
 
     Each class directory is listed once; its ``*.npy`` entries (the names
@@ -110,7 +110,7 @@ def build_catalog(root, name: str | None = None) -> DatasetCatalog:
     if skipped:
         counts = ", ".join(f"{n} {reason}" for reason, n in sorted(Counter(r for _, r in skipped).items()))
         logger.warning("skipped %d of %d files under %s (%s)", len(skipped), len(entries), root, counts)
-    return DatasetCatalog(name or root.name, root, [class_dirs[i] for i in used.tolist()],
+    return DatasetCatalog(root.name, root, [class_dirs[i] for i in used.tolist()],
                           np.array(paths, dtype=str)[keep], np.searchsorted(used, dir_rows), keypoints[keep],
                           skipped)
 
@@ -121,15 +121,6 @@ class SplitFile:
     fraction: float
     train: list[str]
     test: list[str]
-
-    def to_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "fraction": self.fraction,
-            "train": self.train,
-            "test": self.test,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _train_count(fraction: float, n: int) -> int:
@@ -171,7 +162,7 @@ def stratified_split(catalog: DatasetCatalog, train_fraction: float, seed: int) 
 
 
 def save_split(split: SplitFile, path) -> None:
-    Path(path).write_text(split.to_json())
+    write_document(path, asdict(split))
 
 
 def _strings(value) -> bool:

@@ -284,19 +284,18 @@ def episode_linear_baseline(
     fp: FeaturePool,
     spec: EvalSpec,
     config_echo: dict | None = None,
-    iters: int = 500,
-    lr: float = 0.1,
-    l2: float = 1e-3,
+    **fit,
 ) -> EvalReport:
     """Per-episode softmax regression fitted on the support embeddings.
 
-    All episodes' probes are fitted in one stacked solve; each episode's
-    queries are then scored with its own weights.
+    All episodes' probes are fitted in one stacked solve, with ``fit``'s
+    keywords passed to ``fit_softmax_regression``; each episode's queries
+    are then scored with its own weights.
     """
 
     def predict(emb, episodes):
         y = np.broadcast_to(episodes.support_labels, episodes.support.shape)
-        W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way, iters=iters, lr=lr, l2=l2)
+        W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way, **fit)
         pred = np.empty(episodes.query.shape, dtype=np.int64)
         for block in _blocks(episodes):
             pred[block] = _linear_predict(W[block], b[block, None, :], emb[episodes.query[block]])
@@ -317,11 +316,7 @@ def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:
     return float((_linear_predict(W, b, fp_test.X) == np.searchsorted(classes, fp_test.labels)).mean())
 
 
-def ablation_normalization(
-    build_pool,
-    ks: tuple[int, ...] = (1, 3, 5),
-    spec: EvalSpec | None = None,
-) -> list[dict]:
+def ablation_normalization(build_pool, ks: tuple[int, ...], spec: EvalSpec) -> list[dict]:
     """Input-space evaluation under the three cumulative settings.
 
     ``build_pool(representation, normalize)`` must return a FeaturePool
@@ -330,14 +325,13 @@ def ablation_normalization(
     scored on all three feature matrices. Emits one row per (setting, K),
     setting-major.
     """
-    base = spec or EvalSpec()
     pools = [build_pool(representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS]
     for (key, *_), fp in zip(ABLATION_SETTINGS, pools):
         if not np.array_equal(fp.labels, pools[0].labels):
             raise ValueError(f"ablation setting {key!r} does not share the first setting's labels")
     rows = {}
     for k in ks:
-        k_spec = replace(base, k_shot=k)
+        k_spec = replace(spec, k_shot=k)
         episodes = draw_episodes(pools[0].labels, k_spec)
         for (key, label, representation, normalize), fp in zip(ABLATION_SETTINGS, pools):
             echo = {"encoder": "none", "ablation_setting": key}

@@ -30,32 +30,16 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoPositivesError, ShapeError
 
-DEFAULT_SUPCON_WEIGHT = 0.5
-DEFAULT_TEMPERATURE = 0.07
 # classify's screen: a query is decided by the Gram form only if its two best
 # distances are more than _SCREEN_MARGIN * (D + 2) * (eps * scale + subnormal)
 # apart, eight times their worst-case rounding (module docstring).
 _SCREEN_MARGIN = 16.0
 _EPS = np.finfo(np.float64).eps
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
-
-
-@dataclass
-class LossBreakdown:
-    nll: float
-    supcon: float
-    supcon_weight: float = DEFAULT_SUPCON_WEIGHT
-    temperature: float = DEFAULT_TEMPERATURE
-
-    @property
-    def total(self) -> float:
-        return self.nll + self.supcon_weight * self.supcon
 
 
 def compute_prototypes(support_emb: np.ndarray, labels: np.ndarray, n_way: int) -> np.ndarray:
@@ -206,13 +190,11 @@ def _supcon_terms(emb: np.ndarray, labels: np.ndarray, temperature: float):
     return loss, z, norms, sim, pos, anchors, lse, work
 
 
-def supcon_loss(emb: np.ndarray, labels: np.ndarray, temperature: float = DEFAULT_TEMPERATURE) -> float:
+def supcon_loss(emb: np.ndarray, labels: np.ndarray, temperature: float) -> float:
     return _supcon_terms(emb, labels, temperature)[0]
 
 
-def supcon_loss_and_grad(
-    emb: np.ndarray, labels: np.ndarray, temperature: float = DEFAULT_TEMPERATURE
-) -> tuple[float, np.ndarray]:
+def supcon_loss_and_grad(emb: np.ndarray, labels: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
     """Loss plus gradient w.r.t. the unnormalized embeddings.
 
     The loss is non-differentiable at a zero embedding; norms are floored

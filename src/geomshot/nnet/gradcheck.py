@@ -7,6 +7,8 @@ from typing import Callable
 
 from .layers import ParamTensor
 
+H = 1e-5  # the central-difference step
+
 
 @dataclass
 class GradCheckReport:
@@ -22,7 +24,6 @@ class GradCheckReport:
 def finite_difference_check(
     params: list[ParamTensor],
     loss_fn: Callable[[], float],
-    h: float = 1e-5,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
     """Compare each .grad against central differences of loss_fn.
@@ -40,12 +41,12 @@ def finite_difference_check(
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             f_plus = loss_fn()
-            flat[i] = orig - h
+            flat[i] = orig - H
             f_minus = loss_fn()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * H)
             analytic = gflat[i]
             denom = max(abs(analytic), abs(numeric), 1e-6)
             worst = max(worst, abs(analytic - numeric) / denom)

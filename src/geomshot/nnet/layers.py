@@ -19,6 +19,8 @@ import numpy as np
 from ..errors import BatchTooSmall, CacheError
 
 F64 = np.float64
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 class ParamTensor:
@@ -174,9 +176,7 @@ class BatchNorm1d(Layer):
     do); eval mode uses the running statistics and never mutates state.
     """
 
-    def __init__(self, dim: int, name: str, eps: float = 1e-5, momentum: float = 0.1):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, dim: int, name: str):
         self.gamma = ParamTensor(f"{name}.gamma", np.ones(dim))
         self.beta = ParamTensor(f"{name}.beta", np.zeros(dim))
         self.running_mean = np.zeros(dim)
@@ -188,7 +188,7 @@ class BatchNorm1d(Layer):
 
     def forward(self, x, train, rng=None):
         if not train:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
             y = x - self.running_mean
             np.multiply(self.gamma.values, y, out=y)
             y *= inv_std
@@ -201,9 +201,9 @@ class BatchNorm1d(Layer):
         xhat = x - mean  # x - mean once, for the variance and for xhat: the bits of x.var()
         y = np.square(xhat)
         var = y.sum(axis=0) / n
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean *= 1.0 - m
         self.running_mean += m * mean
         self.running_var *= 1.0 - m

@@ -11,6 +11,8 @@ from .layers import ParamBuffer
 
 # AdamW.step's block: its six 128 KiB slices (values, grad, m, v, two scratch) fit in a 2 MiB L2 cache.
 _BLOCK = 16_384
+BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
+EPS = 1e-8  # added to the square root of the second moment
 
 
 def global_grad_norm(buffer: ParamBuffer) -> float:
@@ -55,16 +57,12 @@ class AdamW:
         self,
         buffer: ParamBuffer,
         lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 1e-4,
         clip_norm: float | None = 1.0,
     ):
         self.buffer = buffer
         self.params = buffer.params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.step_count = 0
@@ -80,7 +78,7 @@ class AdamW:
             clip_global_norm(buf, self.clip_norm, norm)
         self.step_count += 1
         t = self.step_count
-        decay, bc1, bc2 = 1.0 - self.lr * self.weight_decay, 1.0 - self.beta1**t, 1.0 - self.beta2**t
+        decay, bc1, bc2 = 1.0 - self.lr * self.weight_decay, 1.0 - BETA1**t, 1.0 - BETA2**t
         # Two block-sized scratch arrays, allocated per step: the forward and backward passes never hold them.
         scratch_a, scratch_b = (np.empty(min(buf.values.size, _BLOCK)) for _ in range(2))
         for start in range(0, buf.values.size, _BLOCK):
@@ -89,14 +87,14 @@ class AdamW:
             a, b = scratch_a[:p.size], scratch_b[:p.size]
             if self.weight_decay:
                 p *= decay
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            v += np.multiply(1.0 - self.beta2, np.square(g, out=a), out=a)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=a)
+            v *= BETA2
+            v += np.multiply(1.0 - BETA2, np.square(g, out=a), out=a)
             # lr * (m / bc1) / (sqrt(v / bc2) + eps), in place in the scratch blocks
             np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
             np.sqrt(np.divide(v, bc2, out=b), out=b)
-            b += self.eps
+            b += EPS
             p -= np.divide(a, b, out=a)
         if not np.isfinite(buf.values).all():
             raise NonFiniteGradient("parameters became non-finite after update")

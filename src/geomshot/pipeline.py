@@ -33,7 +33,7 @@ from .episodes import Episodes, EpisodeSpec, sample_episode
 from .errors import ConfigMismatch, CorruptCheckpoint
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
-from .fewshot import LossBreakdown, protonet_loss_and_grads, supcon_loss_and_grad
+from .fewshot import protonet_loss_and_grads, supcon_loss_and_grad
 from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
 from .nnet.checkpoint import load_checkpoint, save_checkpoint
 from .rng import STREAM_DROPOUT, make_rng
@@ -103,8 +103,8 @@ def _episode_step(
     row: int,
     cfg: TrainConfig,
     episode_index: int,
-) -> tuple[LossBreakdown, float]:
-    """Training episode ``batch[row]``; returns its losses and the pre-clip gradient norm."""
+) -> tuple[float, float, float]:
+    """Training episode ``batch[row]``; returns its NLL, its contrastive loss and the pre-clip gradient norm."""
     labels = np.concatenate([batch.support_labels, batch.query_labels])
     n_support = len(batch.support_labels)
     rng = make_rng(STREAM_DROPOUT, cfg.base_seed, episode_index)
@@ -124,7 +124,7 @@ def _episode_step(
 
     model.backward(d_emb, input_grad=False)  # writes every gradient the optimizer reads
     grad_norm = optimizer.step()
-    return LossBreakdown(nll, sc, cfg.supcon_weight, cfg.temperature), grad_norm
+    return nll, sc, grad_norm
 
 
 def _run_training(
@@ -156,19 +156,20 @@ def _run_training(
         optimizer.lr = lr
         first = epoch * cfg.episodes_per_epoch
         batch = _draw(pool, cfg, cfg.base_seed, first, cfg.episodes_per_epoch)
-        losses, norms = zip(*(
+        steps = np.array([
             _episode_step(model, optimizer, X, batch, i, cfg, first + i) for i in range(cfg.episodes_per_epoch)
-        ))
+        ])  # (E, 3): nll, supcon, grad norm
+        nll, supcon, norms = steps.T
         acc = _monitor_accuracy(model, X, monitor, monitor_rows)
         log.append({
             "epoch": epoch,
             "lr": lr,
-            "mean_loss": float(np.mean([loss.total for loss in losses])),
+            "mean_loss": float(np.mean(nll + cfg.supcon_weight * supcon)),
             "monitor_acc": acc,
-            "mean_nll": float(np.mean([loss.nll for loss in losses])),
-            "mean_supcon": float(np.mean([loss.supcon for loss in losses])),
+            "mean_nll": float(np.mean(nll)),
+            "mean_supcon": float(np.mean(supcon)),
             "mean_grad_norm": float(np.mean(norms)),
-            "clipped_steps": sum(n > cfg.clip_norm for n in norms) if cfg.clip_norm is not None else 0,
+            "clipped_steps": int(np.count_nonzero(norms > cfg.clip_norm)) if cfg.clip_norm is not None else 0,
         })
         logger.info("epoch %d lr %.2e loss %.4f monitor %.4f", epoch, lr, log[-1]["mean_loss"], acc)
         if acc > best_acc:

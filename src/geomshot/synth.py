@@ -20,12 +20,12 @@ together.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import write_document
 from .errors import InvalidConfig
 from .geometry import NUM_KEYPOINTS, apply_transforms, draw_similarity, rotation_from_quaternion
 from .npyio import write_keypoints
@@ -78,7 +78,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def build_hand(params: np.ndarray, lengths: tuple[float, ...] = LINK_LENGTHS) -> np.ndarray:
+def build_hand(params: np.ndarray) -> np.ndarray:
     """Forward kinematics: realize (..., 19) parameters as (..., 21, 3) keypoints.
 
     The five chains unroll together with the same elementwise operations,
@@ -91,12 +91,12 @@ def build_hand(params: np.ndarray, lengths: tuple[float, ...] = LINK_LENGTHS) ->
     d = np.stack([np.cos(base_angles), np.sin(base_angles), np.zeros_like(base_angles)], axis=-1)
     plane_normal = _cross(d, _Z)
     prev = d
-    pos = lengths[0] * d
+    pos = LINK_LENGTHS[0] * d
     chains = [pos]
     for j in range(3):
         theta = flexion[..., j, None]
         out = -np.cos(theta) * prev + np.sin(theta) * _cross(plane_normal, prev)
-        pos = pos + lengths[j + 1] * out
+        pos = pos + LINK_LENGTHS[j + 1] * out
         chains.append(pos)
         prev = out
     points = np.zeros(lead + (NUM_KEYPOINTS, 3))  # wrist at the origin; chain f fills rows 1+4f..4+4f
@@ -130,7 +130,7 @@ def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int) -> np.ndarra
 
 
 def generate_corpus(spec: SynthSpec, out_root) -> dict:
-    """Write the corpus tree <out>/<class_XX>/sNNNN.npy plus corpus_meta.json."""
+    """Write the corpus tree <out>/<class_XX>/sNNNN.npy plus corpus_meta.json (whole or absent)."""
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     dictionary = class_dictionary(spec)
@@ -146,5 +146,5 @@ def generate_corpus(spec: SynthSpec, out_root) -> dict:
         "canonical_params": dictionary.tolist(),
         "canonical_angles": [canonical_angles(dictionary[c]).tolist() for c in range(spec.n_classes)],
     }
-    (out_root / "corpus_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_document(out_root / "corpus_meta.json", meta)
     return meta

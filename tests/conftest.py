@@ -1,4 +1,6 @@
+import errno
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,15 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+_WRITE_TEXT = Path.write_text
+
+
+def write_half_then_fail(path: Path, text: str, *args, **kwargs):
+    """A ``Path.write_text`` stand-in that writes half of ``text`` and then fails, as a full disk would."""
+    _WRITE_TEXT(path, text[: len(text) // 2], *args, **kwargs)
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def packed(*params: ParamTensor) -> ParamBuffer:

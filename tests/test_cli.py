@@ -10,9 +10,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+
 from geomshot import cli
 from geomshot.cli import RUNS, build_parser, main
-from geomshot.config import MAX_FLOW_DEPTH, DataConfig, read_document
+from geomshot.config import MAX_CONFIG_BYTES, MAX_FLOW_DEPTH, DataConfig, read_document
 from geomshot.errors import InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
 from geomshot.geometry import REPRESENTATIONS
@@ -579,6 +581,18 @@ def test_run_that_fails_after_start_writes_a_failed_manifest(small_corpus, tmp_p
     assert not (tmp_path / "f1" / "report.json").exists()
 
 
+def test_ctrl_c_is_one_line_and_status_130_and_leaves_a_failed_manifest(small_corpus, tmp_path, monkeypatch, caplog):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train_encoder", interrupt)
+    cfg = write_yaml(tmp_path / "train.yaml", tiny_train_doc(small_corpus))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path), "--run-id", "i"]) == 130
+    assert one_error(caplog) == "interrupted"
+    manifest = json.loads((tmp_path / "i" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == "KeyboardInterrupt: "
+
+
 def test_back_to_back_default_run_ids_do_not_collide(small_corpus, tmp_path):
     cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=3))
     out = tmp_path / "runs"
@@ -813,9 +827,10 @@ def test_an_explicit_key_may_override_a_yaml_merge(tmp_path):
     assert doc["x"] == {"a": 3, "z": 0} and doc["y"] == {"a": 1, "z": 0, "q": 1}
 
 
-def test_a_one_line_flow_nest_is_refused_before_the_yaml_scanner_runs(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fault", ["deep-yaml-one-line", "closers-before-nest", "quoted-closers"])
+def test_a_one_line_flow_nest_is_refused_before_the_yaml_scanner_runs(tmp_path, monkeypatch, fault):
     path = tmp_path / "deep.yaml"
-    path.write_bytes(FAULTS["deep-yaml-one-line"])
+    path.write_bytes(FAULTS[fault])
 
     def scanner(*args, **kwargs):
         raise AssertionError("yaml.load ran")
@@ -843,6 +858,20 @@ def test_yaml_nesting_limit(tmp_path, text, refused):
         read_document(path, InvalidConfig, yaml_syntax=True)
 
 
+def test_a_config_over_the_size_cap_is_refused_after_reading_about_the_cap(tmp_path):
+    path = tmp_path / "big.yaml"
+    path.write_bytes(b"#" * (8 << 20))
+
+    def refuse():
+        with pytest.raises(InvalidConfig, match=rf"big\.yaml: longer than {MAX_CONFIG_BYTES} bytes$"):
+            read_document(path, InvalidConfig, yaml_syntax=True)
+
+    _, peak = traced_peak(refuse)
+    assert peak < 3 << 20  # 2.04 MiB measured (the reads, then their join); the whole file would be 8 MiB
+    path.write_bytes(b"#" * MAX_CONFIG_BYTES)  # a comment: at the cap, the file parses
+    assert read_document(path, InvalidConfig, yaml_syntax=True) is None
+
+
 @pytest.fixture(scope="module")
 def fault_corpus(tmp_path_factory):
     """A 4-class synth corpus with its split and an untrained angle checkpoint, read by the fault tests."""
@@ -862,8 +891,11 @@ FAULTS = {
     "tab-in-flow-mapping": b"data: {a: 1,\tb: 2}",
     "deep-json": b"[" * 100_000 + b"]" * 100_000,
     "deep-yaml": b"[\n" * 5_000 + b"]\n" * 5_000,
-    # PyYAML's scanner takes over a second on this line; the flow-depth screen refuses it first.
+    # PyYAML's scanner takes 0.6-2 s on each of these three; the flow-opener count refuses them first.
     "deep-yaml-one-line": b"[" * 5_000 + b"]" * 5_000,
+    "closers-before-nest": b"a: b" + b"]" * 2_000 + b"\nc: " + b"[" * 2_000 + b"]" * 2_000,
+    "quoted-closers": b'["]",' * 2_000 + b"]" * 2_000,
+    "oversized": b"#" * MAX_CONFIG_BYTES + b"\n",
     "top-level-list": b"[1, 2]",
     "directory": None,
     "missing": None,

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_half_then_fail
+
 from geomshot.dataio import (
     build_catalog,
     eligible_classes,
@@ -109,9 +111,10 @@ class TestStratifiedSplit:
     def test_deterministic_bytes(self, tmp_path):
         make_tree(tmp_path, {"a": 9, "b": 6})
         cat = build_catalog(tmp_path)
-        one = stratified_split(cat, 0.7, 42).to_json()
-        two = stratified_split(cat, 0.7, 42).to_json()
-        assert one == two
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        save_split(stratified_split(cat, 0.7, 42), one)
+        save_split(stratified_split(cat, 0.7, 42), two)
+        assert one.read_bytes() == two.read_bytes()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
@@ -162,6 +165,18 @@ class TestSplitFileIO:
         save_split(stratified_split(cat, 0.7, 42), p1)
         save_split(stratified_split(cat, 0.7, 42), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_failed_write_leaves_the_old_split_whole(self, tmp_path, monkeypatch):
+        make_tree(tmp_path, {"a": 8, "b": 8})
+        cat = build_catalog(tmp_path)
+        path = tmp_path / "split.json"
+        save_split(stratified_split(cat, 0.7, 42), path)
+        old = path.read_bytes()
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_split(stratified_split(cat, 0.5, 7), path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_overlap_rejected(self, tmp_path):
         make_tree(tmp_path, {"a": 4})
@@ -304,7 +319,7 @@ def test_catalog_rows_and_skips_account_for_every_entry(tree, seed):
         assert counts.min(initial=1) >= 1 and cat.keypoints.shape == (len(cat.paths), 21, 3)
 
         split = stratified_split(cat, 0.5, seed)
-        (root / "split.json").write_text(split.to_json())
+        save_split(split, root / "split.json")
         load_split(root / "split.json", cat)
         position = {p: i for i, p in enumerate(cat.paths.tolist())}
         sides = [split_pool(cat, split, side) for side in ("train", "test")]

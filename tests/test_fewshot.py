@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from geomshot.errors import NoPositivesError, ShapeError
 from geomshot.fewshot import (
-    LossBreakdown,
     classify,
     compute_prototypes,
     proto_log_probs,
@@ -340,12 +339,12 @@ class TestSupCon:
         emb = rng.normal(size=(6, 3))
         labels = np.array([0, 0, 1, 1, 2, 2])
         rot = random_transform(5).rotation
-        assert supcon_loss(emb @ rot.T, labels) == pytest.approx(supcon_loss(emb, labels), abs=1e-10)
+        assert supcon_loss(emb @ rot.T, labels, 0.07) == pytest.approx(supcon_loss(emb, labels, 0.07), abs=1e-10)
 
     def test_no_positives_raises(self):
         emb = np.random.default_rng(11).normal(size=(3, 4))
         with pytest.raises(NoPositivesError):
-            supcon_loss(emb, np.array([0, 1, 2]))
+            supcon_loss(emb, np.array([0, 1, 2]), 0.07)
 
     def test_anchor_without_positive_skipped(self):
         rng = np.random.default_rng(12)
@@ -372,7 +371,7 @@ class TestSupCon:
                 [-1.0, -0.1],
             ]
         )
-        assert supcon_loss(tight, labels) < supcon_loss(base, labels)
+        assert supcon_loss(tight, labels, 0.07) < supcon_loss(base, labels, 0.07)
 
 
 class TestGradients:
@@ -425,10 +424,3 @@ class TestGradients:
             down = supcon_loss(emb, labels, 0.07)
             flat[i] = orig
             assert grad.reshape(-1)[i] == pytest.approx((up - down) / (2 * h), abs=1e-6)
-
-
-def test_loss_breakdown_total_consistent():
-    breakdown = LossBreakdown(nll=1.25, supcon=0.5)
-    assert breakdown.total == pytest.approx(1.25 + 0.5 * 0.5, abs=1e-12)
-    assert breakdown.supcon_weight == 0.5
-    assert breakdown.temperature == 0.07

@@ -1,9 +1,11 @@
 import hashlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import write_half_then_fail
 from geomshot import synth
 from geomshot.geometry import CHAIN_BASES, draw_similarity, joint_angles, rotation_from_quaternion
 from geomshot.npyio import load_keypoints
@@ -78,6 +80,17 @@ def test_same_seed_identical_tree(tmp_path):
     generate_corpus(spec, b)
     assert tree_hash(a) == tree_hash(b)
     assert (a / "corpus_meta.json").read_bytes() == (b / "corpus_meta.json").read_bytes()
+
+
+def test_a_failed_metadata_write_leaves_the_old_metadata_whole(tmp_path, monkeypatch):
+    spec = SynthSpec(n_classes=2, per_class=3, seed=2)
+    generate_corpus(spec, tmp_path)
+    old = (tmp_path / "corpus_meta.json").read_bytes()
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="No space left on device"):
+        generate_corpus(spec, tmp_path)
+    assert (tmp_path / "corpus_meta.json").read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_different_seed_different_tree(tmp_path):
