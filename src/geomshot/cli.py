@@ -43,7 +43,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import write_atomic, write_document
 from .dataio import build_catalog, eligible_pool, load_split, save_split, split_pool, stratified_split
-from .errors import ConfigMismatch, DegenerateProblem, GeomshotError
+from .errors import ConfigMismatch, DegenerateProblem, GeomshotError, InvalidConfig
 from .evaluation import (ABLATION_SETTINGS, EvalReport, EvalSpec, ablation_normalization, episode_linear_baseline,
                          evaluate, full_data_linear, input_space_baseline, multi_seed, shared_episodes,
                          write_csv_table)
@@ -106,17 +106,16 @@ class Run:
     body: Callable
 
 
-# How each config key is read. The encoder gets a placeholder input_dim, so a
-# typo in it is refused before any data loads; the pool's dimension replaces it.
+# How each config section is read; every other key is a field of TopLevelConfig. The encoder
+# gets a placeholder input_dim, so a typo in it is refused before any data loads; the pool's
+# dimension replaces it.
 _SECTIONS = {
     "data": lambda doc: cfgmod.parse_section(doc, "data", cfgmod.DataConfig, required=True),
     "encoder": lambda doc: cfgmod.parse_section(doc, "encoder", EncoderConfig, input_dim=1),
     "train": lambda doc: cfgmod.parse_section(doc, "train", TrainConfig),
     "adapt": lambda doc: cfgmod.parse_section(doc, "adapt", AdaptConfig, required=True),
     "eval": lambda doc: cfgmod.parse_section(doc, "eval", EvalSpec),
-    "ablate": cfgmod.parse_ablate,
-    "seeds": cfgmod.parse_seeds,
-    "source": lambda doc: cfgmod.parse_str(doc, "source"),
+    "ablate": lambda doc: cfgmod.parse_section(doc, "ablate", cfgmod.AblateConfig),
 }
 
 
@@ -124,11 +123,13 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
     """Read and check every input of run ``name``; nothing is written."""
     run = RUNS[name]
     doc = cfgmod.load_config(config_path, set(run.keys))
-    p = SimpleNamespace(doc=doc, model=None, meta=None)
+    top = cfgmod.TopLevelConfig(**{key: doc[key] for key in run.keys if key in doc and key not in _SECTIONS})
+    p = SimpleNamespace(doc=doc, model=None, meta=None, **vars(top))
     for key in run.keys:
-        if key != "checkpoint":
+        if key in _SECTIONS:
             setattr(p, key, _SECTIONS[key](doc))
-    ckpt = cfgmod.parse_str(doc, "checkpoint", required=run.checkpoint == "required")
+    if p.checkpoint is None and run.checkpoint == "required":
+        raise InvalidConfig("checkpoint must be a non-empty string, got None")
     data = p.data
     catalog = build_catalog(data.data_root)
     split = load_split(data.split, catalog)
@@ -136,13 +137,13 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
     for side in run.sides:
         half, *setting = ("test", *side) if isinstance(side, tuple) else (side, data.representation, data.normalize)
         p.pools[side] = build_feature_pool(split_pool(catalog, split, half), catalog.root, *setting)
-    # The pools hold the features; the run keeps the catalog's names and skips, not its (N, 21, 3) keypoints.
-    p.catalog = replace(catalog, keypoints=None)
+    # The pools hold the features; the run keeps the catalog's name and manifest record, not its keypoints.
+    p.name, p.data_record = catalog.name, _data_section(catalog, p.pools)
     fp = p.pools[run.sides[0]]
     if "encoder" in run.keys:
         p.encoder = replace(p.encoder, input_dim=fp.dim)
-    if ckpt and run.checkpoint != "ignored":
-        p.model, p.meta = load_encoder(ckpt)
+    if p.checkpoint and run.checkpoint != "ignored":
+        p.model, p.meta = load_encoder(p.checkpoint)
         if p.meta.get("representation") != data.representation:
             raise ConfigMismatch(f"checkpoint representation {p.meta.get('representation')!r} != "
                                  f"configured {data.representation!r}")
@@ -154,7 +155,7 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
         if np.count_nonzero(np.bincount(np.concatenate([p.pools["train"].labels, p.pools["test"].labels]))) < 2:
             raise DegenerateProblem("need at least two classes for a linear classifier")
     elif not ("adapt" in run.keys and p.adapt.mode == "frozen"):  # frozen adapt draws no episodes
-        k_shot = max(p.ablate) if "ablate" in run.keys else shape.k_shot
+        k_shot = max(p.ablate.k_values) if "ablate" in run.keys else shape.k_shot
         eligible_pool(fp.labels, k_shot, shape.q_query, shape.n_way)
     return p
 
@@ -166,7 +167,7 @@ def _run(name: str, args, p: SimpleNamespace) -> None:
     run_dir.mkdir(parents=True)
     manifest = {"schema_version": 1, "command": name, "config_path": str(args.config), "config": p.doc,
                 "output_dir": str(run_dir), "run_id": run_id, "seed": p.seed, "started_at": _now(),
-                "data": _data_section(p.catalog, p.pools), "status": "failed"}
+                "data": p.data_record, "status": "failed"}
     try:
         RUNS[name].body(p, run_dir, manifest)
         manifest["status"] = "ok"
@@ -197,30 +198,30 @@ def _save_training(result, run_dir: Path, manifest: dict) -> None:
 
 
 def _train(p, run_dir: Path, manifest: dict) -> None:
-    result = train_encoder(p.pools["train"], p.train, p.encoder, tag={"dataset": p.catalog.name})
+    result = train_encoder(p.pools["train"], p.train, p.encoder, tag={"dataset": p.name})
     _save_training(result, run_dir, manifest)
 
 
 def _pretrain(p, run_dir: Path, manifest: dict) -> None:
-    result = pretrain_source(p.pools["train"], p.train, p.encoder, p.source or p.catalog.name)
+    result = pretrain_source(p.pools["train"], p.train, p.encoder, p.source or p.name)
     _save_training(result, run_dir, manifest)
 
 
 def _adapt(p, run_dir: Path, manifest: dict) -> None:
-    result = run_adapt(p.model, p.pools["train"], p.adapt, p.train, p.meta | {"adapted_on": p.catalog.name})
+    result = run_adapt(p.model, p.pools["train"], p.adapt, p.train, p.meta | {"adapted_on": p.name})
     _save_training(result, run_dir, manifest)
     manifest["mode"] = p.adapt.mode
 
 
 def _save_report(p, report: EvalReport, run_dir: Path, manifest: dict, mode: str) -> None:
-    row = _report_csv_row(report, p.catalog.name, mode)
+    row = _report_csv_row(report, p.name, mode)
     write_document(run_dir / "report.json", report.to_doc())
     write_atomic(run_dir / "tables" / "summary.csv", lambda tmp: write_csv_table(tmp, [row]))
     manifest["mean_accuracy"] = report.mean_accuracy
 
 
 def _eval(p, run_dir: Path, manifest: dict) -> None:
-    echo = {"dataset": p.catalog.name}
+    echo = {"dataset": p.name}
     if p.meta is not None:
         echo["checkpoint_source"] = p.meta.get("source", p.meta.get("dataset", "unknown"))
     report = evaluate(p.model, p.pools["test"], p.eval, echo)
@@ -229,19 +230,19 @@ def _eval(p, run_dir: Path, manifest: dict) -> None:
 
 
 def _input_space(p, run_dir: Path, manifest: dict) -> None:
-    echo = {"dataset": p.catalog.name, "baseline": "input_space"}
+    echo = {"dataset": p.name, "baseline": "input_space"}
     _save_report(p, input_space_baseline(p.pools["test"], p.eval, echo), run_dir, manifest, "input_space")
 
 
 def _episode_linear(p, run_dir: Path, manifest: dict) -> None:
-    echo = {"dataset": p.catalog.name, "baseline": "episode_linear"}
+    echo = {"dataset": p.name, "baseline": "episode_linear"}
     report = episode_linear_baseline(p.model, p.pools["test"], p.eval, echo)
     _save_report(p, report, run_dir, manifest, "episode_linear")
 
 
 def _full_data(p, run_dir: Path, manifest: dict) -> None:
     accuracy = full_data_linear(p.pools["train"], p.pools["test"])
-    doc = {"schema_version": 1, "baseline": "full_data", "dataset": p.catalog.name,
+    doc = {"schema_version": 1, "baseline": "full_data", "dataset": p.name,
            "representation": p.data.representation, "accuracy": accuracy}
     write_document(run_dir / "report.json", doc)
     manifest["accuracy"] = accuracy
@@ -249,9 +250,9 @@ def _full_data(p, run_dir: Path, manifest: dict) -> None:
 
 
 def _ablate(p, run_dir: Path, manifest: dict) -> None:
-    rows = ablation_normalization(lambda *setting: p.pools[setting], p.ablate, p.eval)
+    rows = ablation_normalization(lambda *setting: p.pools[setting], p.ablate.k_values, p.eval)
     columns = ["setting", "label", "representation", "normalize", "K", "mean", "ci95"]
-    write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.catalog.name, "rows": rows})
+    write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.name, "rows": rows})
     write_atomic(run_dir / "tables" / "ablation.csv", lambda tmp: write_csv_table(tmp, rows, columns))
 
 
@@ -261,11 +262,11 @@ def _multiseed(p, run_dir: Path, manifest: dict) -> None:
         logger.warning("seeds %s are closer than eval.episodes (%d): %d of their %d episodes repeat another "
                        "seed's, so across_seed_std is understated",
                        list(p.seeds), p.eval.episodes, shared, len(p.seeds) * p.eval.episodes)
-    fp, echo = p.pools["test"], {"dataset": p.catalog.name}
+    fp, echo = p.pools["test"], {"dataset": p.name}
     aggregate = multi_seed(lambda seed: evaluate(p.model, fp, replace(p.eval, base_seed=seed), echo), p.seeds)
-    write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.catalog.name, **aggregate})
+    write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.name, **aggregate})
     encoder = "none" if p.model is None else "mlp"
-    rows = [{"dataset": p.catalog.name, "repr": p.data.representation, "encoder": encoder, "mode": f"seed={s}",
+    rows = [{"dataset": p.name, "repr": p.data.representation, "encoder": encoder, "mode": f"seed={s}",
              "K": p.eval.k_shot, "mean": aggregate["per_seed_mean"][str(s)], "ci95": ""} for s in p.seeds]
     write_atomic(run_dir / "tables" / "multiseed.csv", lambda tmp: write_csv_table(tmp, rows))
 

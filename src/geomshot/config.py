@@ -16,13 +16,16 @@ with sorted keys, through ``write_atomic``.
 Every config document carries ``schema_version: 1``; unknown keys at any
 level are errors so typos in experiment grids fail loudly instead of
 silently falling back to defaults. A section's known keys are the fields
-of its dataclass, and the dataclass checks each value's type and range
+of its dataclass, and so are the top-level keys that are not sections
+(``TopLevelConfig``); the dataclass checks each value's type and range
 (``schema.check_fields``): integers must be YAML integers, reals take an
-integer or a finite float, booleans must be YAML booleans and paths must
-be strings. Every breach is ``InvalidConfig: <section>.<field> must be …,
-got <repr>``, raised before any run directory exists. PyYAML reads YAML
-1.1, where a float needs a dot, so ``1e3`` is the string ``"1e3"``: write
-``1000``.
+integer or a finite float, booleans must be YAML booleans, paths must be
+strings (``checkpoint`` and ``source``: absent or non-empty), and a list
+(``seeds``, ``ablate.k_values``) holds distinct integers. Every breach is
+``InvalidConfig: <section>.<field> must be …, got <repr>`` (a top-level
+key is named alone), raised before any run directory exists. PyYAML
+reads YAML 1.1, where a float needs a dot, so ``1e3`` is the string
+``"1e3"``: write ``1000``.
 """
 
 from __future__ import annotations
@@ -155,6 +158,24 @@ class DataConfig:
         check_fields(self, "data")
 
 
+@dataclass
+class AblateConfig:
+    k_values: tuple[int, ...] = setting((1, 3, 5), ge=1)
+
+    def __post_init__(self):
+        check_fields(self, "ablate")
+
+
+@dataclass
+class TopLevelConfig:
+    checkpoint: str | None = setting(None)
+    source: str | None = setting(None)
+    seeds: tuple[int, ...] = setting((42, 1337, 2024), ge=0)
+
+    def __post_init__(self):
+        check_fields(self, "")
+
+
 def parse_section(doc: dict, name: str, cls, required: bool = False, **fixed):
     """Build ``cls`` from ``doc[name]``; ``fixed`` fields come from the caller, not the file."""
     section = doc.get(name)
@@ -168,38 +189,3 @@ def parse_section(doc: dict, name: str, cls, required: bool = False, **fixed):
         if f.default is MISSING and f.name not in section:
             raise InvalidConfig(f"{name}.{f.name} is required")
     return cls(**section, **fixed)
-
-
-def parse_str(doc: dict, key: str, required: bool = False) -> str | None:
-    """A top-level string such as the ``checkpoint`` path; None when absent and not required."""
-    value = doc.get(key)
-    if value is None and not required:
-        return None
-    if type(value) is not str or not value:
-        raise InvalidConfig(f"{key} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _int_list(values, where: str) -> tuple[int, ...]:
-    """A non-empty list of ints; bools are refused although Python counts them as ints."""
-    if not isinstance(values, list) or not values or not all(type(v) is int for v in values):
-        raise InvalidConfig(f"{where} must be a non-empty list of integers, got {values!r}")
-    return tuple(values)
-
-
-def parse_ablate(doc: dict) -> tuple[int, ...]:
-    """The K values of the ablation table; defaults to (1, 3, 5)."""
-    section = {} if doc.get("ablate") is None else doc["ablate"]
-    _check_keys(section, {"k_values"}, "ablate")
-    ks = _int_list(section.get("k_values", [1, 3, 5]), "ablate.k_values")
-    if min(ks) < 1:
-        raise InvalidConfig(f"ablate.k_values must be positive, got {list(ks)}")
-    return ks
-
-
-def parse_seeds(doc: dict) -> tuple[int, ...]:
-    """The seeds of a multiseed run; defaults to (42, 1337, 2024)."""
-    seeds = _int_list(doc.get("seeds", [42, 1337, 2024]), "seeds")
-    if len(set(seeds)) != len(seeds) or min(seeds) < 0:
-        raise InvalidConfig(f"seeds must be distinct and non-negative, got {list(seeds)}")
-    return seeds

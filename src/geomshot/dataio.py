@@ -47,17 +47,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class DatasetCatalog:
-    """A dataset's usable files as row arrays; see the module docstring.
-
-    ``keypoints`` is None in a catalog whose rows are already featurized.
-    """
+    """A dataset's usable files as row arrays; see the module docstring."""
 
     name: str
     root: Path
     classes: list[str]
     paths: np.ndarray
     labels: np.ndarray
-    keypoints: np.ndarray | None
+    keypoints: np.ndarray
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
 

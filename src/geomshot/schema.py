@@ -21,6 +21,8 @@ _NOUNS = {
     "bool": "a boolean",
     "str": "a string",
     "tuple[float, float]": "a pair of finite numbers",
+    "tuple[int, ...]": "a non-empty list of distinct integers",
+    "str | None": "a non-empty string",
 }
 
 
@@ -36,6 +38,11 @@ def _valid(kind: str, rule, value) -> bool:
         return type(value) is str and (rule.get("choices") is None or value in rule["choices"])
     if kind == "tuple[float, float]":
         return type(value) is tuple and len(value) == 2 and all(_valid("float", rule, v) for v in value)
+    if kind == "tuple[int, ...]":  # a YAML list, or a tuple built in Python; set() hashes only checked items
+        items_ok = type(value) in (list, tuple) and all(_valid("int", rule, v) for v in value)
+        return items_ok and 0 < len(set(value)) == len(value)
+    if kind == "str | None":
+        return value is None or (type(value) is str and value != "")
     if kind == "float | None" and value is None:
         return True
     # bool is an int subclass, hence type() and not isinstance(); only float kinds take a float.
@@ -65,4 +72,5 @@ def check_fields(config, section: str) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if not _valid(f.type, f.metadata, value):
-            raise InvalidConfig(f"{section}.{f.name} must be {_describe(f.type, f.metadata)}, got {value!r}")
+            where = f"{section}.{f.name}" if section else f.name
+            raise InvalidConfig(f"{where} must be {_describe(f.type, f.metadata)}, got {value!r}")

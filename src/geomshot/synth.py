@@ -71,13 +71,6 @@ def canonical_angles(params: np.ndarray) -> np.ndarray:
     return np.concatenate([flexion, [gaps.sum()], gaps])
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of (..., 3) vectors: the same products and differences, without its axis moves."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def build_hand(params: np.ndarray) -> np.ndarray:
     """Forward kinematics: realize (..., 19) parameters as (..., 21, 3) keypoints.
 
@@ -89,13 +82,13 @@ def build_hand(params: np.ndarray) -> np.ndarray:
     flexion, gaps = params[..., :15].reshape(lead + (5, 3)), params[..., 15:]
     base_angles = np.concatenate([np.zeros_like(gaps[..., :1]), np.cumsum(gaps, axis=-1)], axis=-1)
     d = np.stack([np.cos(base_angles), np.sin(base_angles), np.zeros_like(base_angles)], axis=-1)
-    plane_normal = _cross(d, _Z)
+    plane_normal = np.cross(d, _Z)
     prev = d
     pos = LINK_LENGTHS[0] * d
     chains = [pos]
     for j in range(3):
         theta = flexion[..., j, None]
-        out = -np.cos(theta) * prev + np.sin(theta) * _cross(plane_normal, prev)
+        out = -np.cos(theta) * prev + np.sin(theta) * np.cross(plane_normal, prev)
         pos = pos + LINK_LENGTHS[j + 1] * out
         chains.append(pos)
         prev = out

@@ -14,7 +14,7 @@ from conftest import traced_peak
 
 from geomshot import cli
 from geomshot.cli import RUNS, build_parser, main
-from geomshot.config import MAX_CONFIG_BYTES, MAX_FLOW_DEPTH, DataConfig, read_document
+from geomshot.config import MAX_CONFIG_BYTES, MAX_FLOW_DEPTH, DataConfig, TopLevelConfig, read_document
 from geomshot.errors import InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
 from geomshot.geometry import REPRESENTATIONS
@@ -257,7 +257,8 @@ def test_bad_multiseed_seeds_are_one_line_error_and_create_no_run_dir(small_corp
         ("train", "train", "base_seed", -1, "InvalidConfig: train.base_seed must be a non-negative integer, got -1"),
         ("eval", "eval", "base_seed", "7", "InvalidConfig: eval.base_seed must be a non-negative integer, got '7'"),
         ("eval", "eval", "base_seed", 1.5, "InvalidConfig: eval.base_seed must be a non-negative integer, got 1.5"),
-        ("multiseed", None, "seeds", [-1, 2], "InvalidConfig: seeds must be distinct and non-negative"),
+        ("multiseed", None, "seeds", [-1, 2],
+         "InvalidConfig: seeds must be a non-empty list of distinct integers >= 0, got [-1, 2]"),
         *[(c, "eval", "base_seed", True, "InvalidConfig: eval.base_seed must be a non-negative integer, got True")
           for c in EVAL_COMMANDS[1:]],
         *[(c, "train", "base_seed", -1, "InvalidConfig: train.base_seed must be a non-negative integer, got -1")
@@ -346,6 +347,55 @@ def test_bad_ablate_k_values_are_one_line_error_and_create_no_run_dir(small_corp
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith("InvalidConfig: ablate.k_values must be ")
     assert not (tmp_path / "ab").exists()
+
+
+def _distinct_ints_from(low):
+    return lambda v: (type(v) is list and len(v) > 0 and all(type(x) is int and x >= low for x in v)
+                      and len(set(v)) == len(v))
+
+
+def _absent_or_non_empty_string(v):
+    return v is None or (type(v) is str and v != "")
+
+
+# Each list or string key, the run that reads it (one that never loads the checkpoint), and its rule,
+# written out here apart from schema.py.
+LIST_AND_STRING_KEYS = {
+    "seeds": ("multiseed", _distinct_ints_from(0)),
+    "ablate.k_values": ("ablate", _distinct_ints_from(1)),
+    "checkpoint": ("baseline-input_space", _absent_or_non_empty_string),
+    "source": ("pretrain", _absent_or_non_empty_string),
+}
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(), st.text("ab ", max_size=2))
+ANY_VALUE = st.one_of(_SCALARS, st.lists(st.integers(-1, 6), max_size=4),
+                      st.lists(st.one_of(_SCALARS, st.lists(st.integers(0, 3), max_size=1)), max_size=3))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(LIST_AND_STRING_KEYS)), value=ANY_VALUE)
+def test_a_list_or_string_key_is_accepted_exactly_when_it_meets_its_rule(
+    small_corpus, tmp_path_factory, caplog, key, value
+):
+    name, admits = LIST_AND_STRING_KEYS[key]
+    doc = command_doc(small_corpus, name)
+    section, _, field = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[field] = value
+    work = tmp_path_factory.mktemp("key")
+    cfg = write_yaml(work / "c.yaml", doc)
+    if admits(value):
+        p = cli._prepare(name, cfg)
+        assert getattr(getattr(p, section) if section else p, field) == value
+    else:
+        caplog.clear()
+        assert main([*name.replace("-", " --kind ").split(), "--config", cfg, "--out", str(work / "runs")]) == 1
+        assert one_error(caplog).startswith(f"InvalidConfig: {key} must be ")
+        assert not (work / "runs").exists()
+
+
+def test_every_run_key_is_a_section_or_a_top_level_field():
+    top = {f.name for f in fields(TopLevelConfig)}
+    for run in RUNS.values():
+        assert all((key in cli._SECTIONS) != (key in top) for key in run.keys), run.keys
 
 
 def test_split_skips_a_directory_named_like_a_sample(tmp_path):
