@@ -48,8 +48,8 @@ from .evaluation import (ABLATION_SETTINGS, EvalReport, EvalSpec, ablation_norma
                          evaluate, full_data_linear, input_space_baseline, multi_seed, shared_episodes,
                          write_csv_table)
 from .features import build_feature_pool
-from .nnet import EncoderConfig
-from .pipeline import AdaptConfig, TrainConfig, load_encoder, pretrain_source, save_encoder, train_encoder
+from .nnet import EncoderConfig, load_checkpoint, save_checkpoint
+from .pipeline import AdaptConfig, TrainConfig, pretrain_source, train_encoder
 from .pipeline import adapt as run_adapt
 from .synth import SynthSpec, generate_corpus
 
@@ -143,7 +143,7 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
     if "encoder" in run.keys:
         p.encoder = replace(p.encoder, input_dim=fp.dim)
     if p.checkpoint and run.checkpoint != "ignored":
-        p.model, p.meta = load_encoder(p.checkpoint)
+        p.model, p.meta = load_checkpoint(p.checkpoint)
         if p.meta.get("representation") != data.representation:
             raise ConfigMismatch(f"checkpoint representation {p.meta.get('representation')!r} != "
                                  f"configured {data.representation!r}")
@@ -187,7 +187,7 @@ def cmd_run(args) -> int:
 
 def _save_training(result, run_dir: Path, manifest: dict) -> None:
     ckpt = run_dir / "checkpoints" / "encoder.ckpt"
-    write_atomic(ckpt, lambda tmp: save_encoder(tmp, result))
+    write_atomic(ckpt, lambda tmp: save_checkpoint(tmp, result.encoder_config, result.state, result.meta))
     manifest["checkpoint"] = str(ckpt)
     if result.log:  # frozen adapt trains no epochs
         lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in result.log)

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .config import TopLevelConfig
 from .dataio import eligible_pool
 from .episodes import Episodes, EpisodeSpec, sample_episode
 from .errors import DegenerateProblem
@@ -359,7 +360,7 @@ def shared_episodes(seeds, episodes: int) -> int:
     return sum(max(0, episodes - (b - a)) for a, b in zip(ordered, ordered[1:]))
 
 
-def multi_seed(run_fn, seeds: tuple[int, ...] = (42, 1337, 2024)) -> dict:
+def multi_seed(run_fn, seeds: tuple[int, ...] = TopLevelConfig.seeds) -> dict:
     """Repeat a full evaluation per seed; report means and across-seed std."""
     per_seed = {}
     for seed in seeds:

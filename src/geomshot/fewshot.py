@@ -161,10 +161,18 @@ def _normalize_rows(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return emb / norms, norms
 
 
-def _supcon_terms(emb: np.ndarray, labels: np.ndarray, temperature: float):
-    """The loss, then what its gradient reads: the normalized rows and their
-    norms, the ``(B, B)`` similarities, the positive mask, the anchors, each
-    row's log denominator, and a ``(B, B)`` work array free to overwrite."""
+def supcon_loss(emb: np.ndarray, labels: np.ndarray, temperature: float) -> float:
+    return supcon_loss_and_grad(emb, labels, temperature)[0]
+
+
+def supcon_loss_and_grad(emb: np.ndarray, labels: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+    """Loss plus gradient w.r.t. the unnormalized embeddings.
+
+    The loss is non-differentiable at a zero embedding; norms are floored
+    at 1e-12 (the mainstream-framework convention), so callers must keep
+    embeddings away from exact zero. Any realistic encoder width does.
+    The ``(B, B)`` terms live in two arrays, overwritten as each one dies.
+    """
     emb = np.asarray(emb, dtype=np.float64)
     labels = np.asarray(labels)
     b = emb.shape[0]
@@ -187,32 +195,17 @@ def _supcon_terms(emb: np.ndarray, labels: np.ndarray, temperature: float):
     log_ratio = np.subtract(sim, lse, out=work)
     log_ratio *= pos
     loss = float((-log_ratio.sum(axis=1)[anchors] / pos.sum(axis=1)[anchors]).mean())
-    return loss, z, norms, sim, pos, anchors, lse, work
-
-
-def supcon_loss(emb: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    return _supcon_terms(emb, labels, temperature)[0]
-
-
-def supcon_loss_and_grad(emb: np.ndarray, labels: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
-    """Loss plus gradient w.r.t. the unnormalized embeddings.
-
-    The loss is non-differentiable at a zero embedding; norms are floored
-    at 1e-12 (the mainstream-framework convention), so callers must keep
-    embeddings away from exact zero. Any realistic encoder width does.
-    The ``(B, B)`` terms live in two arrays, overwritten as each one dies.
-    """
-    loss, z, norms, w, pos, anchors, lse, work = _supcon_terms(emb, labels, temperature)
+    del log_ratio, shift  # the gradient reads neither, and work is free to overwrite
 
     # d loss / d sim[i, a] = (softmax_i(a) - 1[a in P(i)] / |P(i)|) / |I|, in place of sim
-    np.exp(np.subtract(w, lse, out=w), out=w)
-    np.fill_diagonal(w, 0.0)
-    w -= np.divide(pos, np.maximum(pos.sum(axis=1), 1)[:, None], out=work)
-    w[~anchors] = 0.0  # rows without a positive are not anchors
-    w /= int(anchors.sum())
+    np.exp(np.subtract(sim, lse, out=sim), out=sim)
+    np.fill_diagonal(sim, 0.0)
+    sim -= np.divide(pos, np.maximum(pos.sum(axis=1), 1)[:, None], out=work)
+    sim[~anchors] = 0.0  # rows without a positive are not anchors
+    sim /= int(anchors.sum())
     # sim is z @ z.T / tau: accumulate both row and column occurrences.
-    d_z = np.add(w, w.T, out=work) @ z
-    del w, work
+    d_z = np.add(sim, sim.T, out=work) @ z
+    del sim, work
     d_z /= temperature
     # through the row normalization z = e / |e|
     zz = d_z * z

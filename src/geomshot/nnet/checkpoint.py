@@ -1,14 +1,17 @@
-"""Checkpoint container: one JSON header line + little-endian float64 blobs.
+"""The encoder checkpoint: one JSON header line, then the encoder's state array.
 
 Layout: the first line of the file is a compact JSON document
-``{"format": "geomshot-checkpoint", "version": 1, "meta": {...},
-"tensors": [{"name", "dtype", "shape", "byte_offset"}, ...]}``
-terminated by a newline; the rest of the file is the concatenation of the
-tensors' raw little-endian float64 bytes in header order, each at its
-stated offset; an encoder's are in ``EncoderConfig`` order, so its payload is
-the encoder's state array. Loading reproduces values bit-exactly;
-``config.read_document`` parses the header line (at most 1 MiB), and every
-fault is a ``CorruptCheckpoint``.
+``{"format": "geomshot-checkpoint", "version": 1, "meta": {..., "encoder":
+{EncoderConfig fields}}, "tensors": tensor_table(config)}`` terminated by a
+newline; the rest of the file is the state array's little-endian float64
+bytes: every trainable tensor layer by layer, then every BatchNorm's running
+statistics, each at its table entry's byte offset. ``config.read_document``
+parses the header line (at most 1 MiB). The loader builds the
+``EncoderConfig`` from ``meta.encoder`` before it reads the table, refuses the
+first entry that is not the config's own (compared as JSON text, so ``false``
+is not ``0`` and ``20.0`` is not ``20``), and reads the payload once, into the
+array the loaded encoder keeps as its state. Loading reproduces every bit,
+and every fault is one ``CorruptCheckpoint`` line.
 """
 
 from __future__ import annotations
@@ -17,42 +20,43 @@ import itertools
 import json
 import math
 import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..config import read_document
 from ..errors import CorruptCheckpoint
+from .encoder import EncoderConfig, MLPEncoder
 
 FORMAT_NAME = "geomshot-checkpoint"
 FORMAT_VERSION = 1
 MAX_HEADER_BYTES = 1 << 20  # a default encoder's header, with a full train_config, is under 2 KB
 
 
-def save_checkpoint(path, tensors: list[tuple[str, np.ndarray]], meta: dict) -> None:
-    arrays = [np.ascontiguousarray(arr, dtype="<f8") for _, arr in tensors]
-    offsets = itertools.accumulate((a.nbytes for a in arrays), initial=0)
-    entries = [
-        {"name": name, "dtype": "<f8", "shape": list(a.shape), "byte_offset": offset}
-        for (name, _), a, offset in zip(tensors, arrays, offsets)
-    ]
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": meta, "tensors": entries}
+def tensor_table(config: EncoderConfig) -> list[dict]:
+    """The header's tensor entries for ``config``, in payload order."""
+    h, layers, shapes = config.hidden_dim, range(1, config.num_hidden + 1), []
+    for i in layers:
+        shapes += [(f"fc{i}.weight", [h if i > 1 else config.input_dim, h]), (f"fc{i}.bias", [h])]
+        shapes += [(f"bn{i}.gamma", [h]), (f"bn{i}.beta", [h])]
+    shapes += [("head.weight", [h, config.embed_dim]), ("head.bias", [config.embed_dim])]
+    shapes += [(f"bn{i}.{stat}", [h]) for i in layers for stat in ("running_mean", "running_var")]
+    offsets = itertools.accumulate((8 * math.prod(shape) for _, shape in shapes), initial=0)
+    return [{"name": name, "dtype": "<f8", "shape": shape, "byte_offset": offset}
+            for (name, shape), offset in zip(shapes, offsets)]
+
+
+def save_checkpoint(path, config: EncoderConfig, state: np.ndarray, meta: dict) -> None:
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "meta": meta | {"encoder": asdict(config)},
+              "tensors": tensor_table(config)}
     with open(Path(path), "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.writelines(arrays)  # each array's own buffer: no bytes copy
+        f.write(np.ascontiguousarray(state, dtype="<f8"))  # the array's own buffer: no bytes copy
 
 
-def payload_views(flat: np.ndarray, shapes: list[tuple[str, list[int] | tuple[int, ...]]]) -> dict[str, np.ndarray]:
-    """{name: view} for ``(name, shape)`` pairs: reshaped views of ``flat``, one after another."""
-    ends = np.cumsum([math.prod(shape) for _, shape in shapes], dtype=np.int64)
-    return {name: view.reshape(shape) for (name, shape), view in zip(shapes, np.split(flat, ends))}
-
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (meta, {name: array}); raises CorruptCheckpoint on mismatch.
-
-    The payload is read once, into the one array its tensors are views of.
-    """
+def load_checkpoint(path) -> tuple[MLPEncoder, dict]:
+    """Returns (the encoder, meta); raises CorruptCheckpoint on any fault."""
     path = Path(path)
     with open(path, "rb") as f:
         line = f.readline(MAX_HEADER_BYTES + 1)
@@ -67,26 +71,27 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         entries = header.get("tensors", [])
         if not isinstance(meta, dict) or not isinstance(entries, list):
             raise CorruptCheckpoint(f"{path}: meta must be an object and tensors a list")
-        # The tensors must tile the payload: each starts where the previous one ends.
-        shapes: dict[str, list[int]] = {}
-        offset = 0
-        for entry in entries:
-            try:
-                name, dtype, shape, start = (entry[k] for k in ("name", "dtype", "shape", "byte_offset"))
-            except (KeyError, TypeError) as e:
-                raise CorruptCheckpoint(f"{path}: malformed tensor entry ({e!r})") from e
-            if not isinstance(name, str) or name in shapes:
-                raise CorruptCheckpoint(f"{path}: tensor name {name!r} is not a new string")
-            dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-            if dtype != "<f8" or not dims_ok or type(start) is not int or start != offset:
-                raise CorruptCheckpoint(f"{path}: tensor {name} needs dtype <f8, int dims and offset {offset}")
-            shapes[name] = shape
-            offset += math.prod(shape) * 8
+        if not isinstance(meta.get("encoder"), dict):
+            raise CorruptCheckpoint(f"{path}: missing encoder config in meta")
+        try:
+            cfg = EncoderConfig(**{f.name: meta["encoder"][f.name] for f in fields(EncoderConfig)})
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
+        if len(entries) != 6 * cfg.num_hidden + 2:  # before tensor_table() lists num_hidden layers
+            raise CorruptCheckpoint(
+                f"{path}: {len(entries)} tensors for num_hidden {cfg.num_hidden} "
+                f"(expected {6 * cfg.num_hidden + 2})"
+            )
+        for i, (entry, want) in enumerate(zip(entries, tensor_table(cfg))):
+            entry, want = json.dumps(entry, sort_keys=True), json.dumps(want, sort_keys=True)
+            if entry != want:
+                raise CorruptCheckpoint(f"{path}: tensor {i} is {entry} where the encoder config has {want}")
+        size = 8 * cfg.state_size()
         payload = os.fstat(f.fileno()).st_size - f.tell()
-        if offset != payload:
-            raise CorruptCheckpoint(f"{path}: payload has {payload} bytes, header accounts for {offset}")
-        flat = np.empty(offset // 8, dtype="<f8")
-        got = f.readinto(flat)
-        if got != offset:  # the file changed since its size was taken
-            raise CorruptCheckpoint(f"{path}: payload has {got} bytes, header accounts for {offset}")
-    return meta, payload_views(flat, list(shapes.items()))
+        if payload != size:
+            raise CorruptCheckpoint(f"{path}: payload has {payload} bytes, header accounts for {size}")
+        state = np.empty(cfg.state_size(), dtype="<f8")
+        read = f.readinto(state)
+        if read != size:  # the file changed since its size was taken
+            raise CorruptCheckpoint(f"{path}: payload has {read} bytes, header accounts for {size}")
+    return MLPEncoder.from_state(cfg, state), meta

@@ -4,9 +4,9 @@ The default configuration (two 256-unit hidden blocks, 128-D output,
 dropout 0.3) has 105,088 / 116,096 / 121,216 trainable parameters for
 input dimensions 20 / 63 / 83. The count covers Linear weights+biases and
 BatchNorm scale+shift, not the BatchNorm running statistics (pinned by
-test_encoder). The whole state is one float64 array in checkpoint-payload
-order (``EncoderConfig.tensor_shapes``), and every parameter's values and
-every running statistic are views of it.
+test_encoder). The whole state is one float64 array of ``state_size()``
+values in checkpoint-payload order (``checkpoint.tensor_table``), and every
+parameter's values and every running statistic are views of it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import CacheError, ShapeError
 from ..rng import STREAM_INIT, make_rng
 from ..schema import check_fields, setting
-from .checkpoint import payload_views
 from .layers import BatchNorm1d, Dropout, Linear, ParamBuffer, ParamTensor, ReLU
 
 
@@ -37,15 +36,9 @@ class EncoderConfig:
         h = self.hidden_dim
         return (self.input_dim + 3) * h + (self.num_hidden - 1) * (h + 3) * h + (h + 1) * self.embed_dim
 
-    def tensor_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Every checkpointed tensor with its shape, in payload order: the
-        trainable tensors layer by layer, then the running statistics."""
-        h, layers, shapes = self.hidden_dim, range(1, self.num_hidden + 1), []
-        for i in layers:
-            shapes += [(f"fc{i}.weight", (h if i > 1 else self.input_dim, h)), (f"fc{i}.bias", (h,))]
-            shapes += [(f"bn{i}.gamma", (h,)), (f"bn{i}.beta", (h,))]
-        shapes += [("head.weight", (h, self.embed_dim)), ("head.bias", (self.embed_dim,))]
-        return shapes + [(f"bn{i}.{stat}", (h,)) for i in layers for stat in ("running_mean", "running_var")]
+    def state_size(self) -> int:
+        """The state array's length: the trainable parameters, then each BatchNorm's running mean and variance."""
+        return self.param_count() + 2 * self.num_hidden * self.hidden_dim
 
 
 class MLPEncoder:
@@ -57,8 +50,7 @@ class MLPEncoder:
     """
 
     def __init__(self, config: EncoderConfig, seed: int):
-        self._build(config, np.empty(config.param_count() + 2 * config.num_hidden * config.hidden_dim),
-                    make_rng(STREAM_INIT, seed))
+        self._build(config, np.empty(config.state_size()), make_rng(STREAM_INIT, seed))
 
     @classmethod
     def from_state(cls, config: EncoderConfig, state_array: np.ndarray) -> "MLPEncoder":
@@ -101,17 +93,13 @@ class MLPEncoder:
     def zero_grad(self) -> None:
         self.flat.grad.fill(0.0)
 
-    def state(self) -> dict[str, np.ndarray]:
-        return payload_views(self.state_array.copy(), self.config.tensor_shapes())
+    def state(self) -> np.ndarray:
+        return self.state_array.copy()
 
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, dst in payload_views(self.state_array, self.config.tensor_shapes()).items():
-            if name not in state:
-                raise ShapeError(f"state is missing tensor {name}")
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != dst.shape:
-                raise ShapeError(f"{name}: shape {arr.shape} != {dst.shape}")
-            dst[...] = arr
+    def set_state(self, state: np.ndarray) -> None:
+        if np.shape(state) != self.state_array.shape:
+            raise ShapeError(f"state shape {np.shape(state)} != {self.state_array.shape}")
+        self.state_array[...] = state
 
     # -- forward / backward ------------------------------------------------
 

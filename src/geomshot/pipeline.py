@@ -24,18 +24,17 @@ and the head trains on those cached features.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dataio import eligible_pool
 from .episodes import Episodes, EpisodeSpec, sample_episode
-from .errors import ConfigMismatch, CorruptCheckpoint
+from .errors import ConfigMismatch
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
 from .fewshot import protonet_loss_and_grads, supcon_loss_and_grad
 from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
-from .nnet.checkpoint import load_checkpoint, save_checkpoint
 from .rng import STREAM_DROPOUT, make_rng
 from .schema import check_fields, setting
 
@@ -78,7 +77,7 @@ class AdaptConfig:
 
 @dataclass
 class TrainResult:
-    state: dict[str, np.ndarray]
+    state: np.ndarray  # the encoder's state array, as a checkpoint's payload holds it
     encoder_config: EncoderConfig
     log: list[dict]
     best_epoch: int
@@ -263,30 +262,3 @@ def adapt(
         clip_norm=cfg.clip_norm,
     )
     return _run_training(encoder, encoder.head, feats, pool, optimizer, run_cfg, False, meta)
-
-
-def save_encoder(path, result: TrainResult) -> None:
-    meta = {**result.meta, "encoder": asdict(result.encoder_config)}
-    tensors = [(name, result.state[name]) for name, _ in result.encoder_config.tensor_shapes()]
-    save_checkpoint(path, tensors, meta)
-
-
-def load_encoder(path) -> tuple[MLPEncoder, dict]:
-    meta, tensors = load_checkpoint(path)
-    enc_meta = meta.get("encoder")
-    if not isinstance(enc_meta, dict):
-        raise CorruptCheckpoint(f"{path}: missing encoder config in meta")
-    try:
-        cfg = EncoderConfig(**{f.name: enc_meta[f.name] for f in fields(EncoderConfig)})
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise CorruptCheckpoint(f"{path}: bad encoder config in meta ({e!r})") from e
-    if len(tensors) != 6 * cfg.num_hidden + 2:  # before tensor_shapes() lists num_hidden layers
-        raise CorruptCheckpoint(
-            f"{path}: {len(tensors)} tensors for num_hidden {cfg.num_hidden} "
-            f"(expected {6 * cfg.num_hidden + 2})"
-        )
-    for (name, arr), (want, shape) in zip(tensors.items(), cfg.tensor_shapes()):
-        if (name, arr.shape) != (want, shape):
-            raise CorruptCheckpoint(f"{path}: tensor {name} {arr.shape} where the encoder config has {want} {shape}")
-    # So the tensors tile the payload in the encoder's order: the array they view is its state array.
-    return MLPEncoder.from_state(cfg, next(iter(tensors.values())).base), meta

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from geomshot.dataio import build_catalog, save_split, stratified_split
-from geomshot.nnet import ParamBuffer, ParamTensor
+from geomshot.nnet import EncoderConfig, MLPEncoder, ParamBuffer, ParamTensor
 from geomshot.synth import SynthSpec, generate_corpus
 
 # Every property test draws the same examples on every run and machine, with
@@ -40,6 +40,19 @@ def packed(*params: ParamTensor) -> ParamBuffer:
     buffer = ParamBuffer(np.empty(size), np.empty(size))
     buffer.add(list(params))
     return buffer
+
+
+def named_state_arrays(enc: MLPEncoder) -> dict[str, np.ndarray]:
+    """Each parameter's values and each BatchNorm's running statistics, as the layers hold them."""
+    arrays = {p.name: p.values for p in enc.parameters()}
+    for i, bn in enumerate(enc.layers[1::4], start=1):
+        arrays[f"bn{i}.running_mean"], arrays[f"bn{i}.running_var"] = bn.running_mean, bn.running_var
+    return arrays
+
+
+def named_state(config: EncoderConfig, state: np.ndarray) -> dict[str, np.ndarray]:
+    """``named_state_arrays`` of an encoder over ``state``."""
+    return named_state_arrays(MLPEncoder.from_state(config, state))
 
 
 def random_hand(rng: np.random.Generator) -> np.ndarray:

@@ -136,11 +136,10 @@ def test_train_then_eval_then_adapt(small_corpus, tmp_path):
     }
     adapt_cfg = write_yaml(tmp_path / "adapt.yaml", adapt_doc)
     assert main(["adapt", "--config", adapt_cfg, "--out", str(tmp_path), "--run-id", "a1"]) == 0
-    _, orig = load_checkpoint(ckpt)
-    _, adapted = load_checkpoint(tmp_path / "a1" / "checkpoints" / "encoder.ckpt")
-    assert set(orig) == set(adapted)
-    for name in orig:
-        assert np.array_equal(orig[name], adapted[name]), name
+    orig, _ = load_checkpoint(ckpt)
+    adapted, _ = load_checkpoint(tmp_path / "a1" / "checkpoints" / "encoder.ckpt")
+    assert adapted.config == orig.config
+    assert np.array_equal(adapted.state_array, orig.state_array)
 
 
 def test_pretrain_records_source(small_corpus, tmp_path):
@@ -148,7 +147,7 @@ def test_pretrain_records_source(small_corpus, tmp_path):
     doc["source"] = "langA"
     cfg = write_yaml(tmp_path / "pre.yaml", doc)
     assert main(["pretrain", "--config", cfg, "--out", str(tmp_path), "--run-id", "p1"]) == 0
-    meta, _ = load_checkpoint(tmp_path / "p1" / "checkpoints" / "encoder.ckpt")
+    _, meta = load_checkpoint(tmp_path / "p1" / "checkpoints" / "encoder.ckpt")
     assert meta["source"] == "langA"
 
 
@@ -549,12 +548,10 @@ def _set_encoder_field(field, value):
 
 def save_random_encoder(ckpt):
     """An untrained angle-representation encoder checkpoint at ``ckpt``."""
-    from geomshot.nnet import EncoderConfig, MLPEncoder
-    from geomshot.pipeline import TrainResult, save_encoder
+    from geomshot.nnet import MLPEncoder, save_checkpoint
 
     encoder = MLPEncoder(EncoderConfig(input_dim=20, hidden_dim=32, embed_dim=16), seed=0)
-    save_encoder(ckpt, TrainResult(encoder.state(), encoder.config, [], -1, 0.0,
-                                   {"representation": "angle"}))
+    save_checkpoint(ckpt, encoder.config, encoder.state(), {"representation": "angle"})
 
 
 @pytest.mark.parametrize(
@@ -566,12 +563,15 @@ def save_random_encoder(ckpt):
      _set_encoder_field("hidden_dim", 10**9), _set_encoder_field("hidden_dim", 32.5),
      _set_encoder_field("num_hidden", 2.0), _set_encoder_field("num_hidden", True),
      _set_encoder_field("embed_dim", "16"), _set_encoder_field("dropout_p", "0.3"),
-     _swap_fc1_bias_and_bn1_gamma, _pad_header_past_one_mib],
+     _swap_fc1_bias_and_bn1_gamma, _pad_header_past_one_mib, _set_tensor_field(0, "byte_offset", False),
+     _set_tensor_field(0, "shape", [20.0, 32]), _set_tensor_field(0, "dtype", "<f4"),
+     _set_tensor_field(3, "note", "extra")],
     ids=["tensor-without-byte-offset", "encoder-without-hidden-dim", "header-not-an-object",
          "negative-byte-offset", "huge-num-hidden", "overlapping-byte-offset", "bool-byte-offset",
          "list-name", "float-shape", "transposed-shape", "huge-hidden-dim", "float-hidden-dim",
          "float-num-hidden", "bool-num-hidden", "string-embed-dim", "string-dropout-p",
-         "same-shape-names-swapped", "header-over-1-mib"],
+         "same-shape-names-swapped", "header-over-1-mib", "false-byte-offset", "integral-float-shape",
+         "f4-dtype", "entry-with-extra-key"],
 )
 def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, mutate):
     ckpt = tmp_path / "encoder.ckpt"
@@ -735,11 +735,11 @@ def test_coincident_hand_split_after_it_is_a_counted_skip_for_every_representati
 
 
 def test_failed_checkpoint_write_leaves_no_partial_file_and_a_failed_manifest(small_corpus, tmp_path, monkeypatch):
-    def save_part(path, result):
+    def save_part(path, config, state, meta):
         Path(path).write_bytes(b"partial")
         raise OSError("No space left on device")
 
-    monkeypatch.setattr("geomshot.cli.save_encoder", save_part)
+    monkeypatch.setattr("geomshot.cli.save_checkpoint", save_part)
     cfg = write_yaml(tmp_path / "train.yaml", tiny_train_doc(small_corpus))
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--run-id", "t"]) == 1
     run = tmp_path / "runs" / "t"

@@ -1,15 +1,16 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import named_state_arrays, traced_peak
 
 from geomshot.errors import BatchTooSmall, CacheError, CorruptCheckpoint, ShapeError
 from geomshot.nnet import EncoderConfig, MLPEncoder, load_checkpoint, save_checkpoint
-from geomshot.pipeline import TrainResult, load_encoder, save_encoder
+from geomshot.nnet.checkpoint import tensor_table
 from geomshot.rng import make_rng
 
 
@@ -134,24 +135,26 @@ def test_eval_forward_rows_independent_of_batch():
         assert np.array_equal(enc.head.forward(feats[rows], train=False), full[rows]), size
 
 
+def checkpoint_encoder(path, enc: MLPEncoder, meta: dict | None = None) -> None:
+    save_checkpoint(path, enc.config, enc.state(), meta or {})
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         enc = MLPEncoder(EncoderConfig(input_dim=20), seed=10)
         # make running stats nontrivial
         enc.forward(np.random.default_rng(4).normal(size=(16, 20)), train=True, rng=make_rng(5))
-        state = enc.state()
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, list(state.items()), {"note": "test"})
-        meta, tensors = load_checkpoint(path)
-        assert meta == {"note": "test"}
-        assert set(tensors) == set(state)
-        for name, arr in state.items():
-            assert np.array_equal(tensors[name], arr)
+        checkpoint_encoder(path, enc, {"note": "test"})
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"note": "test", "encoder": asdict(enc.config)}
+        assert loaded.config == enc.config
+        assert np.array_equal(loaded.state_array, enc.state_array)
 
     def test_truncated_blob_rejected(self, tmp_path):
         enc = MLPEncoder(EncoderConfig(input_dim=20), seed=11)
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, list(enc.state().items()), {})
+        checkpoint_encoder(path, enc)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CorruptCheckpoint):
@@ -160,7 +163,7 @@ class TestCheckpoint:
     def test_extra_trailing_byte_rejected(self, tmp_path):
         enc = MLPEncoder(EncoderConfig(input_dim=20), seed=11)
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, list(enc.state().items()), {})
+        checkpoint_encoder(path, enc)
         payload = path.stat().st_size - len(path.read_bytes().split(b"\n", 1)[0]) - 1
         with open(path, "ab") as f:
             f.write(b"\x00")
@@ -170,11 +173,12 @@ class TestCheckpoint:
     def test_load_holds_one_copy_of_the_payload(self, tmp_path):
         enc = MLPEncoder(EncoderConfig(input_dim=63), seed=15)  # raw_angle's width
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, list(enc.state().items()), {})
-        payload = sum(a.nbytes for a in enc.state().values())
-        (_, tensors), peak = traced_peak(lambda: load_checkpoint(path))
-        assert sum(a.nbytes for a in tensors.values()) == payload
-        assert peak <= payload + 64 * 1024
+        checkpoint_encoder(path, enc)
+        (loaded, _), peak = traced_peak(lambda: load_checkpoint(path))
+        assert np.array_equal(loaded.state_array, enc.state_array)
+        # The payload, read into the array the encoder keeps, beside its gradient and fc2's init and zero gradient.
+        fc2 = loaded.layers[4].weight.values.nbytes
+        assert peak <= loaded.state_array.nbytes + loaded.flat.grad.nbytes + 2 * fc2 + 64 * 1024
 
     def test_header_line_over_the_limit_is_refused_after_reading_about_the_limit(self, tmp_path):
         path = tmp_path / "enc.ckpt"
@@ -194,52 +198,67 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint):
                 load_checkpoint(path)
 
+    def test_table_fault_names_the_entry_and_the_configs_own(self, tmp_path):
+        cfg = EncoderConfig(input_dim=5, hidden_dim=8, embed_dim=4)
+        path = tmp_path / "enc.ckpt"
+        checkpoint_encoder(path, MLPEncoder(cfg, seed=0))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["tensors"][0]["byte_offset"] = False  # equal to 0 in Python, not in JSON
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        want = json.dumps(tensor_table(cfg)[0], sort_keys=True)
+        got = want.replace('"byte_offset": 0', '"byte_offset": false')
+        with pytest.raises(CorruptCheckpoint) as refused:
+            load_checkpoint(path)
+        assert str(refused.value) == f"{path}: tensor 0 is {got} where the encoder config has {want}"
+
     def test_header_lists_params_and_running_stats(self, tmp_path):
         # oracle: independent enumeration from the configuration
         cfg = EncoderConfig(input_dim=20)
-        enc = MLPEncoder(cfg, seed=12)
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, list(enc.state().items()), {})
-        _, tensors = load_checkpoint(path)
+        checkpoint_encoder(path, MLPEncoder(cfg, seed=12))
+        tensors = json.loads(path.read_bytes().split(b"\n", 1)[0])["tensors"]
         expected = set()
         for i in (1, 2):
             expected |= {f"fc{i}.weight", f"fc{i}.bias", f"bn{i}.gamma", f"bn{i}.beta",
                          f"bn{i}.running_mean", f"bn{i}.running_var"}
         expected |= {"head.weight", "head.bias"}
-        assert set(tensors) == expected
-        assert expected == {name for name, _ in cfg.tensor_shapes()}
-        assert [(name, t.shape) for name, t in tensors.items()] == cfg.tensor_shapes()  # the payload order
+        assert {t["name"] for t in tensors} == expected
+        assert tensors == tensor_table(cfg)
 
 
-def named_state_arrays(enc: MLPEncoder) -> dict[str, np.ndarray]:
-    """Each parameter's values and each BatchNorm's running statistics, as the layers hold them."""
-    arrays = {p.name: p.values for p in enc.parameters()}
-    for i, bn in enumerate(enc.layers[1::4], start=1):
-        arrays[f"bn{i}.running_mean"], arrays[f"bn{i}.running_var"] = bn.running_mean, bn.running_var
-    return arrays
-
-
-def test_every_tensor_is_a_view_of_the_state_array_in_payload_order(tmp_path, monkeypatch):
+def test_every_tensor_is_a_view_of_the_state_array_in_payload_order(tmp_path):
     enc = MLPEncoder(EncoderConfig(input_dim=20, hidden_dim=32, embed_dim=16), seed=16)
     enc.state_array[...] = np.arange(enc.state_array.size)
     state = enc.state()
-    assert list(state) == [name for name, _ in enc.config.tensor_shapes()]
-    for name, arr in named_state_arrays(enc).items():
-        assert np.shares_memory(arr, enc.state_array) and np.array_equal(arr, state[name]), name
+    assert np.array_equal(state, enc.state_array) and not np.shares_memory(state, enc.state_array)
+    start, arrays = enc.state_array.__array_interface__["data"][0], named_state_arrays(enc)
+    for entry in tensor_table(enc.config):  # each layer's array sits where the table puts it
+        arr = arrays[entry["name"]]
+        assert np.shares_memory(arr, enc.state_array) and list(arr.shape) == entry["shape"], entry
+        assert arr.__array_interface__["data"][0] - start == entry["byte_offset"], entry
     path = tmp_path / "enc.ckpt"
-    save_encoder(path, TrainResult(state, enc.config, [], -1, 0.0, {}))
-    payloads = []
-
-    def recording_load(path):
-        meta, tensors = load_checkpoint(path)
-        payloads.append(tensors)
-        return meta, tensors
-
-    monkeypatch.setattr("geomshot.pipeline.load_checkpoint", recording_load)
-    loaded, _ = load_encoder(path)
+    checkpoint_encoder(path, enc)
+    loaded, _ = load_checkpoint(path)
     assert np.array_equal(loaded.state_array, enc.state_array)
-    for arr in list(payloads[0].values()) + list(named_state_arrays(loaded).values()):
+    for arr in named_state_arrays(loaded).values():
         assert np.shares_memory(arr, loaded.state_array)
+
+
+@settings(max_examples=40)
+@given(input_dim=st.integers(1, 6), hidden_dim=st.integers(1, 6), num_hidden=st.integers(1, 3),
+       embed_dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_roundtrip_keeps_every_state_bit(tmp_path_factory, input_dim, hidden_dim, num_hidden,
+                                                     embed_dim, seed):
+    cfg = EncoderConfig(input_dim=input_dim, hidden_dim=hidden_dim, num_hidden=num_hidden, embed_dim=embed_dim)
+    # Random 64-bit patterns, NaNs with payloads among them.
+    state = np.random.default_rng(seed).integers(0, 2**64, cfg.state_size(), dtype=np.uint64).view(np.float64)
+    path = tmp_path_factory.mktemp("roundtrip") / "enc.ckpt"
+    save_checkpoint(path, cfg, state, {})
+    loaded, meta = load_checkpoint(path)
+    assert loaded.config == cfg and meta == {"encoder": asdict(cfg)}
+    assert np.array_equal(loaded.state_array.view(np.uint64), state.view(np.uint64))
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["tensors"] == tensor_table(cfg)
 
 
 def test_init_load_and_save_hold_no_second_copy_of_the_state(tmp_path):
@@ -248,10 +267,10 @@ def test_init_load_and_save_hold_no_second_copy_of_the_state(tmp_path):
     # A layer's init and zero gradient exist before they move in: fc2's weight is the largest.
     fc2 = enc.layers[4].weight.values.nbytes
     bound = enc.state_array.nbytes + enc.flat.grad.nbytes + 2 * fc2 + 64 * 1024
-    result = TrainResult(enc.state(), cfg, [], -1, 0.0, {})
+    state = enc.state()
     path = tmp_path / "enc.ckpt"
-    _, save_peak = traced_peak(lambda: save_encoder(path, result))
-    _, load_peak = traced_peak(lambda: load_encoder(path))
+    _, save_peak = traced_peak(lambda: save_checkpoint(path, cfg, state, {}))
+    _, load_peak = traced_peak(lambda: load_checkpoint(path))
     assert init_peak <= bound  # 2.92 MiB
     assert load_peak <= bound
     assert save_peak <= 64 * 1024
@@ -262,7 +281,7 @@ def small_checkpoint(tmp_path_factory):
     """(a path to write mutations to, the bytes of a saved 5-D encoder checkpoint)."""
     directory = tmp_path_factory.mktemp("fuzz")
     encoder = MLPEncoder(EncoderConfig(input_dim=5, hidden_dim=8, embed_dim=4), seed=0)
-    save_encoder(directory / "ok.ckpt", TrainResult(encoder.state(), encoder.config, [], -1, 0.0, {}))
+    checkpoint_encoder(directory / "ok.ckpt", encoder)
     return directory / "mutated.ckpt", (directory / "ok.ckpt").read_bytes()
 
 
@@ -306,7 +325,7 @@ def test_mutated_checkpoint_raises_only_corrupt_checkpoint(small_checkpoint, dat
     path, original = small_checkpoint
     path.write_bytes(data.draw(mutated_checkpoints(original)))
     try:
-        load_encoder(path)
+        load_checkpoint(path)
     except CorruptCheckpoint:
         pass
 

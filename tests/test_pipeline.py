@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import named_state, traced_peak
 
 from geomshot.errors import ConfigMismatch, InsufficientClasses
 from geomshot.features import FeaturePool
-from geomshot.nnet import EncoderConfig
+from geomshot.nnet import EncoderConfig, load_checkpoint, save_checkpoint
 from geomshot.pipeline import (
     AdaptConfig,
     TrainConfig,
     adapt,
-    load_encoder,
     pretrain_source,
-    save_encoder,
     train_encoder,
 )
 
@@ -78,8 +76,7 @@ class TestTraining:
         a = train_encoder(fp, tiny_cfg(max_epochs=3, patience=15), tiny_encoder_cfg())
         b = train_encoder(fp, tiny_cfg(max_epochs=3, patience=15), tiny_encoder_cfg())
         assert a.log == b.log
-        for name in a.state:
-            assert np.array_equal(a.state[name], b.state[name])
+        assert np.array_equal(a.state, b.state)
 
     def test_log_records_schema(self):
         fp = gaussian_pool()
@@ -106,8 +103,8 @@ class TestPretrain:
         fp = gaussian_pool()
         result = pretrain_source(fp, tiny_cfg(max_epochs=2), tiny_encoder_cfg(), source="langA")
         path = tmp_path / "pre.ckpt"
-        save_encoder(path, result)
-        _, meta = load_encoder(path)
+        save_checkpoint(path, result.encoder_config, result.state, result.meta)
+        _, meta = load_checkpoint(path)
         assert meta["source"] == "langA"
         assert meta["representation"] == "angle"
         assert meta["input_dim"] == 20
@@ -134,10 +131,9 @@ class TestPretrain:
         fp = gaussian_pool()
         result = pretrain_source(fp, tiny_cfg(max_epochs=2), tiny_encoder_cfg(), source="langA")
         path = tmp_path / "pre.ckpt"
-        save_encoder(path, result)
-        encoder, _ = load_encoder(path)
-        for name, arr in result.state.items():
-            assert np.array_equal(encoder.state()[name], arr)
+        save_checkpoint(path, result.encoder_config, result.state, result.meta)
+        encoder, _ = load_checkpoint(path)
+        assert np.array_equal(encoder.state(), result.state)
 
 
 class TestAdapt:
@@ -154,8 +150,7 @@ class TestAdapt:
         encoder, trained = self.make_pretrained()
         fp_target = gaussian_pool(seed=9)
         out = adapt(encoder, fp_target, AdaptConfig(mode="frozen"), tiny_cfg())
-        for name, arr in trained.state.items():
-            assert np.array_equal(out.state[name], arr)
+        assert np.array_equal(out.state, trained.state)
 
     def test_target_supervised_touches_only_head(self):
         encoder, trained = self.make_pretrained()
@@ -166,11 +161,12 @@ class TestAdapt:
             AdaptConfig(mode="target_supervised", max_epochs=3),
             tiny_cfg(),
         )
-        for name, arr in trained.state.items():
+        after = named_state(out.encoder_config, out.state)
+        for name, arr in named_state(trained.encoder_config, trained.state).items():
             if name.startswith("head."):
-                assert not np.array_equal(out.state[name], arr), name
+                assert not np.array_equal(after[name], arr), name
             else:
-                assert np.array_equal(out.state[name], arr), name
+                assert np.array_equal(after[name], arr), name
 
     def test_target_supervised_leaves_backbone_slice_of_buffer_untouched(self):
         encoder, _ = self.make_pretrained()
@@ -196,8 +192,10 @@ class TestAdapt:
                 AdaptConfig(mode=mode, max_epochs=epochs),
                 tiny_cfg(),
             )
+            after = named_state(out.encoder_config, out.state)
+            before = named_state(trained.encoder_config, trained.state)
             for name in ("bn1.running_mean", "bn1.running_var", "bn2.running_mean", "bn2.running_var"):
-                assert np.array_equal(out.state[name], trained.state[name]), (mode, name)
+                assert np.array_equal(after[name], before[name]), (mode, name)
 
     def test_dim_mismatch_rejected(self):
         encoder, _ = self.make_pretrained()
