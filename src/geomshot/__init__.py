@@ -9,9 +9,6 @@ from .geometry import (
     featurize,
     joint_angles,
     random_transform,
-    raw_angle_features,
-    raw_features,
-    triplet_table,
 )
 
 __all__ = [
@@ -21,8 +18,5 @@ __all__ = [
     "featurize",
     "joint_angles",
     "random_transform",
-    "raw_angle_features",
-    "raw_features",
-    "triplet_table",
     "__version__",
 ]

@@ -56,7 +56,7 @@ class BatchTooSmall(GeomshotError):
 
 
 class CacheError(GeomshotError):
-    """backward() called without a matching train-mode forward()."""
+    """backward() called without a matching train-mode forward(), or with no gradient bound to write into."""
 
 
 class NonFiniteGradient(GeomshotError):

@@ -6,25 +6,26 @@ Ring 13-16, Pinky 17-20. The math works on stacks: ``featurize`` maps
 (N, 21, 3) to an (N, D) matrix plus an (N,) degenerate mask, and
 ``apply_transforms`` gives each hand of a stack its own similarity
 transform from rotation, scale and translation arrays. The one-hand
-functions (``raw_features``, ``joint_angles``, ``raw_angle_features``,
-``apply_transform``, ``SimilarityTransform``) are one-row calls into them,
-so a hand gets the same bits alone or in a stack.
+functions (``joint_angles``, ``apply_transform``, ``SimilarityTransform``)
+are one-row calls into them, so a hand gets the same bits alone or in a
+stack.
 
 Three feature representations are derived from a hand:
 
 * ``raw`` (63-D): wrist-centred, scale-normalized keypoints flattened in
   row-major order. Invariant to translation and isotropic scale, but NOT
   to rotation.
-* ``angle`` (20-D): inter-joint angles over a fixed table of anatomical
+* ``angle`` (20-D): inter-joint angles over 20 fixed anatomical
   (parent, pivot, child) triplets, computed from the *original* keypoints.
   Invariant to any similarity transform (rotation + scale + translation).
 * ``raw_angle`` (83-D): concatenation [raw; angle].
 
-The triplet table has 20 entries: 15 flexion triplets (every chain joint
-with both a parent and a child) plus 5 wrist-pivoted abduction triplets
-over cyclically adjacent chain bases, which add finger-spread information
-while preserving the similarity invariance (any angle of displacement
-differences is invariant).
+The triplets are 15 flexion triplets (every chain joint with both a parent
+and a child) plus 5 wrist-pivoted abduction triplets over cyclically
+adjacent chain bases, which add finger-spread information while preserving
+the similarity invariance (any angle of displacement differences is
+invariant). They are kept as three index arrays, ``TRIPLET_PARENT``,
+``TRIPLET_PIVOT`` and ``TRIPLET_CHILD``.
 """
 
 from __future__ import annotations
@@ -52,40 +53,11 @@ DEGENERATE_NORM = 1e-9
 DEGENERATE_DISTANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class AngleTriplet:
-    """One (parent, pivot, child) keypoint triplet defining an angle."""
-
-    parent: int
-    pivot: int
-    child: int
-
-
-def _build_triplet_table() -> tuple[AngleTriplet, ...]:
-    triplets = []
-    # 15 flexion triplets: each chain joint that has both a parent and a
-    # child in the kinematic tree (the chain base's parent is the wrist).
-    for base in CHAIN_BASES:
-        chain = (WRIST, base, base + 1, base + 2, base + 3)
-        for i in range(1, 4):
-            triplets.append(AngleTriplet(chain[i - 1], chain[i], chain[i + 1]))
-    # 5 abduction triplets: wrist-pivoted angles between cyclically
-    # adjacent chain bases (finger spread).
-    ring = (17, 1, 5, 9, 13, 17)
-    for i in range(5):
-        triplets.append(AngleTriplet(ring[i], WRIST, ring[i + 1]))
-    return tuple(triplets)
-
-
-_TRIPLETS = _build_triplet_table()
-_TRIPLET_PARENT = np.array([t.parent for t in _TRIPLETS])
-_TRIPLET_PIVOT = np.array([t.pivot for t in _TRIPLETS])
-_TRIPLET_CHILD = np.array([t.child for t in _TRIPLETS])
-
-
-def triplet_table() -> tuple[AngleTriplet, ...]:
-    """The fixed 20-entry angle triplet table, flexion first then abduction."""
-    return _TRIPLETS
+# The 20 angle triplets: 15 flexion, chain by chain (a base's parent is the wrist), then 5 abduction.
+_CHAINS = np.array([(WRIST, base, base + 1, base + 2, base + 3) for base in CHAIN_BASES])
+TRIPLET_PARENT = np.concatenate([_CHAINS[:, 0:3].ravel(), np.roll(CHAIN_BASES, 1)])
+TRIPLET_PIVOT = np.concatenate([_CHAINS[:, 1:4].ravel(), np.full(len(CHAIN_BASES), WRIST)])
+TRIPLET_CHILD = np.concatenate([_CHAINS[:, 2:5].ravel(), CHAIN_BASES])
 
 
 @dataclass
@@ -217,8 +189,8 @@ def degenerate_hands(points: np.ndarray) -> np.ndarray:
 
 
 def _angle_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = h[:, _TRIPLET_PARENT] - h[:, _TRIPLET_PIVOT]
-    v = h[:, _TRIPLET_CHILD] - h[:, _TRIPLET_PIVOT]
+    u = h[:, TRIPLET_PARENT] - h[:, TRIPLET_PIVOT]
+    v = h[:, TRIPLET_CHILD] - h[:, TRIPLET_PIVOT]
     nu = np.linalg.norm(u, axis=2)
     nv = np.linalg.norm(v, axis=2)
     bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
@@ -252,23 +224,8 @@ def featurize(points: np.ndarray, kind: str, normalize: bool = True) -> tuple[np
     return np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], degenerate
 
 
-def _one_hand(points: np.ndarray, kind: str, normalize: bool = True) -> FeatureVector:
-    X, degenerate = featurize(validate_keypoints(points)[None], kind, normalize)
-    return FeatureVector(kind, X[0], degenerate=bool(degenerate[0]))
-
-
-def raw_features(points: np.ndarray, normalize: bool = True) -> FeatureVector:
-    """Flatten keypoints to a 63-vector, row-major.
-
-    With ``normalize`` (default) the keypoints are wrist-centred and
-    scale-normalized first. ``normalize=False`` flattens the original
-    coordinates and exists for the normalization ablation.
-    """
-    return _one_hand(points, "raw", normalize)
-
-
 def joint_angles(points: np.ndarray) -> FeatureVector:
-    """The 20 inter-joint angles, in triplet-table order, in radians.
+    """The 20 inter-joint angles, in triplet order, in radians.
 
     Computed from the original (unnormalized) keypoints; the result is
     identical whether or not wrist-centring / scale normalization was
@@ -277,12 +234,8 @@ def joint_angles(points: np.ndarray) -> FeatureVector:
     from the pivot to its parent and child. Triplets with a displacement
     norm < 1e-9 yield angle 0 and set the ``degenerate`` flag.
     """
-    return _one_hand(points, "angle")
-
-
-def raw_angle_features(points: np.ndarray, normalize: bool = True) -> FeatureVector:
-    """Concatenation [raw (0..62); angle (63..82)]."""
-    return _one_hand(points, "raw_angle", normalize)
+    X, degenerate = featurize(validate_keypoints(points)[None], "angle")
+    return FeatureVector("angle", X[0], degenerate=bool(degenerate[0]))
 
 
 def apply_transforms(points: np.ndarray, rotation, scale, translation) -> np.ndarray:

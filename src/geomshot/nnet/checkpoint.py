@@ -5,20 +5,20 @@ Layout: the first line of the file is a compact JSON document
 {EncoderConfig fields}}, "tensors": tensor_table(config)}`` terminated by a
 newline; the rest of the file is the state array's little-endian float64
 bytes: every trainable tensor layer by layer, then every BatchNorm's running
-statistics, each at its table entry's byte offset. ``config.read_document``
-parses the header line (at most 1 MiB). The loader builds the
-``EncoderConfig`` from ``meta.encoder`` before it reads the table, refuses the
-first entry that is not the config's own (compared as JSON text, so ``false``
-is not ``0`` and ``20.0`` is not ``20``), and reads the payload once, into the
-array the loaded encoder keeps as its state. Loading reproduces every bit,
-and every fault is one ``CorruptCheckpoint`` line.
+statistics, each at its table entry's byte offset. ``tensor_table`` is the
+encoder's own state layout, so the header and the encoder's views agree.
+``config.read_document`` parses the header line (at most 1 MiB). The loader
+builds the ``EncoderConfig`` from ``meta.encoder`` before it reads the table,
+refuses the first entry that is not the config's own (compared as JSON text,
+so ``false`` is not ``0`` and ``20.0`` is not ``20``), and reads the payload
+once, into the array the loaded encoder keeps as its state; that encoder
+holds no gradient. Loading reproduces every bit, and every fault is one
+``CorruptCheckpoint`` line.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -27,24 +27,11 @@ import numpy as np
 
 from ..config import read_document
 from ..errors import CorruptCheckpoint
-from .encoder import EncoderConfig, MLPEncoder
+from .encoder import EncoderConfig, MLPEncoder, tensor_table
 
 FORMAT_NAME = "geomshot-checkpoint"
 FORMAT_VERSION = 1
 MAX_HEADER_BYTES = 1 << 20  # a default encoder's header, with a full train_config, is under 2 KB
-
-
-def tensor_table(config: EncoderConfig) -> list[dict]:
-    """The header's tensor entries for ``config``, in payload order."""
-    h, layers, shapes = config.hidden_dim, range(1, config.num_hidden + 1), []
-    for i in layers:
-        shapes += [(f"fc{i}.weight", [h if i > 1 else config.input_dim, h]), (f"fc{i}.bias", [h])]
-        shapes += [(f"bn{i}.gamma", [h]), (f"bn{i}.beta", [h])]
-    shapes += [("head.weight", [h, config.embed_dim]), ("head.bias", [config.embed_dim])]
-    shapes += [(f"bn{i}.{stat}", [h]) for i in layers for stat in ("running_mean", "running_var")]
-    offsets = itertools.accumulate((8 * math.prod(shape) for _, shape in shapes), initial=0)
-    return [{"name": name, "dtype": "<f8", "shape": shape, "byte_offset": offset}
-            for (name, shape), offset in zip(shapes, offsets)]
 
 
 def save_checkpoint(path, config: EncoderConfig, state: np.ndarray, meta: dict) -> None:

@@ -5,12 +5,16 @@ dropout 0.3) has 105,088 / 116,096 / 121,216 trainable parameters for
 input dimensions 20 / 63 / 83. The count covers Linear weights+biases and
 BatchNorm scale+shift, not the BatchNorm running statistics (pinned by
 test_encoder). The whole state is one float64 array of ``state_size()``
-values in checkpoint-payload order (``checkpoint.tensor_table``), and every
-parameter's values and every running statistic are views of it.
+values laid out by ``tensor_table`` (the checkpoint's layout too). Each
+layer is built over its views of it: a new encoder draws its init into
+them, a loaded one keeps them. Only what trains gets a gradient, bound by
+AdamW, ``zero_grad`` or ``backward``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,19 @@ class EncoderConfig:
         return self.param_count() + 2 * self.num_hidden * self.hidden_dim
 
 
+def tensor_table(config: EncoderConfig) -> list[dict]:
+    """Each state tensor's name, dtype, shape and byte offset in the state array, in payload order."""
+    h, layers, shapes = config.hidden_dim, range(1, config.num_hidden + 1), []
+    for i in layers:
+        shapes += [(f"fc{i}.weight", [h if i > 1 else config.input_dim, h]), (f"fc{i}.bias", [h])]
+        shapes += [(f"bn{i}.gamma", [h]), (f"bn{i}.beta", [h])]
+    shapes += [("head.weight", [h, config.embed_dim]), ("head.bias", [config.embed_dim])]
+    shapes += [(f"bn{i}.{stat}", [h]) for i in layers for stat in ("running_mean", "running_var")]
+    offsets = itertools.accumulate((8 * math.prod(shape) for _, shape in shapes), initial=0)
+    return [{"name": name, "dtype": "<f8", "shape": shape, "byte_offset": offset}
+            for (name, shape), offset in zip(shapes, offsets)]
+
+
 class MLPEncoder:
     """Maps (B, input_dim) batches to (B, embed_dim) embeddings.
 
@@ -60,23 +77,23 @@ class MLPEncoder:
         return encoder
 
     def _build(self, config: EncoderConfig, state_array: np.ndarray, rng: np.random.Generator | None) -> None:
-        """Builds the layers over ``state_array``, moving each one's init in as it is built (none without rng)."""
+        """Builds the layers over views of ``state_array``, drawing each init into them (none without rng)."""
         self.config, self.state_array = config, state_array
-        n = config.param_count()
-        self.flat = ParamBuffer(state_array[:n], np.empty(n))  # filled in layer order: the head comes last
-        running = state_array[n:].reshape(config.num_hidden, 2, config.hidden_dim)  # each BatchNorm's mean, var
+        views = {e["name"]: np.ndarray(e["shape"], buffer=state_array, offset=e["byte_offset"])
+                 for e in tensor_table(config)}
         self.layers = []
-        for i in range(config.num_hidden):
-            fc = Linear(config.hidden_dim if i else config.input_dim, config.hidden_dim, f"fc{i + 1}", rng)
-            bn = BatchNorm1d(config.hidden_dim, f"bn{i + 1}")
-            self.flat.add(fc.parameters() + bn.parameters(), keep_values=rng is None)
+        for i in range(1, config.num_hidden + 1):
+            fc = Linear(config.hidden_dim if i > 1 else config.input_dim, config.hidden_dim, f"fc{i}", rng,
+                        (views[f"fc{i}.weight"], views[f"fc{i}.bias"]))
+            bn = BatchNorm1d(config.hidden_dim, f"bn{i}",
+                             tuple(views[f"bn{i}.{t}"] for t in ("gamma", "beta", "running_mean", "running_var")))
             if rng is not None:
-                running[i] = bn.running_mean, bn.running_var
-            bn.running_mean, bn.running_var = running[i]
+                bn.reset()
             self.layers += [fc, bn, ReLU(), Dropout(config.dropout_p)]
-        self.head = Linear(config.hidden_dim, config.embed_dim, "head", rng)
-        self.flat.add(self.head.parameters(), keep_values=rng is None)
+        self.head = Linear(config.hidden_dim, config.embed_dim, "head", rng, (views["head.weight"], views["head.bias"]))
         self.layers.append(self.head)
+        params = [p for layer in self.layers for p in layer.parameters()]  # in table order: the head comes last
+        self.flat = ParamBuffer(state_array[:config.param_count()], params)
         self._train_forward = False
 
     # -- state access -----------------------------------------------------
@@ -85,13 +102,15 @@ class MLPEncoder:
         return list(self.flat.params)
 
     def head_parameters(self) -> ParamBuffer:
-        return self.flat.tail(2)
+        """The head's tensors, as a buffer over the last values of ``flat``."""
+        params = self.head.parameters()
+        return ParamBuffer(self.flat.values[-sum(p.values.size for p in params):], params)
 
     def param_count(self) -> int:
         return self.flat.values.size
 
     def zero_grad(self) -> None:
-        self.flat.grad.fill(0.0)
+        self.flat.bind_grad().fill(0.0)
 
     def state(self) -> np.ndarray:
         return self.state_array.copy()
@@ -106,9 +125,7 @@ class MLPEncoder:
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ShapeError(
-                f"expected (B, {self.config.input_dim}) input, got {x.shape}"
-            )
+            raise ShapeError(f"expected (B, {self.config.input_dim}) input, got {x.shape}")
         if x.shape[0] < 1:
             raise ShapeError("empty batch")
         return x
@@ -129,6 +146,7 @@ class MLPEncoder:
         if not self._train_forward:
             raise CacheError("backward requires a preceding train-mode forward")
         self._train_forward = False
+        self.flat.bind_grad()
         g = np.asarray(grad_embeddings, dtype=np.float64)
         for layer in reversed(self.layers[1:]):
             g = layer.backward(g)

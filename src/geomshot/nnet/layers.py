@@ -4,6 +4,10 @@ Layers cache activations only on train-mode forwards; eval-mode forwards
 are pure. backward() consumes the cache, so calling it twice, or after an
 eval forward, raises CacheError.
 
+A layer built on its own allocates its arrays and zero gradients; one built
+over ``arrays`` (views of an encoder's state) has no gradient until a
+``ParamBuffer`` binds one, and a backward before that raises CacheError.
+
 A layer never writes into an array its caller passed in: forward and
 backward compute in place only in arrays they allocated in the same call
 (dropout at p = 0, or in eval mode, passes its argument through as is).
@@ -24,14 +28,14 @@ BN_MOMENTUM = 0.1
 
 
 class ParamTensor:
-    """Named trainable array with a same-shaped gradient that backward writes."""
+    """Named trainable array; its same-shaped ``grad``, which backward writes, is a new zero array or None."""
 
     __slots__ = ("name", "values", "grad")
 
-    def __init__(self, name: str, values: np.ndarray):
+    def __init__(self, name: str, values: np.ndarray, grad: bool = True):
         self.name = name
         self.values = np.asarray(values, dtype=F64)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if grad else None
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
@@ -41,46 +45,34 @@ class ParamTensor:
 
 
 class ParamBuffer:
-    """Tensors whose ``values``/``grad`` are reshaped views, in order, of one flat
-    ``values`` and one flat ``grad`` array: an encoder adds each layer's as it is built."""
+    """Tensors whose ``values`` (and, once bound, ``grad``) are reshaped views, in order, of one flat array."""
 
-    def __init__(self, values: np.ndarray, grad: np.ndarray):
-        self.values, self.grad = values, grad
-        self.params: list[ParamTensor] = []
+    def __init__(self, values: np.ndarray, params: list[ParamTensor]):
+        self.values, self.params = values, params
+        self.grad: np.ndarray | None = None
 
-    def add(self, params: list[ParamTensor], keep_values: bool = False) -> None:
-        """Moves each tensor into the next views: its gradient is copied in, and
-        its values too, unless ``keep_values`` keeps those the array holds."""
-        for p in params:
-            start, shape = sum(q.values.size for q in self.params), p.values.shape
-            values, grad = (a[start:start + p.values.size].reshape(shape) for a in (self.values, self.grad))
-            if not keep_values:
-                values[...] = p.values
-            grad[...] = p.grad
-            p.values, p.grad = values, grad
-            self.params.append(p)
-
-    def tail(self, n: int) -> "ParamBuffer":
-        """The last ``n`` tensors, as a buffer over the same memory."""
-        params = self.params[len(self.params) - n:]
-        start = self.values.size - sum(p.values.size for p in params)
-        tail = ParamBuffer(self.values[start:], self.grad[start:])
-        tail.params = params
-        return tail
+    def bind_grad(self) -> np.ndarray:
+        """The flat gradient: on the first call a zero array, with each tensor's ``grad`` bound to its view."""
+        if self.grad is None:
+            self.grad, start = np.zeros_like(self.values), 0
+            for p in self.params:
+                p.grad = self.grad[start:start + p.values.size].reshape(p.values.shape)
+                start += p.values.size
+        return self.grad
 
 
 class Layer:
+    """What every layer shares; each defines ``forward(x, train, rng=None)`` and ``backward(grad_out)``."""
+
+    _cache = None  # what a train-mode forward leaves for backward
+
     def parameters(self) -> list[ParamTensor]:
         return []
 
-    def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _take_cache(self):
-        cache = getattr(self, "_cache", None)
+        if any(p.grad is None for p in self.parameters()):
+            raise CacheError(f"{type(self).__name__}.backward with no gradient bound to its parameters")
+        cache = self._cache
         if cache is None:
             raise CacheError(f"{type(self).__name__}.backward without train-mode forward")
         self._cache = None
@@ -90,16 +82,21 @@ class Layer:
 class Linear(Layer):
     """y = x @ W + b with Kaiming-uniform weight init and zero biases.
 
-    Weights are drawn from U(-sqrt(6/fan_in), +sqrt(6/fan_in)) (ReLU gain);
-    without an ``rng`` none are drawn and the weight is left unset.
+    Built over ``arrays`` (weight, bias), or new zeros. With an ``rng`` the weight is drawn from
+    U(-sqrt(6/fan_in), +sqrt(6/fan_in)) (ReLU gain) in place and the bias zeroed; without one both are kept.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator | None):
-        bound = np.sqrt(6.0 / in_dim)
-        init = np.empty((in_dim, out_dim)) if rng is None else rng.uniform(-bound, bound, (in_dim, out_dim))
-        self.weight = ParamTensor(f"{name}.weight", init)
-        self.bias = ParamTensor(f"{name}.bias", np.zeros(out_dim))
-        self._cache = None
+    def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator | None,
+                 arrays: tuple[np.ndarray, np.ndarray] | None = None):
+        weight, bias = arrays or (np.zeros((in_dim, out_dim)), np.zeros(out_dim))
+        if rng is not None:
+            bound = np.sqrt(6.0 / in_dim)
+            rng.random(out=weight)  # in place, the bits of rng.uniform(-bound, bound, weight.shape)
+            weight *= 2.0 * bound
+            weight -= bound
+            bias.fill(0.0)
+        self.weight = ParamTensor(f"{name}.weight", weight, arrays is None)
+        self.bias = ParamTensor(f"{name}.bias", bias, arrays is None)
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -120,9 +117,6 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train, rng=None):
         if train:
             self._cache = x > 0
@@ -140,7 +134,6 @@ class Dropout(Layer):
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout p must be in [0, 1)")
         self.p = p
-        self._cache = None
         self.last_mask: np.ndarray | None = None
 
     def forward(self, x, train, rng=None):
@@ -174,14 +167,20 @@ class BatchNorm1d(Layer):
     Train mode normalizes by biased batch statistics and updates running
     statistics (momentum 0.1, unbiased variance, as mainstream frameworks
     do); eval mode uses the running statistics and never mutates state.
+    Built over ``arrays`` (gamma, beta, running mean and variance) as they are, or new ones set by ``reset``.
     """
 
-    def __init__(self, dim: int, name: str):
-        self.gamma = ParamTensor(f"{name}.gamma", np.ones(dim))
-        self.beta = ParamTensor(f"{name}.beta", np.zeros(dim))
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self._cache = None
+    def __init__(self, dim: int, name: str, arrays: tuple[np.ndarray, ...] | None = None):
+        gamma, beta, self.running_mean, self.running_var = arrays or (np.empty(dim) for _ in range(4))
+        self.gamma = ParamTensor(f"{name}.gamma", gamma, arrays is None)
+        self.beta = ParamTensor(f"{name}.beta", beta, arrays is None)
+        if arrays is None:
+            self.reset()
+
+    def reset(self) -> None:
+        """Sets the identity: unit scale and variance, zero shift and mean."""
+        for a, value in zip((self.gamma.values, self.beta.values, self.running_mean, self.running_var), (1, 0, 0, 1)):
+            a.fill(value)
 
     def parameters(self):
         return [self.gamma, self.beta]

@@ -53,13 +53,9 @@ class AdamW:
     one pass over the whole buffer.
     """
 
-    def __init__(
-        self,
-        buffer: ParamBuffer,
-        lr: float = 1e-4,
-        weight_decay: float = 1e-4,
-        clip_norm: float | None = 1.0,
-    ):
+    def __init__(self, buffer: ParamBuffer, lr: float = 1e-4, weight_decay: float = 1e-4,
+                 clip_norm: float | None = 1.0):
+        buffer.bind_grad()  # the gradient this optimizer reads: its buffer's alone
         self.buffer = buffer
         self.params = buffer.params
         self.lr = lr

@@ -35,10 +35,12 @@ def write_half_then_fail(path: Path, text: str, *args, **kwargs):
 
 
 def packed(*params: ParamTensor) -> ParamBuffer:
-    """A buffer over two new flat arrays, with ``params`` moved in."""
-    size = sum(p.values.size for p in params)
-    buffer = ParamBuffer(np.empty(size), np.empty(size))
-    buffer.add(list(params))
+    """A buffer over a new flat array with ``params`` moved in: their values, and their gradients into its own."""
+    values, grads = (np.concatenate([getattr(p, a).ravel() for p in params]) for a in ("values", "grad"))
+    for p, start in zip(params, np.cumsum([0] + [p.values.size for p in params])):
+        p.values = values[start:start + p.values.size].reshape(p.values.shape)
+    buffer = ParamBuffer(values, list(params))
+    buffer.bind_grad()[...] = grads
     return buffer
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import named_state_arrays, traced_peak
 
 from geomshot.errors import BatchTooSmall, CacheError, CorruptCheckpoint, ShapeError
+from geomshot.features import FeaturePool
 from geomshot.nnet import EncoderConfig, MLPEncoder, load_checkpoint, save_checkpoint
-from geomshot.nnet.checkpoint import tensor_table
+from geomshot.nnet.encoder import tensor_table
+from geomshot.pipeline import AdaptConfig, TrainConfig, adapt
 from geomshot.rng import make_rng
 
 
@@ -97,10 +99,25 @@ def test_one_backward_writes_every_gradient_the_optimizer_reads(head_only):
     model = enc.head if head_only else enc
     buffer = enc.head_parameters() if head_only else enc.flat
     inputs = enc.backbone_forward(x) if head_only else x
-    enc.flat.grad.fill(np.nan)
+    buffer.bind_grad().fill(np.nan)
     model.forward(inputs, train=True, rng=make_rng(9))
     model.backward(np.random.default_rng(10).normal(size=(12, 128)), input_grad=False)
     assert np.isfinite(buffer.grad).all()
+
+
+def test_backward_into_a_loaded_encoder_needs_a_bound_gradient(tmp_path):
+    # Without a gradient to write into, matmul(..., out=None) would compute one and drop it.
+    path = tmp_path / "enc.ckpt"
+    checkpoint_encoder(path, MLPEncoder(EncoderConfig(input_dim=20), seed=17))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.flat.grad is None
+    feats = loaded.backbone_forward(np.random.default_rng(11).normal(size=(6, 20)))
+    loaded.head.forward(feats, train=True)
+    with pytest.raises(CacheError, match=r"^Linear\.backward with no gradient bound to its parameters$"):
+        loaded.head.backward(np.ones((6, 128)))
+    loaded.head_parameters().bind_grad()
+    assert loaded.head.backward(np.ones((6, 128))).shape == (6, 256)  # the train-mode cache was kept
+    assert np.array_equal(loaded.head.bias.grad, np.full(128, 6.0)) and loaded.flat.grad is None
 
 
 def test_train_forward_deterministic_given_rng():
@@ -171,14 +188,23 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_load_holds_one_copy_of_the_payload(self, tmp_path):
-        enc = MLPEncoder(EncoderConfig(input_dim=63), seed=15)  # raw_angle's width
+        enc = MLPEncoder(EncoderConfig(input_dim=83), seed=15)  # raw_angle's width
         path = tmp_path / "enc.ckpt"
         checkpoint_encoder(path, enc)
         (loaded, _), peak = traced_peak(lambda: load_checkpoint(path))
         assert np.array_equal(loaded.state_array, enc.state_array)
-        # The payload, read into the array the encoder keeps, beside its gradient and fc2's init and zero gradient.
-        fc2 = loaded.layers[4].weight.values.nbytes
-        assert peak <= loaded.state_array.nbytes + loaded.flat.grad.nbytes + 2 * fc2 + 64 * 1024
+        # The payload, read into the array the encoder keeps; an encoder that does not train holds no gradient.
+        assert loaded.state_array.nbytes == 977_920  # 0.933 MiB
+        assert peak <= loaded.state_array.nbytes + 64 * 1024  # 0.946 MiB measured
+        assert loaded.flat.grad is None and all(p.grad is None for p in loaded.parameters())
+        # Head-only adaptation binds a gradient for the head's 32,896 values alone.
+        rng = np.random.default_rng(0)
+        pool = FeaturePool(rng.normal(size=(60, 83)), np.repeat(np.arange(5), 12), np.full(60, ""), "raw_angle", True)
+        cfg = TrainConfig(n_way=5, k_shot=2, q_query=2, episodes_per_epoch=2, monitor_episodes=2)
+        adapt(loaded, pool, AdaptConfig(mode="target_supervised", max_epochs=1), cfg)
+        head, backbone = loaded.parameters()[-2:], loaded.parameters()[:-2]
+        assert sum(p.grad.size for p in head) == 32_896 and all(p.grad is None for p in backbone)
+        assert loaded.flat.grad is None
 
     def test_header_line_over_the_limit_is_refused_after_reading_about_the_limit(self, tmp_path):
         path = tmp_path / "enc.ckpt"
@@ -264,15 +290,15 @@ def test_checkpoint_roundtrip_keeps_every_state_bit(tmp_path_factory, input_dim,
 def test_init_load_and_save_hold_no_second_copy_of_the_state(tmp_path):
     cfg = EncoderConfig(input_dim=83)
     enc, init_peak = traced_peak(lambda: MLPEncoder(cfg, seed=0))
-    # A layer's init and zero gradient exist before they move in: fc2's weight is the largest.
-    fc2 = enc.layers[4].weight.values.nbytes
-    bound = enc.state_array.nbytes + enc.flat.grad.nbytes + 2 * fc2 + 64 * 1024
+    # Each layer's init is drawn into its views of the state array, and no gradient is allocated.
+    assert enc.flat.grad is None and all(p.grad is None for p in enc.parameters())
+    bound = enc.state_array.nbytes + 64 * 1024
     state = enc.state()
     path = tmp_path / "enc.ckpt"
     _, save_peak = traced_peak(lambda: save_checkpoint(path, cfg, state, {}))
     _, load_peak = traced_peak(lambda: load_checkpoint(path))
-    assert init_peak <= bound  # 2.92 MiB
-    assert load_peak <= bound
+    assert init_peak <= bound  # 0.941 MiB measured
+    assert load_peak <= bound  # 0.946 MiB measured
     assert save_peak <= 64 * 1024
 
 

@@ -22,20 +22,28 @@ from geomshot.geometry import (
     featurize,
     joint_angles,
     max_pairwise_distance,
+    TRIPLET_CHILD,
+    TRIPLET_PARENT,
+    TRIPLET_PIVOT,
     random_transform,
-    raw_angle_features,
-    raw_features,
     rotation_errors,
     rotation_from_quaternion,
     scale_normalize,
-    triplet_table,
     wrist_center,
 )
 from conftest import random_hand
 
-_PARENT = np.array([t.parent for t in triplet_table()])
-_PIVOT = np.array([t.pivot for t in triplet_table()])
-_CHILD = np.array([t.child for t in triplet_table()])
+_PIVOT_SIX = int(np.flatnonzero(TRIPLET_PIVOT == 6)[0])
+
+
+def one_hand(h, kind, normalize=True):
+    """``featurize`` of a one-row stack: (the hand's feature row, its degenerate flag)."""
+    X, degenerate = featurize(np.asarray(h)[None], kind, normalize)
+    return X[0], bool(degenerate[0])
+
+
+def raw_row(h, normalize=True):
+    return one_hand(h, "raw", normalize)[0]
 
 
 def reference_features(h, kind, normalize=True):
@@ -52,8 +60,8 @@ def reference_features(h, kind, normalize=True):
             raw = centred / extent
         values.append(raw.reshape(-1))
     if kind != "raw":
-        u = h[_PARENT] - h[_PIVOT]
-        v = h[_CHILD] - h[_PIVOT]
+        u = h[TRIPLET_PARENT] - h[TRIPLET_PIVOT]
+        v = h[TRIPLET_CHILD] - h[TRIPLET_PIVOT]
         nu = np.linalg.norm(u, axis=1)
         nv = np.linalg.norm(v, axis=1)
         bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
@@ -149,7 +157,7 @@ class TestScaleNormalize:
 
 class TestRawFeatures:
     def test_wrist_block_is_zero(self):
-        vec = raw_features(random_hand(np.random.default_rng(3))).values
+        vec = raw_row(random_hand(np.random.default_rng(3)))
         assert np.array_equal(vec[:3], (0, 0, 0))
 
     def test_matches_scalar_oracle_on_segment_hand(self):
@@ -157,52 +165,55 @@ class TestRawFeatures:
         h = np.zeros((21, 3))
         h[:, 0] = np.linspace(0.3, 1.3, 21)
         h[:, 1] = 0.25
-        vec = raw_features(h).values
+        vec = raw_row(h)
         assert np.allclose(vec, scalar_raw_oracle(h.tolist()), atol=1e-12)
 
     def test_matches_scalar_oracle_on_random_hand(self):
         h = random_hand(np.random.default_rng(4))
-        assert np.allclose(raw_features(h).values, scalar_raw_oracle(h.tolist()), atol=1e-12)
+        assert np.allclose(raw_row(h), scalar_raw_oracle(h.tolist()), atol=1e-12)
 
     def test_not_rotation_invariant(self):
         h = random_hand(np.random.default_rng(5))
         t = random_transform(123)
         rotated = SimilarityTransform(t.rotation, 1.0, np.zeros(3))
-        diff = np.abs(raw_features(apply_transform(h, rotated)).values - raw_features(h).values)
+        diff = np.abs(raw_row(apply_transform(h, rotated)) - raw_row(h))
         assert diff.max() > 1e-6
 
     def test_translation_and_scale_invariant(self):
         h = random_hand(np.random.default_rng(6))
         shifted = h + np.array([4.0, -2.0, 9.0])
-        assert np.allclose(raw_features(shifted).values, raw_features(h).values, atol=1e-12)
-        assert np.allclose(raw_features(7.5 * h).values, raw_features(h).values, atol=1e-12)
+        assert np.allclose(raw_row(shifted), raw_row(h), atol=1e-12)
+        assert np.allclose(raw_row(7.5 * h), raw_row(h), atol=1e-12)
 
     def test_unnormalized_variant(self):
         h = random_hand(np.random.default_rng(7))
-        assert np.array_equal(raw_features(h, normalize=False).values, h.reshape(-1))
+        assert np.array_equal(raw_row(h, normalize=False), h.reshape(-1))
 
 
 class TestTripletTable:
     def test_length_is_twenty(self):
-        assert len(triplet_table()) == 20
+        assert TRIPLET_PARENT.shape == TRIPLET_PIVOT.shape == TRIPLET_CHILD.shape == (20,)
 
     def test_pivot_six_entry(self):
-        (entry,) = [t for t in triplet_table() if t.pivot == 6]
-        assert (entry.parent, entry.pivot, entry.child) == (5, 6, 7)
+        (i,) = np.flatnonzero(TRIPLET_PIVOT == 6)
+        assert (TRIPLET_PARENT[i], TRIPLET_PIVOT[i], TRIPLET_CHILD[i]) == (5, 6, 7)
 
     def test_no_fingertip_pivots(self):
-        assert all(t.pivot not in FINGERTIPS for t in triplet_table())
+        assert not np.isin(TRIPLET_PIVOT, FINGERTIPS).any()
 
     def test_indices_valid_and_distinct(self):
-        for t in triplet_table():
-            ids = (t.parent, t.pivot, t.child)
+        for ids in zip(TRIPLET_PARENT, TRIPLET_PIVOT, TRIPLET_CHILD):
             assert all(0 <= i <= 20 for i in ids)
             assert len(set(ids)) == 3
 
     def test_flexion_then_abduction_order(self):
-        table = triplet_table()
-        assert all(t.pivot != 0 for t in table[:15])
-        assert all(t.pivot == 0 for t in table[15:])
+        assert (TRIPLET_PIVOT[:15] != 0).all()
+        assert (TRIPLET_PIVOT[15:] == 0).all()
+        # oracle: each finger's joints from base to tip, then the spread between adjacent bases, thumb first
+        chains = [(0, base, base + 1, base + 2, base + 3) for base in (1, 5, 9, 13, 17)]
+        flexion = [(chain[i - 1], chain[i], chain[i + 1]) for chain in chains for i in (1, 2, 3)]
+        abduction = [(17, 0, 1), (1, 0, 5), (5, 0, 9), (9, 0, 13), (13, 0, 17)]
+        assert list(zip(TRIPLET_PARENT.tolist(), TRIPLET_PIVOT.tolist(), TRIPLET_CHILD.tolist())) == flexion + abduction
 
 
 class TestJointAngles:
@@ -211,16 +222,14 @@ class TestJointAngles:
         h[5] = (0.0, 0.0, 0.0)
         h[6] = (1.0, 0.0, 0.0)
         h[7] = (2.0, 0.0, 0.0)
-        idx = [i for i, t in enumerate(triplet_table()) if t.pivot == 6][0]
-        assert joint_angles(h).values[idx] == pytest.approx(np.pi, abs=1e-12)
+        assert joint_angles(h).values[_PIVOT_SIX] == pytest.approx(np.pi, abs=1e-12)
 
     def test_orthogonal_is_half_pi(self):
         h = np.random.default_rng(9).normal(size=(21, 3))
         h[5] = (1.0, 0.0, 0.0)
         h[6] = (0.0, 0.0, 0.0)
         h[7] = (0.0, 1.0, 0.0)
-        idx = [i for i, t in enumerate(triplet_table()) if t.pivot == 6][0]
-        assert joint_angles(h).values[idx] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert joint_angles(h).values[_PIVOT_SIX] == pytest.approx(np.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_similarity_invariance(self, seed):
@@ -245,9 +254,8 @@ class TestJointAngles:
         h = random_hand(np.random.default_rng(11))
         h[7] = h[6]  # child collapses onto pivot
         fv = joint_angles(h)
-        idx = [i for i, t in enumerate(triplet_table()) if t.pivot == 6][0]
         assert fv.degenerate
-        assert fv.values[idx] == 0.0
+        assert fv.values[_PIVOT_SIX] == 0.0
 
     def test_near_parallel_clamped_no_nan(self):
         h = np.random.default_rng(12).normal(size=(21, 3))
@@ -260,10 +268,10 @@ class TestJointAngles:
 class TestRawAngle:
     def test_layout(self):
         h = random_hand(np.random.default_rng(13))
-        fv = raw_angle_features(h)
-        assert fv.values.shape == (83,)
-        assert np.array_equal(fv.values[:63], raw_features(h).values)
-        assert np.array_equal(fv.values[63:], joint_angles(h).values)
+        values, _ = one_hand(h, "raw_angle")
+        assert values.shape == (83,)
+        assert np.array_equal(values[:63], raw_row(h))
+        assert np.array_equal(values[63:], joint_angles(h).values)
 
 
 class TestApplyTransform:
@@ -339,10 +347,12 @@ class TestStackedFeaturize:
     def test_one_hand_calls_are_rows_of_the_stack(self, kind):
         h = hand_stack(12, 1)
         X, degenerate = featurize(h, kind)
-        one = {"raw": raw_features, "angle": joint_angles, "raw_angle": raw_angle_features}[kind]
         for i, row in enumerate(h):
-            fv = one(row)
-            assert np.array_equal(fv.values, X[i]) and fv.degenerate == degenerate[i]
+            values, flag = one_hand(row, kind)
+            assert np.array_equal(values, X[i]) and flag == degenerate[i]
+            if kind == "angle":
+                fv = joint_angles(row)
+                assert np.array_equal(fv.values, X[i]) and fv.degenerate == degenerate[i]
 
     def test_coincident_hand_is_zero_angle_row(self):
         h = hand_stack(12, 2)

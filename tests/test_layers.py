@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomshot.errors import BatchTooSmall, CacheError
 from geomshot.nnet import (
     BatchNorm1d,
     Dropout,
+    EncoderConfig,
     Linear,
+    MLPEncoder,
     ParamBuffer,
     ParamTensor,
     ReLU,
@@ -161,44 +165,53 @@ class TestBatchNorm:
 
 class TestParamBuffer:
     def test_tensors_and_buffer_share_memory_both_ways(self):
-        a = ParamTensor("a", np.arange(6.0).reshape(2, 3))
-        b = ParamTensor("b", np.array([7.0, 8.0]))
-        buf = ParamBuffer(np.empty(8), np.empty(8))
-        buf.add([a])
-        buf.add([b])
-        assert np.array_equal(buf.values, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
-        assert a.values.shape == (2, 3) and a.grad.shape == (2, 3)
+        values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0])
+        a = ParamTensor("a", values[:6].reshape(2, 3), grad=False)
+        b = ParamTensor("b", values[6:], grad=False)
+        buf = ParamBuffer(values, [a, b])
+        assert buf.grad is None and a.grad is None and b.grad is None
         a.values[1, 2] = -1.0
         assert buf.values[5] == -1.0
         buf.values[6] = 9.0
         assert b.values[0] == 9.0
+        grad = buf.bind_grad()
+        assert buf.bind_grad() is grad and buf.grad is grad and np.array_equal(grad, np.zeros(8))
+        assert a.grad.shape == (2, 3) and b.grad.shape == (2,)
         b.grad += 2.0
         assert np.array_equal(buf.grad, [0.0] * 6 + [2.0, 2.0])
         buf.grad[0] = 3.0
         assert a.grad[0, 0] == 3.0
 
-    def test_tail_is_a_view_of_the_last_tensors(self):
-        a, b, c = (ParamTensor(n, np.zeros(k)) for n, k in (("a", 3), ("b", 2), ("c", 1)))
-        buf = ParamBuffer(np.empty(6), np.empty(6))
-        buf.add([a, b, c])
-        tail = buf.tail(2)
-        assert tail.params == [b, c]
-        tail.values[:] = [1.0, 2.0, 3.0]
-        assert np.array_equal(buf.values, [0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(b.values, [1.0, 2.0]) and c.values[0] == 3.0
-        tail.grad.fill(4.0)
-        assert np.array_equal(buf.grad, [0.0, 0.0, 0.0, 4.0, 4.0, 4.0])
-        assert buf.tail(0).values.size == 0
+    def test_head_slice_is_a_view_of_the_last_tensors_and_binds_only_their_gradient(self):
+        enc = MLPEncoder(EncoderConfig(input_dim=3, hidden_dim=4, embed_dim=2), seed=0)
+        head = enc.head_parameters()
+        assert head.params == [enc.head.weight, enc.head.bias] and head.values.size == 10
+        head.values[:] = np.arange(1.0, 11.0)
+        assert np.array_equal(enc.flat.values[-10:], np.arange(1.0, 11.0))
+        assert np.array_equal(enc.head.weight.values, np.arange(1.0, 9.0).reshape(4, 2))
+        assert np.array_equal(enc.head.bias.values, [9.0, 10.0])
+        head.bind_grad().fill(4.0)
+        assert np.array_equal(enc.head.weight.grad, np.full((4, 2), 4.0)) and enc.head.bias.grad.size == 2
+        assert enc.flat.grad is None and all(p.grad is None for p in enc.parameters()[:-2])
 
-    def test_add_with_keep_values_keeps_the_array_and_copies_the_gradient(self):
-        a = ParamTensor("a", np.full((2, 2), 5.0))
-        a.grad[...] = 3.0
-        values = np.array([0.0, 1.0, 2.0, 3.0, 9.0])  # room for a tensor added later
-        buf = ParamBuffer(values, np.empty(5))
-        buf.add([a], keep_values=True)
-        assert np.array_equal(a.values, [[0.0, 1.0], [2.0, 3.0]]) and np.shares_memory(a.values, values)
-        assert np.array_equal(buf.grad[:4], [3.0] * 4)
-        assert values[4] == 9.0
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1), bound=st.floats(1e-300, 1e300),
+       dims=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 40)), min_size=1, max_size=4))
+def test_drawing_into_a_view_gives_the_bits_of_uniform(seed, bound, dims):
+    # The encoder's init is byte-identical to per-layer rng.uniform draws because of this.
+    sizes = [i * o for i, o in dims]
+    flat = np.empty(sum(sizes))
+    views = [v.reshape(d) for v, d in zip(np.split(flat, np.cumsum(sizes)[:-1]), dims)]
+    drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for view in views:
+        drawn.random(out=view)
+        view *= 2.0 * bound
+        view -= bound
+        assert view.tobytes() == reference.uniform(-bound, bound, view.shape).tobytes()
+    for (i, o), view in zip(dims, views):  # a Linear layer over the same views, at its own bound
+        Linear(i, o, "fc", drawn, (view, np.empty(o)))
+        assert view.tobytes() == reference.uniform(-np.sqrt(6.0 / i), np.sqrt(6.0 / i), (i, o)).tobytes()
 
 
 # -- bit-for-bit against the expressions the layers used before they computed in place --------

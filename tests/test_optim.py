@@ -136,8 +136,8 @@ def test_head_slice_step_matches_per_tensor_loop_bit_for_bit():
 def test_nonfinite_gradient_in_the_last_block_aborts_without_mutation():
     encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
     flat = encoder.flat
-    assert flat.grad.size % _BLOCK  # the last block is partial
     opt = AdamW(flat, lr=1e-3, weight_decay=1e-2)
+    assert flat.grad.size % _BLOCK  # the last block is partial
     rng = np.random.default_rng(2)
     flat.grad[...] = rng.normal(size=flat.grad.size) * 1e-3
     opt.step()
@@ -155,7 +155,7 @@ def test_optimizer_memory_is_two_buffers_plus_two_blocks():
     encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
     flat = encoder.flat
     nbytes = flat.values.nbytes  # 105,088 values
-    flat.grad[...] = np.random.default_rng(3).normal(size=flat.grad.size) * 1e-3
+    flat.bind_grad()[...] = np.random.default_rng(3).normal(size=flat.values.size) * 1e-3
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
