@@ -14,6 +14,9 @@ from geomshot.geometry import (
     FINGERTIPS,
     REPRESENTATIONS,
     SimilarityTransform,
+    TRIPLET_CHILD,
+    TRIPLET_PARENT,
+    TRIPLET_PIVOT,
     apply_transform,
     apply_transforms,
     check_similarities,
@@ -22,9 +25,6 @@ from geomshot.geometry import (
     featurize,
     joint_angles,
     max_pairwise_distance,
-    TRIPLET_CHILD,
-    TRIPLET_PARENT,
-    TRIPLET_PIVOT,
     random_transform,
     rotation_errors,
     rotation_from_quaternion,
