@@ -43,9 +43,9 @@ import numpy as np
 from . import config as cfgmod
 from .config import write_atomic, write_document
 from .dataio import build_catalog, eligible_pool, load_split, save_split, split_pool, stratified_split
-from .errors import ConfigMismatch, DegenerateProblem, GeomshotError, InvalidConfig
+from .errors import ConfigMismatch, GeomshotError, InvalidConfig
 from .evaluation import (ABLATION_SETTINGS, EvalReport, EvalSpec, ablation_normalization, episode_linear_baseline,
-                         evaluate, full_data_linear, input_space_baseline, multi_seed, shared_episodes,
+                         evaluate, full_data_linear, input_space_baseline, linear_classes, multi_seed, shared_episodes,
                          write_csv_table)
 from .features import build_feature_pool
 from .nnet import EncoderConfig, load_checkpoint, save_checkpoint
@@ -152,8 +152,7 @@ def _prepare(name: str, config_path) -> SimpleNamespace:
     shape = p.train if "train" in run.keys else p.eval
     p.seed = p.seeds[0] if "seeds" in run.keys else shape.base_seed
     if name == "baseline-full_data":
-        if np.count_nonzero(np.bincount(np.concatenate([p.pools["train"].labels, p.pools["test"].labels]))) < 2:
-            raise DegenerateProblem("need at least two classes for a linear classifier")
+        linear_classes(p.pools["train"], p.pools["test"])
     elif not ("adapt" in run.keys and p.adapt.mode == "frozen"):  # frozen adapt draws no episodes
         k_shot = max(p.ablate.k_values) if "ablate" in run.keys else shape.k_shot
         eligible_pool(fp.labels, k_shot, shape.q_query, shape.n_way)

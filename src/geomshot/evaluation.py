@@ -308,11 +308,17 @@ def episode_linear_baseline(
     return _score_episodes(encoder, predict, fp, spec, draw_episodes(fp.labels, spec), echo)
 
 
-def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:
-    """Softmax regression on every train feature vector; test accuracy."""
+def linear_classes(fp_train: FeaturePool, fp_test: FeaturePool) -> np.ndarray:
+    """The labels either pool holds, sorted; DegenerateProblem unless there are at least two."""
     classes = np.flatnonzero(np.bincount(np.concatenate([fp_train.labels, fp_test.labels])))
     if len(classes) < 2:
         raise DegenerateProblem("need at least two classes for a linear classifier")
+    return classes
+
+
+def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:
+    """Softmax regression on every train feature vector; test accuracy."""
+    classes = linear_classes(fp_train, fp_test)
     W, b = fit_softmax_regression(fp_train.X, np.searchsorted(classes, fp_train.labels), len(classes))
     return float((_linear_predict(W, b, fp_test.X) == np.searchsorted(classes, fp_test.labels)).mean())
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CacheError, ShapeError
+from ..errors import ShapeError
 from ..rng import STREAM_INIT, make_rng
 from ..schema import check_fields, setting
 from .layers import BatchNorm1d, Dropout, Linear, ParamBuffer, ParamTensor, ReLU
@@ -94,7 +94,6 @@ class MLPEncoder:
         self.layers.append(self.head)
         params = [p for layer in self.layers for p in layer.parameters()]  # in table order: the head comes last
         self.flat = ParamBuffer(state_array[:config.param_count()], params)
-        self._train_forward = False
 
     # -- state access -----------------------------------------------------
 
@@ -137,15 +136,12 @@ class MLPEncoder:
             raise ValueError("train-mode forward needs an rng for dropout")
         for layer in self.layers:
             x = layer.forward(x, train, rng)
-        self._train_forward = train
         return x
 
     def backward(self, grad_embeddings: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter gradients; return the input gradient, or None
-        without ``input_grad``, which skips fc1's input-gradient product."""
-        if not self._train_forward:
-            raise CacheError("backward requires a preceding train-mode forward")
-        self._train_forward = False
+        without ``input_grad``, which skips fc1's input-gradient product.
+        After an eval forward the head raises CacheError before any gradient is written."""
         self.flat.bind_grad()
         g = np.asarray(grad_embeddings, dtype=np.float64)
         for layer in reversed(self.layers[1:]):

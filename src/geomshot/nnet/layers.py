@@ -1,7 +1,7 @@
 """Dense layers with explicit forward/backward passes, float64 throughout.
 
-Layers cache activations only on train-mode forwards; eval-mode forwards
-are pure. backward() consumes the cache, so calling it twice, or after an
+Layers cache activations only on train-mode forwards; an eval-mode forward
+drops the cache. backward() consumes it, so calling it twice, or after an
 eval forward, raises CacheError.
 
 A layer built on its own allocates its arrays and zero gradients; one built
@@ -118,8 +118,7 @@ class Linear(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train, rng=None):
-        if train:
-            self._cache = x > 0
+        self._cache = x > 0 if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, grad_out):
@@ -134,20 +133,15 @@ class Dropout(Layer):
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout p must be in [0, 1)")
         self.p = p
-        self.last_mask: np.ndarray | None = None
 
     def forward(self, x, train, rng=None):
         if not train or self.p == 0.0:
-            if train:
-                self._cache = np.ones_like(x, dtype=bool)
-                self.last_mask = self._cache
+            self._cache = np.ones_like(x, dtype=bool) if train else None
             return x
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
         y = rng.random(x.shape)
-        mask = y >= self.p
-        self._cache = mask
-        self.last_mask = mask
+        mask = self._cache = y >= self.p
         np.multiply(x, mask, out=y)  # the uniform draws are spent: y holds the output
         y /= 1.0 - self.p
         return y
@@ -166,7 +160,7 @@ class BatchNorm1d(Layer):
 
     Train mode normalizes by biased batch statistics and updates running
     statistics (momentum 0.1, unbiased variance, as mainstream frameworks
-    do); eval mode uses the running statistics and never mutates state.
+    do); eval mode uses the running statistics and never mutates them.
     Built over ``arrays`` (gamma, beta, running mean and variance) as they are, or new ones set by ``reset``.
     """
 
@@ -187,6 +181,7 @@ class BatchNorm1d(Layer):
 
     def forward(self, x, train, rng=None):
         if not train:
+            self._cache = None
             inv_std = 1.0 / np.sqrt(self.running_var + BN_EPS)
             y = x - self.running_mean
             np.multiply(self.gamma.values, y, out=y)

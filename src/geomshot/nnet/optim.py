@@ -81,8 +81,7 @@ class AdamW:
             block = slice(start, start + _BLOCK)
             p, g, m, v = buf.values[block], buf.grad[block], self._m[block], self._v[block]
             a, b = scratch_a[:p.size], scratch_b[:p.size]
-            if self.weight_decay:
-                p *= decay
+            p *= decay
             m *= BETA1
             m += np.multiply(1.0 - BETA1, g, out=a)
             v *= BETA2

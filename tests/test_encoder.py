@@ -68,9 +68,15 @@ def test_wrong_input_dim_rejected():
 
 def test_backward_requires_train_forward():
     enc = MLPEncoder(EncoderConfig(input_dim=20), seed=7)
-    enc.forward(np.zeros((4, 20)), train=False)
-    with pytest.raises(CacheError):
-        enc.backward(np.zeros((4, 128)))
+    enc.zero_grad()
+    enc.flat.grad[...] = np.random.default_rng(1).normal(size=enc.flat.grad.shape)
+    bound = enc.flat.grad.copy()
+    x = np.random.default_rng(2).normal(size=(4, 20))
+    enc.forward(x, train=True, rng=make_rng(3))
+    enc.forward(x, train=False)
+    with pytest.raises(CacheError, match="^Linear.backward without train-mode forward$"):
+        enc.backward(np.ones((4, 128)))
+    assert enc.flat.grad.tobytes() == bound.tobytes()
 
 
 @pytest.mark.parametrize("head_only", [False, True])

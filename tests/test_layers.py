@@ -15,6 +15,7 @@ from geomshot.nnet import (
     ReLU,
     finite_difference_check,
 )
+from geomshot.nnet.layers import Layer
 from geomshot.rng import make_rng
 
 
@@ -83,6 +84,22 @@ class TestLinear:
             lin.backward(np.zeros((2, 3)))
 
 
+# Constructor arguments per layer class; a class not listed is built with none.
+LAYER_ARGS = {Linear: [(4, 4, "fc", None)], BatchNorm1d: [(4, "bn")], Dropout: [(0.3,), (0.0,)]}
+
+
+@pytest.mark.parametrize("cls,args", [
+    pytest.param(cls, args, id="-".join([cls.__name__, *map(str, args)]))
+    for cls in Layer.__subclasses__() for args in LAYER_ARGS.get(cls, [()])])
+def test_backward_after_an_eval_forward_raises(cls, args):
+    layer = cls(*args)
+    x = np.random.default_rng(0).normal(size=(5, 4))
+    layer.forward(x, train=True, rng=make_rng(1))
+    layer.forward(x, train=False)
+    with pytest.raises(CacheError, match=f"^{cls.__name__}.backward without train-mode forward$"):
+        layer.backward(np.ones_like(x))
+
+
 class TestReLU:
     def test_forward_and_mask(self):
         relu = ReLU()
@@ -112,7 +129,6 @@ class TestDropout:
         y = drop.forward(x, train=True, rng=make_rng(13))
         dx = drop.backward(np.ones_like(x))
         assert np.array_equal(dx != 0, y != 0)
-        assert np.array_equal(drop.last_mask, y != 0)
 
     def test_same_rng_replays_mask(self):
         drop = Dropout(0.3)
@@ -308,7 +324,6 @@ def test_dropout_matches_reference_bitwise(batch, width, p):
     drop = Dropout(p)
     assert_same_bits(run_unchanged(lambda a: drop.forward(a, train=False), x), x)
     assert_same_bits(run_unchanged(lambda a: drop.forward(a, train=True, rng=make_rng(9)), x), y_ref)
-    assert_same_bits(drop.last_mask, mask)
     assert_same_bits(run_unchanged(drop.backward, g), dx_ref)
 
 

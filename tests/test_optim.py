@@ -85,12 +85,13 @@ def per_tensor_adamw_step(params, m, v, t, lr, weight_decay, clip_norm, betas=(0
     return norm
 
 
-def test_flat_step_matches_per_tensor_loop_bit_for_bit():
+@pytest.mark.parametrize("weight_decay", [1e-2, 0.0])
+def test_flat_step_matches_per_tensor_loop_bit_for_bit(weight_decay):
     encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
     ref = [ParamTensor(p.name, p.values.copy()) for p in encoder.parameters()]
     m = {p.name: np.zeros_like(p.values) for p in ref}
     v = {p.name: np.zeros_like(p.values) for p in ref}
-    opt = AdamW(encoder.flat, lr=1e-3, weight_decay=1e-2, clip_norm=1.0)
+    opt = AdamW(encoder.flat, lr=1e-3, weight_decay=weight_decay, clip_norm=1.0)
     assert len(opt.params) == 10
     rng = np.random.default_rng(0)
     clipped = 0
@@ -100,7 +101,7 @@ def test_flat_step_matches_per_tensor_loop_bit_for_bit():
         for p, r in zip(encoder.parameters(), ref):
             r.grad[...] = p.grad[...] = rng.normal(size=p.values.shape) * scale
         norm = opt.step()
-        assert norm == per_tensor_adamw_step(ref, m, v, t, 1e-3, 1e-2, 1.0)
+        assert norm == per_tensor_adamw_step(ref, m, v, t, 1e-3, weight_decay, 1.0)
         clipped += norm > 1.0
         for p, r in zip(encoder.parameters(), ref):
             assert np.array_equal(p.values, r.values), (t, p.name)
