@@ -215,7 +215,7 @@ def _adapt(p, run_dir: Path, manifest: dict) -> None:
 def _save_report(p, report: EvalReport, run_dir: Path, manifest: dict, mode: str) -> None:
     row = _report_csv_row(report, p.name, mode)
     write_document(run_dir / "report.json", report.to_doc())
-    write_atomic(run_dir / "tables" / "summary.csv", lambda tmp: write_csv_table(tmp, [row]))
+    write_csv_table(run_dir / "tables" / "summary.csv", [row])
     manifest["mean_accuracy"] = report.mean_accuracy
 
 
@@ -249,10 +249,10 @@ def _full_data(p, run_dir: Path, manifest: dict) -> None:
 
 
 def _ablate(p, run_dir: Path, manifest: dict) -> None:
-    rows = ablation_normalization(lambda *setting: p.pools[setting], p.ablate.k_values, p.eval)
+    rows = ablation_normalization(p.pools, p.ablate.k_values, p.eval)
     columns = ["setting", "label", "representation", "normalize", "K", "mean", "ci95"]
     write_document(run_dir / "report.json", {"schema_version": 1, "dataset": p.name, "rows": rows})
-    write_atomic(run_dir / "tables" / "ablation.csv", lambda tmp: write_csv_table(tmp, rows, columns))
+    write_csv_table(run_dir / "tables" / "ablation.csv", rows, columns)
 
 
 def _multiseed(p, run_dir: Path, manifest: dict) -> None:
@@ -267,7 +267,7 @@ def _multiseed(p, run_dir: Path, manifest: dict) -> None:
     encoder = "none" if p.model is None else "mlp"
     rows = [{"dataset": p.name, "repr": p.data.representation, "encoder": encoder, "mode": f"seed={s}",
              "K": p.eval.k_shot, "mean": aggregate["per_seed_mean"][str(s)], "ci95": ""} for s in p.seeds]
-    write_atomic(run_dir / "tables" / "multiseed.csv", lambda tmp: write_csv_table(tmp, rows))
+    write_csv_table(run_dir / "tables" / "multiseed.csv", rows)
 
 
 _TRAIN_KEYS = ("data", "encoder", "train", "source")
@@ -319,7 +319,7 @@ def cmd_export(args) -> int:
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise GeomshotError(f"{args.report}: not an episode report ({type(e).__name__}: {e})") from None
     out = Path(args.out)
-    write_atomic(out, lambda tmp: write_csv_table(tmp, [row]))
+    write_csv_table(out, [row])
     _sidecar_manifest(out, "export", {"report": str(args.report), "mode": args.mode}, started_at)
     return 0
 

@@ -175,8 +175,8 @@ _SPLIT_FIELDS = {
 }
 
 
-def load_split(path, catalog: DatasetCatalog | None = None) -> SplitFile:
-    """Read a split file; if a catalog is given, validate it against it."""
+def load_split(path, catalog: DatasetCatalog) -> SplitFile:
+    """Read a split file and validate it against the catalog."""
     doc = read_document(path, InvalidSplit)
     if not isinstance(doc, dict):
         raise InvalidSplit(f"{path}: a split file must hold a JSON object")
@@ -194,19 +194,18 @@ def load_split(path, catalog: DatasetCatalog | None = None) -> SplitFile:
     overlap = train_set & test_set
     if overlap:
         raise InvalidSplit(f"{path}: train/test overlap on {sorted(overlap)[:3]} ...")
-    if catalog is not None:
-        catalog_paths = set(catalog.paths.tolist())
-        covered = train_set | test_set
-        missing = catalog_paths - covered
-        extra = covered - catalog_paths
-        stale = sorted((p, reason) for p, reason in catalog.skipped if p in extra)
-        if stale:
-            raise InvalidSplit(f"{path}: split lists {stale[0][0]}, which the catalog skipped ({stale[0][1]})")
-        if missing or extra:
-            raise InvalidSplit(
-                f"{path}: split does not cover the catalog "
-                f"({len(missing)} missing, {len(extra)} unknown)"
-            )
+    catalog_paths = set(catalog.paths.tolist())
+    covered = train_set | test_set
+    missing = catalog_paths - covered
+    extra = covered - catalog_paths
+    stale = sorted((p, reason) for p, reason in catalog.skipped if p in extra)
+    if stale:
+        raise InvalidSplit(f"{path}: split lists {stale[0][0]}, which the catalog skipped ({stale[0][1]})")
+    if missing or extra:
+        raise InvalidSplit(
+            f"{path}: split does not cover the catalog "
+            f"({len(missing)} missing, {len(extra)} unknown)"
+        )
     return split
 
 

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import TopLevelConfig
+from .config import TopLevelConfig, write_atomic
 from .dataio import eligible_pool
 from .episodes import Episodes, EpisodeSpec, sample_episode
 from .errors import DegenerateProblem
@@ -285,18 +285,16 @@ def episode_linear_baseline(
     fp: FeaturePool,
     spec: EvalSpec,
     config_echo: dict | None = None,
-    **fit,
 ) -> EvalReport:
     """Per-episode softmax regression fitted on the support embeddings.
 
-    All episodes' probes are fitted in one stacked solve, with ``fit``'s
-    keywords passed to ``fit_softmax_regression``; each episode's queries
-    are then scored with its own weights.
+    All episodes' probes are fitted in one stacked solve; each episode's
+    queries are then scored with its own weights.
     """
 
     def predict(emb, episodes):
         y = np.broadcast_to(episodes.support_labels, episodes.support.shape)
-        W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way, **fit)
+        W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way)
         pred = np.empty(episodes.query.shape, dtype=np.int64)
         for block in _blocks(episodes):
             pred[block] = _linear_predict(W[block], b[block, None, :], emb[episodes.query[block]])
@@ -323,24 +321,24 @@ def full_data_linear(fp_train: FeaturePool, fp_test: FeaturePool) -> float:
     return float((_linear_predict(W, b, fp_test.X) == np.searchsorted(classes, fp_test.labels)).mean())
 
 
-def ablation_normalization(build_pool, ks: tuple[int, ...], spec: EvalSpec) -> list[dict]:
+def ablation_normalization(pools, ks: tuple[int, ...], spec: EvalSpec) -> list[dict]:
     """Input-space evaluation under the three cumulative settings.
 
-    ``build_pool(representation, normalize)`` must return a FeaturePool
-    for the evaluation split. Episodes depend only on the pool's labels,
-    which every setting must share, so each K's episodes are drawn once and
-    scored on all three feature matrices. Emits one row per (setting, K),
-    setting-major.
+    ``pools`` maps each setting's ``(representation, normalize)`` to its
+    FeaturePool of the evaluation split. Episodes depend only on the pool's
+    labels, which every setting must share, so each K's episodes are drawn
+    once and scored on all three feature matrices. Emits one row per
+    (setting, K), setting-major.
     """
-    pools = [build_pool(representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS]
-    for (key, *_), fp in zip(ABLATION_SETTINGS, pools):
-        if not np.array_equal(fp.labels, pools[0].labels):
+    fps = [pools[representation, normalize] for _, _, representation, normalize in ABLATION_SETTINGS]
+    for (key, *_), fp in zip(ABLATION_SETTINGS, fps):
+        if not np.array_equal(fp.labels, fps[0].labels):
             raise ValueError(f"ablation setting {key!r} does not share the first setting's labels")
     rows = {}
     for k in ks:
         k_spec = replace(spec, k_shot=k)
-        episodes = draw_episodes(pools[0].labels, k_spec)
-        for (key, label, representation, normalize), fp in zip(ABLATION_SETTINGS, pools):
+        episodes = draw_episodes(fps[0].labels, k_spec)
+        for (key, label, representation, normalize), fp in zip(ABLATION_SETTINGS, fps):
             echo = {"encoder": "none", "ablation_setting": key}
             report = _score_episodes(None, proto_predict, fp, k_spec, episodes, echo)
             rows[key, k] = {
@@ -381,9 +379,12 @@ def multi_seed(run_fn, seeds: tuple[int, ...] = TopLevelConfig.seeds) -> dict:
 
 
 def write_csv_table(path, rows: list[dict], columns: list[str] | None = None) -> None:
-    columns = columns or CSV_COLUMNS
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    """Write ``rows`` under ``columns`` (``CSV_COLUMNS`` if None) as CSV, whole or not at all."""
+
+    def write(tmp):
+        with open(tmp, "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=columns or CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+
+    write_atomic(path, write)

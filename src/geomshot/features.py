@@ -13,7 +13,7 @@ from .geometry import featurize
 
 @dataclass
 class FeaturePool:
-    """Feature matrix with the class label and path of each row.
+    """Feature matrix with the class label of each row.
 
     Rows keep the catalog's order (class-major), so episode composition
     depends only on the labels and the episode seed.
@@ -23,7 +23,6 @@ class FeaturePool:
 
     X: np.ndarray
     labels: np.ndarray
-    paths: np.ndarray
     representation: str
     normalize: bool
     degenerate_angle_rows: int = 0
@@ -45,4 +44,4 @@ def build_feature_pool(part: DatasetCatalog, root, representation: str, normaliz
         X, degenerate = featurize(part.keypoints, representation, normalize=normalize)
     except DegenerateHand as e:
         raise DegenerateHand(f"{part.paths[e.rows[0]]}: {e}", rows=e.rows) from None
-    return FeaturePool(X, part.labels, part.paths, representation, normalize, int(degenerate.sum()))
+    return FeaturePool(X, part.labels, representation, normalize, int(degenerate.sum()))

@@ -47,10 +47,13 @@ FINGERTIPS = (4, 8, 12, 16, 20)
 REPRESENTATIONS = ("raw", "angle", "raw_angle")
 FEATURE_DIMS = {"raw": 63, "angle": 20, "raw_angle": 83}
 
-# Below this displacement norm a triplet is treated as degenerate.
+# A triplet whose shorter displacement is at most this fraction of its longer one is degenerate, at any scale.
 DEGENERATE_NORM = 1e-9
 # Below this max pairwise distance a hand cannot be scale-normalized.
 DEGENERATE_DISTANCE = 1e-12
+# random_transform's scale range and translation bound, and the synthetic corpus defaults.
+SCALE_RANGE = (0.1, 10.0)
+TRANSLATE_MAX = 10.0
 
 
 # The 20 angle triplets: 15 flexion, chain by chain (a base's parent is the wrist), then 5 abduction.
@@ -62,7 +65,7 @@ TRIPLET_CHILD = np.concatenate([_CHAINS[:, 2:5].ravel(), CHAIN_BASES])
 
 @dataclass
 class FeatureVector:
-    """A feature vector with its representation tag.
+    """The angle features of one hand.
 
     ``degenerate`` is set when any angle triplet had a (near-)zero
     displacement; the affected angles are reported as 0 instead of
@@ -70,7 +73,6 @@ class FeatureVector:
     points.
     """
 
-    kind: str
     values: np.ndarray
     degenerate: bool = False
 
@@ -99,12 +101,12 @@ def rotation_errors(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def check_similarities(rotation, scale, translation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check (..., 3, 3) rotations, (...) scales and (..., 3) translations; return them as float64.
 
-    Each rotation must be orthogonal and have determinant +1, both within 1e-10.
+    Every entry must be finite and every scale positive; each rotation orthogonal with determinant +1, within 1e-10.
     """
     rotation, scale, translation = (np.asarray(a, dtype=np.float64) for a in (rotation, scale, translation))
     if rotation.shape != scale.shape + (3, 3) or translation.shape != scale.shape + (3,):
         raise ShapeError("rotation must be 3x3 and translation length 3")
-    if not (np.isfinite(rotation).all() and np.isfinite(scale).all()):
+    if not all(np.isfinite(a).all() for a in (rotation, scale, translation)):
         raise ShapeError("transform entries must be finite")
     if scale.min(initial=np.inf) <= 0:
         raise ShapeError("scale must be positive")
@@ -193,7 +195,7 @@ def _angle_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = h[:, TRIPLET_CHILD] - h[:, TRIPLET_PIVOT]
     nu = np.linalg.norm(u, axis=2)
     nv = np.linalg.norm(v, axis=2)
-    bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
+    bad = np.minimum(nu, nv) <= DEGENERATE_NORM * np.maximum(nu, nv)
     denom = np.where(bad, 1.0, nu * nv)
     cos = np.clip((u * v).sum(axis=2) / denom, -1.0, 1.0)
     angles = np.arccos(cos)
@@ -229,13 +231,13 @@ def joint_angles(points: np.ndarray) -> FeatureVector:
 
     Computed from the original (unnormalized) keypoints; the result is
     identical whether or not wrist-centring / scale normalization was
-    applied first. Each angle is
-    arccos(clamp(u.v / (|u||v|), -1, 1)) with u, v the displacements
-    from the pivot to its parent and child. Triplets with a displacement
-    norm < 1e-9 yield angle 0 and set the ``degenerate`` flag.
+    applied first. Each angle is arccos(clamp(u.v / (|u||v|), -1, 1))
+    with u, v the displacements from the pivot to its parent and child.
+    A triplet whose shorter displacement is at most ``DEGENERATE_NORM``
+    times its longer one yields angle 0 and sets the ``degenerate`` flag.
     """
     X, degenerate = featurize(validate_keypoints(points)[None], "angle")
-    return FeatureVector("angle", X[0], degenerate=bool(degenerate[0]))
+    return FeatureVector(X[0], degenerate=bool(degenerate[0]))
 
 
 def apply_transforms(points: np.ndarray, rotation, scale, translation) -> np.ndarray:
@@ -281,17 +283,13 @@ def draw_similarity(rng: np.random.Generator, log_scale_range: tuple[float, floa
     return q, scale, rng.uniform(-translate_max, translate_max, size=3)
 
 
-def random_transform(
-    rng_seed: int,
-    scale_range: tuple[float, float] = (0.1, 10.0),
-    translate_max: float = 10.0,
-) -> SimilarityTransform:
+def random_transform(rng_seed: int) -> SimilarityTransform:
     """Random similarity transform drawn by ``draw_similarity`` from the generator of ``rng_seed``.
 
     Rotation is uniform over SO(3) (normalized quaternion from 4 standard
-    normals), scale is log-uniform over ``scale_range`` and translation is
-    uniform in the cube [-translate_max, translate_max]^3.
+    normals), scale is log-uniform over ``SCALE_RANGE`` and translation is
+    uniform in the cube [-TRANSLATE_MAX, TRANSLATE_MAX]^3.
     """
-    lo, hi = scale_range
-    q, scale, translation = draw_similarity(make_rng(rng_seed), (np.log(lo), np.log(hi)), translate_max)
+    log_scale_range = [np.log(bound) for bound in SCALE_RANGE]
+    q, scale, translation = draw_similarity(make_rng(rng_seed), log_scale_range, TRANSLATE_MAX)
     return SimilarityTransform(rotation_from_quaternion(q), scale, translation)

@@ -153,4 +153,5 @@ class MLPEncoder:
         x = self._check_input(x)
         for layer in self.layers[:-1]:
             x = layer.forward(x, train=False)
+        self.head._cache = None  # so a backward now is refused at the head, before it writes a gradient
         return x

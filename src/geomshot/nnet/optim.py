@@ -20,19 +20,10 @@ def global_grad_norm(buffer: ParamBuffer) -> float:
     return math.sqrt(sum(float((p.grad**2).sum()) for p in buffer.params))
 
 
-def clip_global_norm(buffer: ParamBuffer, max_norm: float, norm: float | None = None) -> float:
-    """Scale the buffer's gradient so its joint L2 norm is at most max_norm.
-
-    ``norm`` is that joint norm, when the caller has already computed it.
-    Returns the factor applied (1.0 when no clipping was needed).
-    """
-    if norm is None:
-        norm = global_grad_norm(buffer)
-    if norm <= max_norm or norm == 0.0:
-        return 1.0
-    factor = max_norm / norm
-    buffer.grad *= factor
-    return factor
+def clip_global_norm(buffer: ParamBuffer, max_norm: float, norm: float) -> None:
+    """Scale the buffer's gradient, whose joint L2 norm is ``norm``, so that norm is at most max_norm."""
+    if norm > max_norm:
+        buffer.grad *= max_norm / norm
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
@@ -53,8 +44,7 @@ class AdamW:
     one pass over the whole buffer.
     """
 
-    def __init__(self, buffer: ParamBuffer, lr: float = 1e-4, weight_decay: float = 1e-4,
-                 clip_norm: float | None = 1.0):
+    def __init__(self, buffer: ParamBuffer, lr: float, weight_decay: float, clip_norm: float | None):
         buffer.bind_grad()  # the gradient this optimizer reads: its buffer's alone
         self.buffer = buffer
         self.params = buffer.params

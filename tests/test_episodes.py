@@ -140,8 +140,8 @@ def test_episode_draws_disjoint_rows_labelled_in_draw_order(case, dims):
     labels = np.concatenate([np.full(len(rows), c) for c, rows in pool.items()])
     n_rows = len(labels)
     rng = np.random.default_rng(0)
-    fp_a = FeaturePool(rng.normal(size=(n_rows, dims[0])), labels, np.full(n_rows, ""), "raw", True)
-    fp_b = FeaturePool(rng.normal(size=(n_rows, dims[1])), labels.copy(), np.full(n_rows, ""), "angle", False)
+    fp_a = FeaturePool(rng.normal(size=(n_rows, dims[0])), labels, "raw", True)
+    fp_b = FeaturePool(rng.normal(size=(n_rows, dims[1])), labels.copy(), "angle", False)
     shape = (spec.k_shot, spec.q_query, spec.n_way)
     assert eligible_pool(fp_a.labels, *shape) == pool  # every class of the case serves the spec
     ep = sample_episode(eligible_pool(fp_a.labels, *shape), spec)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import subprocess
@@ -18,6 +19,7 @@ from geomshot.evaluation import (
     EvalSpec,
     ablation_normalization,
     ci95_halfwidth,
+    draw_episodes,
     episode_linear_baseline,
     episode_rows,
     evaluate,
@@ -39,7 +41,7 @@ from test_pipeline import gaussian_pool, tiny_cfg, tiny_encoder_cfg
 def noise_pool(n_classes=10, per_class=25, dim=12, seed=0):
     rng = np.random.default_rng(seed)
     X = np.vstack([rng.normal(size=dim) for _ in range(n_classes * per_class)])
-    return FeaturePool(X, np.repeat(np.arange(n_classes), per_class), np.full(len(X), ""), "angle", True)
+    return FeaturePool(X, np.repeat(np.arange(n_classes), per_class), "angle", True)
 
 
 def class_rows(labels):
@@ -50,7 +52,7 @@ def class_rows(labels):
 def without_rows(fp, rows):
     """``fp`` with the given rows removed."""
     keep = np.setdiff1d(np.arange(len(fp.labels)), rows)
-    return FeaturePool(fp.X[keep], fp.labels[keep], fp.paths[keep], fp.representation, fp.normalize)
+    return FeaturePool(fp.X[keep], fp.labels[keep], fp.representation, fp.normalize)
 
 
 class TestEvaluate:
@@ -162,21 +164,25 @@ class TestEmbedOnceMatchesPerEpisodeEmbedding:
 
     def test_episode_linear(self):
         def linear(emb_s, labels_s, emb_q, n_way):
-            W, b = fit_softmax_regression(emb_s, labels_s, n_way, iters=40)
+            W, b = fit_softmax_regression(emb_s, labels_s, n_way)
             return (emb_q @ W + b).argmax(axis=1)
 
         spec = EvalSpec(5, 1, 4, 15, 3)
         echo = {"encoder": "mlp", "classifier": "episode_linear"}
         expected = reference_protocol(self.embed, linear, self.fp, spec, echo)
-        report = episode_linear_baseline(self.encoder, self.fp, spec, iters=40)
+        report = episode_linear_baseline(self.encoder, self.fp, spec)
         assert report.to_doc() == expected.to_doc()
 
 
-def reference_ablation(build_pool, ks, spec):
+# The (representation, normalize) key of each ablation setting's pool.
+ABLATION_POOLS = [(representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS]
+
+
+def reference_ablation(pools, ks, spec):
     """The per-setting loop: every setting draws its own episodes for every K."""
     rows = []
     for key, label, representation, normalize in ABLATION_SETTINGS:
-        fp = build_pool(representation, normalize)
+        fp = pools[representation, normalize]
         for k in ks:
             report = input_space_baseline(fp, replace(spec, k_shot=k), {"ablation_setting": key})
             rows.append({"setting": key, "label": label, "representation": representation,
@@ -192,32 +198,31 @@ class TestAblationDrawsOncePerK:
         return json.dumps({"schema_version": 1, "dataset": "d", "rows": rows}, indent=2, sort_keys=True)
 
     def test_rows_byte_identical_on_synth_corpus(self, small_corpus):
-        build = TestOnSynthCorpus().pool_builder(small_corpus)
+        pools = {setting: TestOnSynthCorpus().make_pool(small_corpus, *setting) for setting in ABLATION_POOLS}
         spec = EvalSpec(3, 5, 4, 40, 42)
         ks = (1, 3, 5)
-        expected = self.report_bytes(reference_ablation(build, ks, spec))
-        assert self.report_bytes(ablation_normalization(build, ks, spec)) == expected
+        expected = self.report_bytes(reference_ablation(pools, ks, spec))
+        assert self.report_bytes(ablation_normalization(pools, ks, spec)) == expected
 
     def test_rows_byte_identical_with_an_ineligible_class(self):
         base = noise_pool(n_classes=6, per_class=12, dim=9, seed=4)
         base = without_rows(base, np.flatnonzero(base.labels == 2)[5:])  # eligible at K=1 only (Q=4)
 
-        def build(representation, normalize):
+        pools = {}
+        for representation, normalize in ABLATION_POOLS:
             shift = {"raw": 0.0, "angle": 1.0}[representation] + (0.5 if normalize else 0.0)
             X = np.sin(base.X * (1.0 + shift))
-            return FeaturePool(X, base.labels.copy(), base.paths, representation, normalize)
+            pools[representation, normalize] = FeaturePool(X, base.labels.copy(), representation, normalize)
 
         spec = EvalSpec(4, 1, 4, 30, 9)
-        expected = self.report_bytes(reference_ablation(build, (1, 2, 7), spec))
-        assert self.report_bytes(ablation_normalization(build, (1, 2, 7), spec)) == expected
+        expected = self.report_bytes(reference_ablation(pools, (1, 2, 7), spec))
+        assert self.report_bytes(ablation_normalization(pools, (1, 2, 7), spec)) == expected
 
     def test_settings_with_different_pool_indices_are_refused(self):
-        def build(representation, normalize):
-            fp = noise_pool(seed=1)
-            return without_rows(fp, [0]) if representation == "angle" else fp
-
+        fp = noise_pool(seed=1)
+        pools = {setting: without_rows(fp, [0]) if setting[0] == "angle" else fp for setting in ABLATION_POOLS}
         with pytest.raises(ValueError, match="'angle'"):
-            ablation_normalization(build, (1,), EvalSpec(5, 1, 4, 5, 0))
+            ablation_normalization(pools, (1,), EvalSpec(5, 1, 4, 5, 0))
 
 
 @pytest.mark.parametrize("seed", [-5, 1.5, "7", True])
@@ -260,7 +265,7 @@ from geomshot.evaluation import EvalSpec, evaluate
 from geomshot.features import FeaturePool
 from geomshot.nnet import EncoderConfig, MLPEncoder
 X = np.random.default_rng(0).normal(size=(40, 6))
-fp = FeaturePool(X, np.repeat(np.arange(4), 10), np.full(40, ""), "angle", True)
+fp = FeaturePool(X, np.repeat(np.arange(4), 10), "angle", True)
 evaluate(MLPEncoder(EncoderConfig(input_dim=6, hidden_dim=8, embed_dim=4), seed=0), fp, EvalSpec(3, 2, 3, 20, 0))
 print("numpy.ma" in sys.modules)
 """
@@ -395,8 +400,12 @@ class TestEpisodeLinear:
         encoder.set_state(trained.state)
         spec = EvalSpec(3, 5, 15, 10, 21)
         fast = episode_linear_baseline(encoder, fp, spec)
-        slow = episode_linear_baseline(encoder, fp, spec, iters=50_000, lr=0.01)
-        assert abs(fast.mean_accuracy - slow.mean_accuracy) <= 0.01
+        episodes = draw_episodes(fp.labels, spec)
+        emb = encoder.forward(fp.X, train=False)
+        y = np.broadcast_to(episodes.support_labels, episodes.support.shape)
+        W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way, iters=50_000, lr=0.01)
+        slow = (emb[episodes.query] @ W + b[:, None, :]).argmax(axis=-1) == episodes.query_labels
+        assert abs(fast.mean_accuracy - slow.mean(axis=1).mean()) <= 0.01
 
     def test_one_shot_classifies_support_points(self):
         fp = gaussian_pool(n_classes=4, per_class=21, sep=50.0, seed=5)
@@ -441,9 +450,6 @@ class TestMultiSeed:
 
 
 class TestOnSynthCorpus:
-    def pool_builder(self, corpus):
-        return lambda representation, normalize: self.make_pool(corpus, representation, normalize)
-
     def make_pool(self, corpus, representation, normalize):
         from geomshot.dataio import load_split, split_pool
         from geomshot.features import build_feature_pool
@@ -488,3 +494,19 @@ def test_csv_table_columns(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "dataset,repr,encoder,mode,K,mean,ci95"
     assert lines[1].startswith("d,angle,none,within,5,0.9")
+
+
+def test_a_failed_csv_write_leaves_the_old_table_whole(tmp_path):
+    path = tmp_path / "tables" / "t.csv"  # a missing parent is made
+    row = {"dataset": "d", "repr": "angle", "encoder": "none", "mode": "within", "K": 5, "mean": 0.9, "ci95": 0.01}
+    write_csv_table(path, [row])
+    old = path.read_bytes()
+
+    def rows_then_full_disk():
+        yield row
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv_table(path, rows_then_full_disk())
+    assert path.read_bytes() == old
+    assert list(path.parent.glob("*.tmp")) == []

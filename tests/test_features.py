@@ -35,7 +35,6 @@ def test_pool_matches_per_row_reference_in_one_featurize_call(monkeypatch, kind,
     assert np.array_equal(fp.X, np.array([values for values, _ in reference]))
     assert fp.degenerate_angle_rows == sum(degenerate for _, degenerate in reference)
     assert fp.labels.tolist() == [c for c in range(6) for _ in range(4)]
-    assert fp.paths[5] == "class_01/s0005.npy"
 
 
 def test_coincident_hand_names_its_path_in_raw_pools():
@@ -55,7 +54,7 @@ def test_coincident_hand_names_its_path_in_raw_pools():
 
 def test_empty_pool_has_zero_rows():
     fp = build_feature_pool(sample_pool([]), "unused-root", "raw_angle")
-    assert fp.X.shape == (0, 83) and len(fp.labels) == 0 and len(fp.paths) == 0
+    assert fp.X.shape == (0, 83) and len(fp.labels) == 0
 
 
 def test_unknown_representation_rejected():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomshot.errors import DegenerateHand, InvalidKeypoints, ShapeError
@@ -31,6 +31,7 @@ from geomshot.geometry import (
     scale_normalize,
     wrist_center,
 )
+from geomshot.synth import SynthSpec, build_hand, class_dictionary
 from conftest import random_hand
 
 _PIVOT_SIX = int(np.flatnonzero(TRIPLET_PIVOT == 6)[0])
@@ -64,7 +65,7 @@ def reference_features(h, kind, normalize=True):
         v = h[TRIPLET_CHILD] - h[TRIPLET_PIVOT]
         nu = np.linalg.norm(u, axis=1)
         nv = np.linalg.norm(v, axis=1)
-        bad = (nu < DEGENERATE_NORM) | (nv < DEGENERATE_NORM)
+        bad = np.minimum(nu, nv) <= DEGENERATE_NORM * np.maximum(nu, nv)
         denom = np.where(bad, 1.0, nu * nv)
         angles = np.arccos(np.clip((u * v).sum(axis=1) / denom, -1.0, 1.0))
         angles[bad] = 0.0
@@ -432,6 +433,52 @@ def test_stacked_angles_invariant_under_random_similarities(seed, scale_lo, scal
     assert np.array_equal(flags_before, flags_after)
 
 
+def angle_tolerance(hand, offset, angles):
+    """A bound on the rounding error of a hand's angles after a similarity transform with ``offset`` (in hand units).
+
+    A cosine error of 16 ulps of the largest coordinate, translation included, relative to each
+    triplet's shorter displacement, carried through arccos: its slope is 1 / sin, and near 0 and pi
+    the error grows as the square root of the cosine error. A collapsed triplet is 0 on both sides.
+    """
+    u, v = (hand[ends] - hand[TRIPLET_PIVOT] for ends in (TRIPLET_PARENT, TRIPLET_CHILD))
+    shorter = np.maximum(np.minimum(np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)), np.finfo(float).tiny)
+    cos_error = 16 * np.finfo(float).eps * (np.abs(hand).max() + np.abs(offset).max()) / shorter
+    return cos_error / np.maximum(np.sin(angles), np.sqrt(cos_error))
+
+
+@example(hand_seed=3, synth=True, collapse=False, quaternion=(1.0, 0.5, 0.0, 0.0), log_scale=-9.0,
+         offset=(1.0, -2.0, 3.0))
+@given(hand_seed=st.integers(0, 2**32 - 1), synth=st.booleans(), collapse=st.booleans(),
+       quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+       log_scale=st.floats(-100.0, 100.0), offset=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_features_are_invariant_at_any_scale(hand_seed, synth, collapse, quaternion, log_scale, offset):
+    # The triplet rule is relative, so the angles and the mask hold from 1e-100 to 1e100; the raw
+    # part's extent rule stays absolute, so below DEGENERATE_DISTANCE a raw pool refuses the hand.
+    if synth:
+        hand = build_hand(class_dictionary(SynthSpec(n_classes=2, seed=hand_seed))[0])
+    else:
+        hand = np.random.default_rng(hand_seed).normal(size=(21, 3))
+    if collapse:
+        hand[7] = hand[6]
+    rotation = rotation_from_quaternion(np.array(quaternion) / np.linalg.norm(quaternion))[None]
+    scale = 10.0**log_scale
+    moved = apply_transforms(hand[None], rotation, np.array([scale]), scale * np.array([offset]))
+    angles, mask = featurize(hand[None], "angle")
+    moved_angles, moved_mask = featurize(moved, "angle")
+    assert np.array_equal(moved_mask, mask) and mask[0] == collapse
+    assert (np.abs(moved_angles - angles) <= angle_tolerance(hand, offset, angles)).all()
+    rotated = apply_transforms(hand[None], rotation, np.ones(1), np.zeros((1, 3)))
+    for kind in ("raw", "raw_angle"):
+        if max_pairwise_distance(wrist_center(moved))[0] < DEGENERATE_DISTANCE:
+            with pytest.raises(DegenerateHand):
+                featurize(moved, kind)
+            continue
+        X, X_mask = featurize(moved, kind)
+        assert np.abs(X[:, :63] - featurize(rotated, kind)[0][:, :63]).max() <= 1e-12
+        if kind == "raw_angle":
+            assert np.array_equal(X[:, 63:], moved_angles) and np.array_equal(X_mask, mask)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
 def test_stacked_rotations_and_their_checks_match_per_quaternion_calls_bitwise(seed, n):
     rng = np.random.default_rng(seed)
@@ -449,22 +496,26 @@ def test_stacked_rotations_and_their_checks_match_per_quaternion_calls_bitwise(s
     assert np.array_equal(rotation_from_quaternion(q.reshape(n, 1, 4)), rotation[:, None])
 
 
-@pytest.mark.parametrize("damage, message", [("reflect", "determinant"), ("skew", "not orthogonal")])
-def test_a_stack_with_one_bad_rotation_is_refused(damage, message):
+@pytest.mark.parametrize("damage, message", [("reflect", "determinant"), ("skew", "not orthogonal"),
+                                             ("inf translation", "finite"), ("nan translation", "finite")])
+def test_a_stack_with_one_bad_transform_is_refused(damage, message):
     rng = np.random.default_rng(9)
     q = rng.standard_normal((12, 4))
     rotation = rotation_from_quaternion(q / np.linalg.norm(q, axis=1, keepdims=True))
+    translation = np.zeros((12, 3))
     if damage == "reflect":
         rotation[5, 2] *= -1.0
-    else:
+    elif damage == "skew":
         rotation[5, 0, 1] += 1e-6
+    else:
+        translation[5] = [np.inf, 0.0, np.nan] if damage == "inf translation" else [0.0, np.nan, 0.0]
     with pytest.raises(ShapeError, match=message):
-        check_similarities(rotation, np.ones(12), np.zeros((12, 3)))
+        check_similarities(rotation, np.ones(12), translation)
     with pytest.raises(ShapeError, match=message):
-        apply_transforms(hand_stack(12, 10), rotation, np.ones(12), np.zeros((12, 3)))
+        apply_transforms(hand_stack(12, 10), rotation, np.ones(12), translation)
     with pytest.raises(ShapeError, match=message):
-        SimilarityTransform(rotation[5], 1.0, np.zeros(3))
-    check_similarities(np.delete(rotation, 5, axis=0), np.ones(11), np.zeros((11, 3)))
+        SimilarityTransform(rotation[5], 1.0, translation[5])
+    check_similarities(np.delete(rotation, 5, axis=0), np.ones(11), np.delete(translation, 5, axis=0))
 
 
 @settings(max_examples=300)

@@ -14,6 +14,7 @@ from geomshot.nnet import (
     ParamTensor,
     clip_global_norm,
     cosine_lr,
+    global_grad_norm,
 )
 from geomshot.nnet.optim import _BLOCK
 
@@ -27,7 +28,7 @@ def scalar_param(value=0.0, grad=0.0):
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         p = scalar_param(value=0.37)
-        opt = AdamW(packed(p), lr=1e-4, weight_decay=0.0)
+        opt = AdamW(packed(p), lr=1e-4, weight_decay=0.0, clip_norm=1.0)
         opt.step()
         assert p.values[0] == 0.37
 
@@ -49,7 +50,7 @@ class TestAdamW:
 
     def test_nonfinite_gradient_aborts_without_mutation(self):
         p = scalar_param(value=0.5, grad=np.nan)
-        opt = AdamW(packed(p))
+        opt = AdamW(packed(p), lr=1e-4, weight_decay=1e-4, clip_norm=1.0)
         with pytest.raises(NonFiniteGradient):
             opt.step()
         assert p.values[0] == 0.5
@@ -58,7 +59,7 @@ class TestAdamW:
     def test_parameters_stay_finite_over_many_steps(self):
         rng = np.random.default_rng(0)
         p = ParamTensor("w", rng.normal(size=(8, 8)))
-        opt = AdamW(packed(p), lr=1e-2)
+        opt = AdamW(packed(p), lr=1e-2, weight_decay=1e-4, clip_norm=1.0)
         for _ in range(200):
             p.grad[...] = rng.normal(size=(8, 8)) * 100
             opt.step()
@@ -137,7 +138,7 @@ def test_head_slice_step_matches_per_tensor_loop_bit_for_bit():
 def test_nonfinite_gradient_in_the_last_block_aborts_without_mutation():
     encoder = MLPEncoder(EncoderConfig(input_dim=20), seed=0)
     flat = encoder.flat
-    opt = AdamW(flat, lr=1e-3, weight_decay=1e-2)
+    opt = AdamW(flat, lr=1e-3, weight_decay=1e-2, clip_norm=1.0)
     assert flat.grad.size % _BLOCK  # the last block is partial
     rng = np.random.default_rng(2)
     flat.grad[...] = rng.normal(size=flat.grad.size) * 1e-3
@@ -160,7 +161,7 @@ def test_optimizer_memory_is_two_buffers_plus_two_blocks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        opt = AdamW(flat)
+        opt = AdamW(flat, lr=1e-4, weight_decay=1e-4, clip_norm=1.0)
         kept = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         before_step = tracemalloc.get_traced_memory()[0]
@@ -176,8 +177,7 @@ class TestClipping:
     def test_norm_ten_scaled_by_point_one(self):
         p = ParamTensor("w", np.zeros(4))
         p.grad[...] = [10.0, 0.0, 0.0, 0.0]
-        factor = clip_global_norm(packed(p), 1.0)
-        assert factor == pytest.approx(0.1)
+        clip_global_norm(packed(p), 1.0, 10.0)
         assert np.allclose(p.grad, [1.0, 0.0, 0.0, 0.0])
 
     def test_global_norm_across_tensors(self):
@@ -185,15 +185,17 @@ class TestClipping:
         b = ParamTensor("b", np.zeros(1))
         a.grad[...] = 3.0
         b.grad[...] = 4.0
-        clip_global_norm(packed(a, b), 1.0)  # joint norm 5
+        buffer = packed(a, b)
+        assert global_grad_norm(buffer) == 5.0
+        clip_global_norm(buffer, 1.0, 5.0)
         assert a.grad[0] == pytest.approx(0.6)
         assert b.grad[0] == pytest.approx(0.8)
 
     def test_below_threshold_untouched(self):
         p = ParamTensor("w", np.zeros(2))
         p.grad[...] = [0.3, 0.4]
-        assert clip_global_norm(packed(p), 1.0) == 1.0
-        assert np.allclose(p.grad, [0.3, 0.4])
+        clip_global_norm(packed(p), 1.0, 0.5)
+        assert np.array_equal(p.grad, [0.3, 0.4])
 
 
 class TestCosineLR:

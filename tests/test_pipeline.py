@@ -20,7 +20,7 @@ def gaussian_pool(n_classes=4, per_class=30, dim=20, sep=30.0, seed=0, represent
     centers = rng.normal(scale=sep, size=(n_classes, dim))
     rows = [centers[c] + rng.normal(size=dim) for c in range(n_classes) for _ in range(per_class)]
     labels = np.repeat(np.arange(n_classes), per_class)
-    return FeaturePool(np.vstack(rows), labels, np.full(len(rows), ""), representation, True)
+    return FeaturePool(np.vstack(rows), labels, representation, True)
 
 
 def tiny_cfg(**overrides):
@@ -48,7 +48,7 @@ def test_training_memory_peak():
     # Traced peak, numpy 2.4: 6.17 MiB, against 7.04 MiB with accumulated gradients, out-of-place
     # layer math and loss arrays held through backward.
     rng = np.random.default_rng(0)
-    fp = FeaturePool(rng.normal(size=(200, 83)), np.repeat(np.arange(10), 20), np.full(200, ""), "raw_angle", True)
+    fp = FeaturePool(rng.normal(size=(200, 83)), np.repeat(np.arange(10), 20), "raw_angle", True)
     cfg = TrainConfig(n_way=5, k_shot=5, q_query=15, episodes_per_epoch=3, max_epochs=2, monitor_episodes=5)
     _, peak = traced_peak(lambda: train_encoder(fp, cfg, EncoderConfig(input_dim=83)))
     assert peak < 6.5 * 2**20
