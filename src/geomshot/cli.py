@@ -19,9 +19,9 @@ applicable. ``split`` and ``export`` write one file with a
 ``<file>.manifest.json`` sidecar; ``synth`` writes a dataset tree with the
 manifest at its root. Every manifest embeds the resolved configuration,
 so a run is replayable from it alone. All of these files are written
-through ``config.write_atomic``, so each is whole or absent. Ctrl-C ends
-a command as one ``interrupted`` line and exit status 130; a run it stops
-leaves a manifest with ``status`` "failed".
+through ``config.write_atomic``, so each is whole or absent. An input, OS
+or memory error ends a command as one line (exit 1), Ctrl-C as
+``interrupted`` (exit 130); a started run's manifest then says "failed".
 """
 
 from __future__ import annotations
@@ -270,12 +270,11 @@ def _multiseed(p, run_dir: Path, manifest: dict) -> None:
     write_csv_table(run_dir / "tables" / "multiseed.csv", rows)
 
 
-_TRAIN_KEYS = ("data", "encoder", "train", "source")
 _EVAL_KEYS = ("data", "eval", "checkpoint")
 _ABLATION_SIDES = tuple((representation, normalize) for _, _, representation, normalize in ABLATION_SETTINGS)
 RUNS = {
-    "train": Run(_TRAIN_KEYS, ("train",), "ignored", _train),
-    "pretrain": Run(_TRAIN_KEYS, ("train",), "ignored", _pretrain),
+    "train": Run(("data", "encoder", "train"), ("train",), "ignored", _train),
+    "pretrain": Run(("data", "encoder", "train", "source"), ("train",), "ignored", _pretrain),
     "adapt": Run(("data", "adapt", "train", "checkpoint"), ("train",), "required", _adapt),
     "eval": Run(_EVAL_KEYS, ("test",), "optional", _eval),
     "baseline-input_space": Run(_EVAL_KEYS, ("test",), "ignored", _input_space),
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
-    except (GeomshotError, ValueError, OSError) as e:
+    except (GeomshotError, ValueError, OSError, MemoryError) as e:
         logger.error("%s: %s", type(e).__name__, e)
         return 1
     except KeyboardInterrupt:

@@ -7,12 +7,12 @@ posix form (so split files are portable), ``labels (N,)`` (indices into
 the sorted class directory names ``classes``) and ``keypoints (N, 21,
 3)``. Every other ``*.npy`` entry is in ``skipped`` with its reason:
 ``not_a_file``, ``format`` (an NPY file the reader refuses), ``keypoints``
-(non-finite values) or ``degenerate`` (a hand that ``featurize`` cannot
-scale-normalize), so every representation sees the same rows. A catalog
-is built from one ``scandir`` listing of the root and of each class
-directory, and one read per file. ``split_pool`` takes one side's rows
-as a catalog of the same classes, and ``eligible_pool`` is where labels
-become the per-class row lists the episode sampler draws from.
+(NaN, or past ``MAX_COORDINATE`` from the wrist) or ``degenerate`` (a hand
+that ``featurize`` cannot scale-normalize), so every representation sees
+the same rows. A catalog is built from one ``scandir`` listing of the root
+and of each class directory, and one read per file. ``split_pool`` takes
+one side's rows as a catalog of the same classes, and ``eligible_pool`` is
+where labels become the per-class row lists the episode sampler draws from.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``

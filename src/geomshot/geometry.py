@@ -51,6 +51,7 @@ FEATURE_DIMS = {"raw": 63, "angle": 20, "raw_angle": 83}
 DEGENERATE_NORM = 1e-9
 # Below this max pairwise distance a hand cannot be scale-normalized.
 DEGENERATE_DISTANCE = 1e-12
+MAX_COORDINATE = 1e153  # the largest |offset| from the wrist: a squared displacement, <= 12 * its square, is finite
 # random_transform's scale range and translation bound, and the synthetic corpus defaults.
 SCALE_RANGE = (0.1, 10.0)
 TRANSLATE_MAX = 10.0
@@ -126,13 +127,15 @@ def _check_hands(points, ndim: int | None = None) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim < 2 or arr.shape[-2:] != (NUM_KEYPOINTS, 3) or ndim not in (None, arr.ndim):
         raise InvalidKeypoints(f"expected shape {_EXPECTED_SHAPE[ndim]}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidKeypoints("keypoints contain non-finite values")
+    if not np.abs(arr).max(initial=0.0) <= MAX_COORDINATE / 2:  # within half the bound every offset is within it
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf (NaN) and an overflow (inf) fail the test
+            if not np.abs(arr - arr[..., WRIST : WRIST + 1, :]).max() <= MAX_COORDINATE:
+                raise InvalidKeypoints(f"keypoints must be finite and within {MAX_COORDINATE:g} of the wrist")
     return arr
 
 
 def validate_keypoints(points: np.ndarray) -> np.ndarray:
-    """Check shape (21, 3) and finiteness; return a float64 copy."""
+    """Check shape (21, 3) and that every offset from the wrist is at most MAX_COORDINATE; return a float64 copy."""
     return _check_hands(points, ndim=2).copy()
 
 

@@ -8,7 +8,7 @@ test_encoder). The whole state is one float64 array of ``state_size()``
 values laid out by ``tensor_table`` (the checkpoint's layout too). Each
 layer is built over its views of it: a new encoder draws its init into
 them, a loaded one keeps them. Only what trains gets a gradient, bound by
-AdamW, ``zero_grad`` or ``backward``.
+AdamW or ``zero_grad``; forward and backward never bind one.
 """
 
 from __future__ import annotations
@@ -139,10 +139,9 @@ class MLPEncoder:
         return x
 
     def backward(self, grad_embeddings: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate parameter gradients; return the input gradient, or None
-        without ``input_grad``, which skips fc1's input-gradient product.
-        After an eval forward the head raises CacheError before any gradient is written."""
-        self.flat.bind_grad()
+        """Write the bound parameter gradients; return the input gradient, or None without ``input_grad``
+        (fc1's input-gradient product skipped). With no gradient bound, or after an eval forward, the
+        head raises CacheError before any gradient is written."""
         g = np.asarray(grad_embeddings, dtype=np.float64)
         for layer in reversed(self.layers[1:]):
             g = layer.backward(g)

@@ -52,8 +52,10 @@ class ParamBuffer:
         self.grad: np.ndarray | None = None
 
     def bind_grad(self) -> np.ndarray:
-        """The flat gradient: on the first call a zero array, with each tensor's ``grad`` bound to its view."""
+        """The flat gradient; the first call binds a zero one, a view per tensor, and refuses a tensor that has one."""
         if self.grad is None:
+            if owned := [p.name for p in self.params if p.grad is not None]:
+                raise CacheError(f"gradient already bound to {', '.join(owned)}")
             self.grad, start = np.zeros_like(self.values), 0
             for p in self.params:
                 p.grad = self.grad[start:start + p.values.size].reshape(p.values.shape)

@@ -15,7 +15,7 @@ field ``header``, as numpy's reader refuses it. If the bytes start with
 one of the two canonical preambles (magic, v1.0 and the header numpy
 writes for a (21, 3) ``<f8`` or ``<f4`` array), the header is known
 without parsing; any other file goes through the general header parser.
-Both routes end in the same payload length check, decode and finiteness
+Both routes end in the same payload length check, decode and range
 check. Bytes after the payload are ignored.
 """
 

@@ -17,8 +17,8 @@ episodes are the same every epoch, so they are drawn once per run, as one
 batch, and each epoch embeds the rows they touch in one eval-mode forward.
 
 Head-only adaptation (``target_supervised``) trains the final projection
-of a frozen encoder: the backbone runs once over the eligible train rows,
-and the head trains on those cached features.
+of a frozen encoder: the backbone runs once over the train rows, and the
+head trains on those cached features.
 """
 
 from __future__ import annotations
@@ -249,11 +249,8 @@ def adapt(
         learning_rate=adapt_cfg.learning_rate,
     )
     pool = eligible_pool(fp_target_train.labels, cfg.k_shot, cfg.q_query, cfg.n_way)
-    # The backbone stays frozen in eval mode (running stats and dropout
-    # fixed), so its features are computed once and only the head trains.
-    rows = [row for c in sorted(pool) for row in pool[c]]
-    feats = encoder.backbone_forward(fp_target_train.X[rows])
-    pool = eligible_pool(fp_target_train.labels[rows], cfg.k_shot, cfg.q_query, cfg.n_way)
+    # The backbone is frozen in eval mode (running statistics and dropout fixed): its features are computed once.
+    feats = encoder.backbone_forward(fp_target_train.X)
     optimizer = AdamW(
         encoder.head_parameters(),
         lr=adapt_cfg.learning_rate,

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from support import traced_peak
 
 from geomshot import cli
 from geomshot.cli import RUNS, build_parser, main
@@ -221,11 +221,18 @@ def test_export_csv(small_corpus, tmp_path):
     assert len(lines) == 2
 
 
-def test_unknown_config_key_rejected(small_corpus, tmp_path):
-    doc = eval_doc(small_corpus)
-    doc["eval"]["typo_key"] = 3
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_unknown_config_key_rejected(small_corpus, tmp_path, caplog, command):
+    if command == "eval":
+        doc = eval_doc(small_corpus)
+        doc["eval"]["typo_key"] = 3
+    else:  # pretrain reads source; train would drop it
+        doc = tiny_train_doc(small_corpus)
+        doc["source"] = "langA"
     cfg = write_yaml(tmp_path / "bad.yaml", doc)
-    assert main(["eval", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--run-id", "r"]) == 1
+    assert one_error(caplog).startswith("InvalidConfig: unknown keys in ")
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_ablate_key_rejected(small_corpus, tmp_path):
@@ -618,16 +625,19 @@ def test_input_error_leaves_no_run_dir_and_the_run_id_stays_free(small_corpus, t
     assert manifest["status"] == "ok" and "error" not in manifest
 
 
-def test_run_that_fails_after_start_writes_a_failed_manifest(small_corpus, tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [InsufficientClasses("raised by the run body"),
+                                   MemoryError("Unable to allocate 37.3 TiB for an array")])
+def test_run_that_fails_after_start_writes_a_failed_manifest(small_corpus, tmp_path, monkeypatch, caplog, error):
     def fail(*args, **kwargs):
-        raise InsufficientClasses("raised by the run body")
+        raise error
 
     monkeypatch.setattr("geomshot.cli.evaluate", fail)
     cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=5))
     assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "f1"]) == 1
+    assert one_error(caplog) == f"{type(error).__name__}: {error}"
     manifest = json.loads((tmp_path / "f1" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["error"].startswith("InsufficientClasses: ")
+    assert manifest["error"] == f"{type(error).__name__}: {error}"
     assert not (tmp_path / "f1" / "report.json").exists()
 
 

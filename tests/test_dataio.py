@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_half_then_fail
+from support import write_half_then_fail
 
 from geomshot.dataio import (
     build_catalog,
@@ -20,7 +20,7 @@ from geomshot.dataio import (
 )
 from geomshot.errors import InsufficientClasses, InvalidSplit
 from geomshot.features import build_feature_pool
-from geomshot.geometry import REPRESENTATIONS
+from geomshot.geometry import MAX_COORDINATE, REPRESENTATIONS
 from geomshot.npyio import write_keypoints
 
 
@@ -271,6 +271,9 @@ ENTRY_KINDS = {
     "good": None,
     "garbage": "format",
     "nan": "keypoints",
+    "huge": "keypoints",
+    "wide": "keypoints",
+    "far": None,
     "directory": "not_a_file",
     "coincident": "degenerate",
     "tiny": "degenerate",
@@ -286,6 +289,14 @@ def write_entry(path, kind, rng):
         hand = rng.normal(size=(21, 3))
         hand[rng.integers(21), rng.integers(3)] = np.nan
         np.save(path, hand)
+    elif kind == "huge":  # finite, but its squared displacements would overflow
+        np.save(path, rng.normal(size=(21, 3)) * 1e155)
+    elif kind == "wide":  # every coordinate within MAX_COORDINATE, but one 1.8 times it from the wrist
+        hand = rng.uniform(-0.9, 0.9, size=(21, 3)) * MAX_COORDINATE
+        hand[0], hand[1] = -0.9 * MAX_COORDINATE, 0.9 * MAX_COORDINATE
+        np.save(path, hand)
+    elif kind == "far":  # every coordinate past MAX_COORDINATE, every offset from the wrist well within it
+        write_keypoints(path, rng.normal(size=(21, 3)) * 1e150 + 1e160)
     elif kind == "directory":
         path.mkdir()
     elif kind == "coincident":
@@ -315,7 +326,7 @@ def test_catalog_rows_and_skips_account_for_every_entry(tree, seed):
         assert sorted(cat.skipped) == sorted(expected_skips)
         counts = np.bincount(cat.labels, minlength=len(cat.classes))
         assert counts.sum() + len(cat.skipped) == sum(map(len, tree))
-        assert cat.classes == [f"c{c}" for c, kinds in enumerate(tree) if "good" in kinds]
+        assert cat.classes == [f"c{c}" for c, kinds in enumerate(tree) if any(ENTRY_KINDS[k] is None for k in kinds)]
         assert counts.min(initial=1) >= 1 and cat.keypoints.shape == (len(cat.paths), 21, 3)
 
         split = stratified_split(cat, 0.5, seed)
@@ -332,4 +343,4 @@ def test_catalog_rows_and_skips_account_for_every_entry(tree, seed):
             pools = [build_feature_pool(side, root, kind) for kind in REPRESENTATIONS]
             for fp in pools:
                 assert np.array_equal(fp.labels, side.labels)
-                assert fp.X.shape[0] == len(side.paths)
+                assert fp.X.shape[0] == len(side.paths) and np.isfinite(fp.X).all()

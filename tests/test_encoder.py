@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import named_state_arrays, traced_peak
+from support import named_state_arrays, traced_peak
 
 from geomshot.errors import BatchTooSmall, CacheError, CorruptCheckpoint, ShapeError
 from geomshot.features import FeaturePool
@@ -77,6 +77,15 @@ def test_backward_requires_train_forward():
     with pytest.raises(CacheError, match="^Linear.backward without train-mode forward$"):
         enc.backward(np.ones((4, 128)))
     assert enc.flat.grad.tobytes() == bound.tobytes()
+
+
+def test_backward_with_no_gradient_bound_is_refused_before_any_gradient_is_written():
+    # backward binds no gradient: AdamW or zero_grad does, so each tensor's has one owner.
+    enc = MLPEncoder(EncoderConfig(input_dim=20), seed=7)
+    enc.forward(np.random.default_rng(2).normal(size=(4, 20)), train=True, rng=make_rng(3))
+    with pytest.raises(CacheError, match=r"^Linear\.backward with no gradient bound to its parameters$"):
+        enc.backward(np.ones((4, 128)))
+    assert enc.flat.grad is None and all(p.grad is None for p in enc.parameters())
 
 
 def test_backward_after_a_backbone_forward_is_refused_before_any_gradient_is_written():

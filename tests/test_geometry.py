@@ -32,7 +32,7 @@ from geomshot.geometry import (
     wrist_center,
 )
 from geomshot.synth import SynthSpec, build_hand, class_dictionary
-from conftest import random_hand
+from support import random_hand
 
 _PIVOT_SIX = int(np.flatnonzero(TRIPLET_PIVOT == 6)[0])
 

@@ -209,6 +209,16 @@ class TestParamBuffer:
         head.bind_grad().fill(4.0)
         assert np.array_equal(enc.head.weight.grad, np.full((4, 2), 4.0)) and enc.head.bias.grad.size == 2
         assert enc.flat.grad is None and all(p.grad is None for p in enc.parameters()[:-2])
+        # A second owner of the head's gradient would leave the first one's (an optimizer's) stale.
+        with pytest.raises(CacheError, match=r"^gradient already bound to head\.weight, head\.bias$"):
+            enc.zero_grad()
+        assert enc.flat.grad is None and all(p.grad is None for p in enc.parameters()[:-2])
+        assert np.array_equal(head.grad, np.full(10, 4.0))
+        enc = MLPEncoder(EncoderConfig(input_dim=3, hidden_dim=4, embed_dim=2), seed=0)
+        enc.zero_grad()  # the reverse order: the whole buffer first, then the head
+        with pytest.raises(CacheError, match=r"^gradient already bound to head\.weight, head\.bias$"):
+            enc.head_parameters().bind_grad()
+        assert np.shares_memory(enc.head.weight.grad, enc.flat.grad)
 
 
 @settings(max_examples=60)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from geomshot import npyio
 from geomshot.errors import FormatError, InvalidKeypoints
 from geomshot.npyio import load_keypoints, write_keypoints
-from conftest import traced_peak
+from support import traced_peak
 
 
 def test_reads_float64_file(tmp_path):

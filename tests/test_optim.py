@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import packed
+from support import packed
 
 from geomshot.errors import NonFiniteGradient
 from geomshot.nnet import (

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import named_state, traced_peak
+from support import named_state, traced_peak
 
 from geomshot.errors import ConfigMismatch, InsufficientClasses
 from geomshot.features import FeaturePool
@@ -182,6 +182,17 @@ class TestAdapt:
         assert np.array_equal(encoder.flat.values[:n_backbone], backbone)
         assert not np.array_equal(head.values, head_before)
         assert np.array_equal(encoder.state_array[encoder.param_count():], stats)
+
+    def test_a_class_too_small_to_draw_is_embedded_but_leaves_the_result_unchanged(self):
+        # The backbone embeds every train row; the sampler draws by position within each class's rows.
+        fp = gaussian_pool(seed=9)
+        at = [5, 40, 41, 110]  # class 4, with 4 rows (K + Q = 5), among and between the others' rows
+        with_small = FeaturePool(np.insert(fp.X, at, np.random.default_rng(3).normal(size=(4, 20)), axis=0),
+                                 np.insert(fp.labels, at, 4), fp.representation, True)
+        results = [adapt(self.make_pretrained()[0], pool, AdaptConfig(mode="target_supervised", max_epochs=3),
+                         tiny_cfg()) for pool in (fp, with_small)]
+        assert results[0].state.tobytes() == results[1].state.tobytes()
+        assert results[0].log == results[1].log
 
     def test_running_stats_frozen_in_both_modes(self):
         for mode, epochs in (("frozen", 1), ("target_supervised", 2)):

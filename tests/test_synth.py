@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_half_then_fail
+from support import write_half_then_fail
 from geomshot import synth
 from geomshot.geometry import CHAIN_BASES, draw_similarity, joint_angles, rotation_from_quaternion
 from geomshot.npyio import load_keypoints
