@@ -218,17 +218,12 @@ def split_pool(catalog: DatasetCatalog, split: SplitFile, side: str) -> DatasetC
     return replace(catalog, paths=catalog.paths[rows], labels=catalog.labels[rows], keypoints=catalog.keypoints[rows])
 
 
-def eligible_classes(labels: np.ndarray, k_shot: int, q_query: int) -> list[int]:
-    """Class ids with at least K+Q rows, ascending."""
-    if k_shot < 1 or q_query < 1:
-        raise ValueError("k_shot and q_query must be >= 1")
-    return np.flatnonzero(np.bincount(labels) >= k_shot + q_query).tolist()
-
-
 def eligible_pool(labels: np.ndarray, k_shot: int, q_query: int, n_way: int) -> dict[int, list[int]]:
     """Row lists, in row order, of the classes with at least K+Q rows; raises if fewer than ``n_way``."""
+    if k_shot < 1 or q_query < 1:
+        raise ValueError("k_shot and q_query must be >= 1")
     labels = np.asarray(labels)
-    eligible = eligible_classes(labels, k_shot, q_query)
+    eligible = np.flatnonzero(np.bincount(labels) >= k_shot + q_query).tolist()
     if len(eligible) < n_way:
         raise InsufficientClasses(
             f"{len(eligible)} classes have >= {k_shot + q_query} samples, need {n_way}"

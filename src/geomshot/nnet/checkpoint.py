@@ -12,8 +12,9 @@ builds the ``EncoderConfig`` from ``meta.encoder`` before it reads the table,
 refuses the first entry that is not the config's own (compared as JSON text,
 so ``false`` is not ``0`` and ``20.0`` is not ``20``), and reads the payload
 once, into the array the loaded encoder keeps as its state; that encoder
-holds no gradient. Loading reproduces every bit, and every fault is one
-``CorruptCheckpoint`` line.
+holds no gradient. A payload with a non-finite value or a negative running
+variance gives no meaningful embedding, so it is refused. Loading reproduces
+every bit, and every fault is one ``CorruptCheckpoint`` line.
 """
 
 from __future__ import annotations
@@ -81,4 +82,9 @@ def load_checkpoint(path) -> tuple[MLPEncoder, dict]:
         read = f.readinto(state)
         if read != size:  # the file changed since its size was taken
             raise CorruptCheckpoint(f"{path}: payload has {read} bytes, header accounts for {size}")
+    if not (np.isfinite(state.min()) and np.isfinite(state.max())):  # both reductions propagate NaN
+        raise CorruptCheckpoint(f"{path}: payload holds a non-finite value")
+    stats = state[cfg.param_count():].reshape(cfg.num_hidden, 2, cfg.hidden_dim)  # (running mean, variance) per layer
+    if stats[:, 1].min() < 0:
+        raise CorruptCheckpoint(f"{path}: a BatchNorm running variance is negative")
     return MLPEncoder.from_state(cfg, state), meta

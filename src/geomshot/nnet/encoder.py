@@ -8,7 +8,8 @@ test_encoder). The whole state is one float64 array of ``state_size()``
 values laid out by ``tensor_table`` (the checkpoint's layout too). Each
 layer is built over its views of it: a new encoder draws its init into
 them, a loaded one keeps them. Only what trains gets a gradient, bound by
-AdamW or ``zero_grad``; forward and backward never bind one.
+AdamW or ``zero_grad``; forward and backward never bind one, and backward
+checks that every layer has one before it writes any.
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ class MLPEncoder:
 
     def backward(self, grad_embeddings: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Write the bound parameter gradients; return the input gradient, or None without ``input_grad``
-        (fc1's input-gradient product skipped). With no gradient bound, or after an eval forward, the
-        head raises CacheError before any gradient is written."""
+        (fc1's input-gradient product skipped). A layer with no gradient bound, or an eval forward (found
+        at the head), raises CacheError before any gradient is written."""
+        for layer in self.layers:
+            layer.check_grad()
         g = np.asarray(grad_embeddings, dtype=np.float64)
         for layer in reversed(self.layers[1:]):
             g = layer.backward(g)

@@ -71,9 +71,13 @@ class Layer:
     def parameters(self) -> list[ParamTensor]:
         return []
 
-    def _take_cache(self):
+    def check_grad(self) -> None:
+        """Raises CacheError unless every parameter has a gradient for backward to write."""
         if any(p.grad is None for p in self.parameters()):
             raise CacheError(f"{type(self).__name__}.backward with no gradient bound to its parameters")
+
+    def _take_cache(self):
+        self.check_grad()
         cache = self._cache
         if cache is None:
             raise CacheError(f"{type(self).__name__}.backward without train-mode forward")

@@ -34,7 +34,7 @@ from .errors import ConfigMismatch
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
 from .fewshot import protonet_loss_and_grads, supcon_loss_and_grad
-from .nnet import AdamW, EncoderConfig, MLPEncoder, cosine_lr
+from .nnet import AdamW, EncoderConfig, MLPEncoder, ParamBuffer, cosine_lr
 from .rng import STREAM_DROPOUT, make_rng
 from .schema import check_fields, setting
 
@@ -129,21 +129,23 @@ def _episode_step(
 def _run_training(
     encoder: MLPEncoder,
     model,
+    buffer: ParamBuffer,
     X: np.ndarray,
-    pool: dict[int, list[int]],
-    optimizer: AdamW,
+    labels: np.ndarray,
     cfg: TrainConfig,
     meta: dict,
 ) -> TrainResult:
-    """Episodic training of ``model`` on rows of ``X``; ``encoder`` holds the snapshots.
+    """Episodic training of ``model`` on rows of ``X`` with AdamW over ``buffer``; ``encoder`` holds the snapshots.
 
     ``model`` is the encoder itself over the feature rows, with the cosine
     schedule, or its head over cached backbone features, at a constant rate.
     """
+    pool = eligible_pool(labels, cfg.k_shot, cfg.q_query, cfg.n_way)  # refuses before AdamW binds a gradient
+    optimizer = AdamW(buffer, cfg.learning_rate, cfg.weight_decay, cfg.clip_norm)
     monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
     # What training moves: the whole state (parameters, running statistics), or only the head's values.
-    moving = encoder.state_array if model is encoder else optimizer.buffer.values
+    moving = encoder.state_array if model is encoder else buffer.values
     best = np.empty_like(moving)  # epoch 0 always fills it: accuracy is in [0, 1] and max_epochs >= 1
     best_acc = -1.0
     best_epoch = -1
@@ -196,12 +198,6 @@ def train_encoder(
             f"encoder input_dim {encoder_cfg.input_dim} != feature dim {fp.dim}"
         )
     encoder = MLPEncoder(encoder_cfg, seed=cfg.base_seed)
-    optimizer = AdamW(
-        encoder.flat,
-        lr=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-    )
     meta = {
         "representation": fp.representation,
         "normalize": fp.normalize,
@@ -209,8 +205,7 @@ def train_encoder(
         "train_config": asdict(cfg),
     }
     meta.update(tag or {})
-    pool = eligible_pool(fp.labels, cfg.k_shot, cfg.q_query, cfg.n_way)
-    return _run_training(encoder, encoder, fp.X, pool, optimizer, cfg, meta)
+    return _run_training(encoder, encoder, encoder.flat, fp.X, fp.labels, cfg, meta)
 
 
 def pretrain_source(
@@ -248,13 +243,6 @@ def adapt(
         patience=adapt_cfg.patience,
         learning_rate=adapt_cfg.learning_rate,
     )
-    pool = eligible_pool(fp_target_train.labels, cfg.k_shot, cfg.q_query, cfg.n_way)
     # The backbone is frozen in eval mode (running statistics and dropout fixed): its features are computed once.
     feats = encoder.backbone_forward(fp_target_train.X)
-    optimizer = AdamW(
-        encoder.head_parameters(),
-        lr=adapt_cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        clip_norm=cfg.clip_norm,
-    )
-    return _run_training(encoder, encoder.head, feats, pool, optimizer, run_cfg, meta)
+    return _run_training(encoder, encoder.head, encoder.head_parameters(), feats, fp_target_train.labels, run_cfg, meta)

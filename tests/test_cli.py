@@ -15,10 +15,11 @@ from support import traced_peak
 from geomshot import cli
 from geomshot.cli import RUNS, build_parser, main
 from geomshot.config import MAX_CONFIG_BYTES, MAX_FLOW_DEPTH, DataConfig, TopLevelConfig, read_document
-from geomshot.errors import InsufficientClasses, InvalidConfig
+from geomshot.errors import CorruptCheckpoint, InsufficientClasses, InvalidConfig
 from geomshot.evaluation import EvalSpec
 from geomshot.geometry import REPRESENTATIONS
-from geomshot.nnet import EncoderConfig, load_checkpoint
+from geomshot.nnet import EncoderConfig, load_checkpoint, save_checkpoint
+from geomshot.nnet.encoder import tensor_table
 from geomshot.pipeline import AdaptConfig, TrainConfig
 from geomshot.synth import SynthSpec
 
@@ -592,6 +593,29 @@ def test_malformed_checkpoint_is_one_line_error(small_corpus, tmp_path, caplog, 
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith("CorruptCheckpoint: ")
+
+
+@pytest.mark.parametrize("tensor, value, fault", [
+    ("fc1.weight", np.nan, "payload holds a non-finite value"),
+    ("head.bias", np.inf, "payload holds a non-finite value"),
+    ("bn1.running_mean", -np.inf, "payload holds a non-finite value"),
+    ("bn2.running_var", -5.0, "a BatchNorm running variance is negative"),
+], ids=["nan", "inf", "minus-inf", "negative-variance"])
+def test_checkpoint_that_gives_no_meaningful_embedding_is_refused(small_corpus, tmp_path, caplog, tensor, value,
+                                                                  fault):
+    ckpt = tmp_path / "encoder.ckpt"
+    save_random_encoder(ckpt)
+    loaded, meta = load_checkpoint(ckpt)
+    entry = next(e for e in tensor_table(loaded.config) if e["name"] == tensor)
+    loaded.state_array[entry["byte_offset"] // 8 + 3] = value
+    save_checkpoint(ckpt, loaded.config, loaded.state_array, meta)
+    with pytest.raises(CorruptCheckpoint, match=f"^{ckpt}: {fault}$"):
+        load_checkpoint(ckpt)
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, checkpoint=ckpt))
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "runs"), "--run-id", "bad"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"CorruptCheckpoint: {ckpt}: {fault}"]
+    assert not (tmp_path / "runs" / "bad").exists()
 
 
 def test_zero_eval_episodes_is_one_line_error(small_corpus, tmp_path, caplog):

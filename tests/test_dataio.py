@@ -11,7 +11,6 @@ from support import write_half_then_fail
 
 from geomshot.dataio import (
     build_catalog,
-    eligible_classes,
     eligible_pool,
     load_split,
     save_split,
@@ -251,13 +250,14 @@ class TestSplitFileIO:
 class TestEligibleClasses:
     def test_threshold_semantics(self):
         labels = np.repeat([0, 1, 2, 3], [20, 19, 25, 5])
-        assert eligible_classes(labels, 5, 15) == [0, 2]
+        assert list(eligible_pool(labels, 5, 15, 2)) == [0, 2]
 
     def test_boundary_two_samples(self):
-        assert eligible_classes(np.array([7, 7]), 1, 1) == [7]
+        assert eligible_pool(np.array([7, 7]), 1, 1, 1) == {7: [0, 1]}
 
     def test_nineteen_excluded_at_twenty(self):
-        assert eligible_classes(np.zeros(19, dtype=np.int64), 5, 15) == []
+        with pytest.raises(InsufficientClasses, match="^0 classes have >= 20 samples, need 1$"):
+            eligible_pool(np.zeros(19, dtype=np.int64), 5, 15, 1)
 
     def test_pool_lists_each_eligible_class_rows_in_row_order(self):
         labels = np.array([1, 0, 1, 0, 2, 1])

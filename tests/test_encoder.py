@@ -88,6 +88,16 @@ def test_backward_with_no_gradient_bound_is_refused_before_any_gradient_is_writt
     assert enc.flat.grad is None and all(p.grad is None for p in enc.parameters())
 
 
+def test_backward_with_only_the_head_gradient_bound_is_refused_before_the_head_writes_it():
+    enc = MLPEncoder(EncoderConfig(input_dim=20), seed=7)
+    head = enc.head_parameters()
+    head.bind_grad().fill(7.0)
+    enc.forward(np.random.default_rng(2).normal(size=(6, 20)), train=True, rng=make_rng(3))
+    with pytest.raises(CacheError, match=r"^Linear\.backward with no gradient bound to its parameters$"):
+        enc.backward(np.ones((6, 128)))
+    assert head.grad.tobytes() == np.full(head.grad.shape, 7.0).tobytes()
+
+
 def test_backward_after_a_backbone_forward_is_refused_before_any_gradient_is_written():
     enc = MLPEncoder(EncoderConfig(input_dim=20), seed=7)
     enc.zero_grad()
@@ -304,8 +314,12 @@ def test_every_tensor_is_a_view_of_the_state_array_in_payload_order(tmp_path):
 def test_checkpoint_roundtrip_keeps_every_state_bit(tmp_path_factory, input_dim, hidden_dim, num_hidden,
                                                      embed_dim, seed):
     cfg = EncoderConfig(input_dim=input_dim, hidden_dim=hidden_dim, num_hidden=num_hidden, embed_dim=embed_dim)
-    # Random 64-bit patterns, NaNs with payloads among them.
-    state = np.random.default_rng(seed).integers(0, 2**64, cfg.state_size(), dtype=np.uint64).view(np.float64)
+    # Random 64-bit patterns, subnormals and signed zeros among them; the loader refuses non-finite values
+    # and negative running variances, so an all-ones exponent loses its top bit and each variance its sign.
+    bits = np.random.default_rng(seed).integers(0, 2**64, cfg.state_size(), dtype=np.uint64)
+    bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)
+    bits[cfg.param_count():].reshape(num_hidden, 2, hidden_dim)[:, 1] &= np.uint64(2**63 - 1)
+    state = bits.view(np.float64)
     path = tmp_path_factory.mktemp("roundtrip") / "enc.ckpt"
     save_checkpoint(path, cfg, state, {})
     loaded, meta = load_checkpoint(path)

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomshot.dataio import eligible_classes
 from geomshot.episodes import EpisodeSpec, sample_episode
 from geomshot.errors import DegenerateProblem, InsufficientClasses
 from geomshot.evaluation import (
@@ -116,7 +115,7 @@ class TestEvaluate:
 def reference_protocol(embed, predict, fp, spec, echo):
     """Per-episode reference: re-embed each episode's support and query rows."""
     rows = class_rows(fp.labels)
-    pool = {c: rows[c] for c in eligible_classes(fp.labels, spec.k_shot, spec.q_query)}
+    pool = {c: rows[c] for c in np.flatnonzero(np.bincount(fp.labels) >= spec.k_shot + spec.q_query).tolist()}
     accuracies, correct, total, confusion = [], {}, {}, {}
     for i in range(spec.episodes):
         ep = sample_episode(pool, EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, i))
