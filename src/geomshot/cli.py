@@ -6,8 +6,9 @@ config keys the command reads, the pools it featurizes, whether it
 ignores, takes or needs a checkpoint, and its body. ``_prepare`` parses
 every section, builds every pool, loads and checks the checkpoint, and
 runs every check that depends only on the inputs, all before the run
-directory exists, so an input error leaves nothing behind. ``_run`` then
-makes ``<out>/<run-id>/``, calls the body, and writes ``manifest.json``
+directory exists, so an input error leaves nothing behind (``cmd_run``
+refuses a run id that is a path before that). ``_run`` then makes
+``<out>/<run-id>/``, calls the body, and writes ``manifest.json``
 however the body ends: ``status`` "ok", or "failed" plus the ``error``.
 Bodies call library functions by their module-global names, never
 through the table, so a tool that rebinds those globals (the benchmark's
@@ -180,6 +181,8 @@ def _run(name: str, args, p: SimpleNamespace) -> None:
 
 def cmd_run(args) -> int:
     name = f"baseline-{args.kind}" if args.command == "baseline" else args.command
+    if args.run_id and (args.run_id == ".." or Path(args.run_id).name != args.run_id):  # "." has the name ""
+        raise ValueError(f"--run-id must be one plain name, not a path, got {args.run_id!r}")
     _run(name, args, _prepare(name, args.config))
     return 0
 

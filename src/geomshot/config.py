@@ -20,10 +20,10 @@ of its dataclass, and so are the top-level keys that are not sections
 (``TopLevelConfig``); the dataclass checks each value's type and range
 (``schema.check_fields``): integers must be YAML integers, reals take an
 integer or a finite float, booleans must be YAML booleans, paths must be
-strings (``checkpoint`` and ``source``: absent or non-empty), and a list
-(``seeds``, ``ablate.k_values``) holds distinct integers. Every breach is
-``InvalidConfig: <section>.<field> must be …, got <repr>`` (a top-level
-key is named alone), raised before any run directory exists. PyYAML
+non-empty strings (``checkpoint`` and ``source`` may also be absent), and
+a list (``seeds``, ``ablate.k_values``) holds distinct integers. Every
+breach is ``InvalidConfig: <section>.<field> must be …, got <repr>`` (a
+top-level key is named alone), raised before any run directory exists. PyYAML
 reads YAML 1.1, where a float needs a dot, so ``1e3`` is the string
 ``"1e3"``: write ``1000``.
 """

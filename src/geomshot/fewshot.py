@@ -1,12 +1,12 @@
 """Prototype classification head and episode losses.
 
 Prototypes are per-class means of support embeddings; queries are scored
-by softmax over negative squared Euclidean distances. Every episode's
-support is balanced, K rows per class, so the prototypes are one reshape
-to ``(N, K, D)`` and a mean, and each support row's gradient is its
-prototype's gradient over K. An unbalanced support, or a label outside
-``0..N-1``, is a ``ShapeError``. ``compute_prototypes`` and ``classify``
-take leading batch dimensions, so a block of episodes is one call.
+by softmax over negative squared Euclidean distances. Every support is
+in the sampler's class-major layout, K rows of class 0, then K of class
+1, and so on, so the prototypes are one reshape to ``(N, K, D)`` and a
+mean, and each support row's gradient is its prototype's gradient over
+K. Any other layout is a ``ShapeError``. ``compute_prototypes`` and
+``classify`` take leading batch dimensions, so a block of episodes is one call.
 
 ``classify`` screens with the Gram form ``|q|² + |p|² − 2 q·p`` (one
 batched matmul) and keeps its argmin only where that is sure to equal
@@ -45,23 +45,21 @@ _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 def compute_prototypes(support_emb: np.ndarray, labels: np.ndarray, n_way: int) -> np.ndarray:
     """Per-class means of support embeddings, rows ordered by class label.
 
-    The support must be balanced: K rows of each class ``0..n_way-1``, in any
-    order. A stable sort by label groups each class's rows in their support
-    order, so one ``(n_way, K, D)`` mean gives the same bits as a per-class
-    mask and mean. Leading dimensions of ``support_emb (..., n, D)`` are
-    batch dimensions that share ``labels (n,)``.
+    The support must be in the sampler's class-major layout, ``labels ==
+    np.repeat(np.arange(n_way), K)``, so one ``(n_way, K, D)`` mean over the
+    C-contiguous rows gives the same bits as a per-class mask and mean.
+    Leading dimensions of ``support_emb (..., n, D)`` are batch dimensions
+    that share ``labels (n,)``.
     """
     support_emb = np.asarray(support_emb, dtype=np.float64)
     labels = np.asarray(labels)
     if support_emb.ndim < 2 or labels.ndim != 1 or support_emb.shape[-2] != labels.shape[0]:
         raise ShapeError("support embeddings and labels disagree")
     k = labels.shape[0] // n_way if n_way > 0 else 0
-    order = np.argsort(labels, kind="stable")
-    if k < 1 or not np.array_equal(labels[order], np.repeat(np.arange(n_way), k)):
+    if k < 1 or not np.array_equal(labels, np.repeat(np.arange(n_way), k)):
         counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
-        raise ShapeError(f"support needs the same number of rows for each class 0..{n_way - 1}, got {counts}")
-    grouped = np.take(support_emb, order, axis=-2)  # C-contiguous, so every slice reduces alike
-    return grouped.reshape(support_emb.shape[:-2] + (n_way, k, -1)).mean(axis=-2)
+        raise ShapeError(f"support needs K rows of each class 0..{n_way - 1} in class order, got {counts}")
+    return np.ascontiguousarray(support_emb).reshape(support_emb.shape[:-2] + (n_way, k, -1)).mean(axis=-2)
 
 
 def squared_distances(query_emb: np.ndarray, protos: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ WRIST = 0
 
 # Chain bases in anatomical order (thumb..pinky); each chain is base..base+3.
 CHAIN_BASES = (1, 5, 9, 13, 17)
-FINGERTIPS = (4, 8, 12, 16, 20)
 
 REPRESENTATIONS = ("raw", "angle", "raw_angle")
 FEATURE_DIMS = {"raw": 63, "angle": 20, "raw_angle": 83}
@@ -94,11 +93,6 @@ class SimilarityTransform:
         object.__setattr__(self, "scale", float(scale))
 
 
-def rotation_errors(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``|R^T R - I|`` (..., 3, 3) and ``|det R - 1|`` (...) of a (..., 3, 3) stack of rotations."""
-    return np.abs(rotation.swapaxes(-1, -2) @ rotation - np.eye(3)), np.abs(np.linalg.det(rotation) - 1.0)
-
-
 def check_similarities(rotation, scale, translation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check (..., 3, 3) rotations, (...) scales and (..., 3) translations; return them as float64.
 
@@ -111,7 +105,8 @@ def check_similarities(rotation, scale, translation) -> tuple[np.ndarray, np.nda
         raise ShapeError("transform entries must be finite")
     if scale.min(initial=np.inf) <= 0:
         raise ShapeError("scale must be positive")
-    orthogonality, determinant = (e.max(initial=0.0) for e in rotation_errors(rotation))
+    orthogonality = np.abs(rotation.swapaxes(-1, -2) @ rotation - np.eye(3)).max(initial=0.0)
+    determinant = np.abs(np.linalg.det(rotation) - 1.0).max(initial=0.0)
     if orthogonality > 1e-10:
         raise ShapeError(f"rotation is not orthogonal (max error {orthogonality:.2e})")
     if determinant > 1e-10:

@@ -15,17 +15,6 @@ BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
 EPS = 1e-8  # added to the square root of the second moment
 
 
-def global_grad_norm(buffer: ParamBuffer) -> float:
-    # Per-tensor partial sums: one sum over the flat buffer can differ in the last bit.
-    return math.sqrt(sum(float((p.grad**2).sum()) for p in buffer.params))
-
-
-def clip_global_norm(buffer: ParamBuffer, max_norm: float, norm: float) -> None:
-    """Scale the buffer's gradient, whose joint L2 norm is ``norm``, so that norm is at most max_norm."""
-    if norm > max_norm:
-        buffer.grad *= max_norm / norm
-
-
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     """base_lr * 0.5 * (1 + cos(pi * epoch / total_epochs)), floored at 0."""
     if not 0 <= epoch <= total_epochs:
@@ -36,9 +25,10 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 class AdamW:
     """Decoupled-weight-decay Adam over one parameter buffer.
 
-    step() first verifies the gradient is finite (aborting without any
-    mutation otherwise), takes the global gradient norm as a sum of
-    per-tensor sums and clips by it, then runs over the buffer in blocks of
+    step() takes the global gradient norm as a sum of per-tensor sums. A
+    non-finite gradient entry makes the norm non-finite, so only then does
+    it scan the gradient, aborting without any mutation if an entry is not
+    finite. It clips by the norm, then runs over the buffer in blocks of
     16,384 values: the decay p *= 1 - lr*wd, then the bias-corrected Adam
     update. Every operation is elementwise, so the blocks give the bits of
     one pass over the whole buffer.
@@ -57,11 +47,12 @@ class AdamW:
     def step(self) -> float:
         """One update; returns the global gradient norm before clipping."""
         buf = self.buffer
-        if not np.isfinite(buf.grad).all():
+        # Per-tensor partial sums: one sum over the flat buffer can differ in the last bit.
+        norm = math.sqrt(sum(float((p.grad**2).sum()) for p in self.params))
+        if not math.isfinite(norm) and not np.isfinite(buf.grad).all():
             raise NonFiniteGradient("gradient is not finite")
-        norm = global_grad_norm(buf)
-        if self.clip_norm is not None:
-            clip_global_norm(buf, self.clip_norm, norm)
+        if self.clip_norm is not None and norm > self.clip_norm:
+            buf.grad *= self.clip_norm / norm
         self.step_count += 1
         t = self.step_count
         decay, bc1, bc2 = 1.0 - self.lr * self.weight_decay, 1.0 - BETA1**t, 1.0 - BETA2**t

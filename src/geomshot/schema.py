@@ -19,7 +19,7 @@ _NOUNS = {
     "float": "a finite number",
     "float | None": "a finite number",
     "bool": "a boolean",
-    "str": "a string",
+    "str": "a non-empty string",
     "tuple[float, float]": "a pair of finite numbers",
     "tuple[int, ...]": "a non-empty list of distinct integers",
     "str | None": "a non-empty string",
@@ -34,15 +34,15 @@ def setting(default=MISSING, *, ge=None, gt=None, lt=None, choices=None):
 def _valid(kind: str, rule, value) -> bool:
     if kind == "bool":
         return type(value) is bool
-    if kind == "str":
-        return type(value) is str and (rule.get("choices") is None or value in rule["choices"])
+    if kind == "str | None" and value is None:
+        return True
+    if kind in ("str", "str | None"):
+        return type(value) is str and value != "" and (rule.get("choices") is None or value in rule["choices"])
     if kind == "tuple[float, float]":
         return type(value) is tuple and len(value) == 2 and all(_valid("float", rule, v) for v in value)
     if kind == "tuple[int, ...]":  # a YAML list, or a tuple built in Python; set() hashes only checked items
         items_ok = type(value) in (list, tuple) and all(_valid("int", rule, v) for v in value)
         return items_ok and 0 < len(set(value)) == len(value)
-    if kind == "str | None":
-        return value is None or (type(value) is str and value != "")
     if kind == "float | None" and value is None:
         return True
     # bool is an int subclass, hence type() and not isinstance(); only float kinds take a float.

@@ -124,19 +124,29 @@ def sample_hand(spec: SynthSpec, params: np.ndarray, class_id: int) -> np.ndarra
 
 
 def generate_corpus(spec: SynthSpec, out_root) -> dict:
-    """Write the corpus tree <out>/<class_XX>/sNNNN.npy plus corpus_meta.json (whole or absent)."""
+    """Write the corpus tree <out>/<class_XX>/sNNNN.npy plus corpus_meta.json (whole or absent).
+
+    A root holding what ``build_catalog`` would read beyond this corpus, another subdirectory or another
+    ``*.npy`` entry in a class directory, is refused before anything is written.
+    """
     out_root = Path(out_root)
+    class_names = [f"class_{c:02d}" for c in range(spec.n_classes)]
+    samples = {f"s{j:04d}.npy" for j in range(spec.per_class)}
+    stale = [d.name for d in out_root.glob("*/") if d.name not in class_names]
+    stale += [f"{c}/{f.name}" for c in class_names for f in (out_root / c).glob("*.npy") if f.name not in samples]
+    if stale:
+        raise FileExistsError(f"{out_root / min(stale)} is not part of this corpus; write this corpus elsewhere")
     out_root.mkdir(parents=True, exist_ok=True)
     dictionary = class_dictionary(spec)
-    for c in range(spec.n_classes):
-        class_dir = out_root / f"class_{c:02d}"
+    for c, name in enumerate(class_names):
+        class_dir = out_root / name
         class_dir.mkdir(exist_ok=True)
         for j, hand in enumerate(sample_hand(spec, dictionary[c], c)):
             write_keypoints(f"{class_dir}/s{j:04d}.npy", hand)
     meta = {
         "schema_version": 1,
         "spec": asdict(spec),
-        "class_names": [f"class_{c:02d}" for c in range(spec.n_classes)],
+        "class_names": class_names,
         "canonical_params": dictionary.tolist(),
         "canonical_angles": [canonical_angles(dictionary[c]).tolist() for c in range(spec.n_classes)],
     }

@@ -308,7 +308,11 @@ def test_bad_seed_is_one_line_error_and_creates_no_run_dir(
           for key, value, rule in (("hidden_dim", 16.5, "an integer >= 1"),
                                    ("dropout_p", "0.3", "a finite number in [0, 1)"))],
         ("adapt", "adapt", "max_epochs", 2.5, "InvalidConfig: adapt.max_epochs must be an integer >= 1, got 2.5"),
-        *[(c, "data", "data_root", 5, "InvalidConfig: data.data_root must be a string, got 5") for c in RUN_COMMANDS],
+        *[(c, "data", "data_root", 5, "InvalidConfig: data.data_root must be a non-empty string, got 5")
+          for c in RUN_COMMANDS],
+        # An empty path would scan, or open, the working directory.
+        *[(c, "data", key, "", f"InvalidConfig: data.{key} must be a non-empty string, got ''")
+          for c in RUN_COMMANDS for key in ("data_root", "split")],
     ],
 )
 def test_bad_episode_shape_is_one_line_error_and_creates_no_run_dir(
@@ -429,7 +433,7 @@ def test_synth_command_deterministic(tmp_path):
     "flag, value",
     [("--noise", "nan"), ("--noise", "inf"), ("--noise", "-0.1"), ("--scale-min", "0"),
      ("--scale-min", "-1"), ("--scale-min", "20"), ("--scale-max", "inf"), ("--translate-max", "nan"),
-     ("--translate-max", "-2")],
+     ("--translate-max", "-2"), ("--name", "")],
 )
 def test_synth_bad_parameter_is_one_line_error_and_writes_nothing(tmp_path, caplog, flag, value):
     out = tmp_path / "corpus"
@@ -439,6 +443,48 @@ def test_synth_bad_parameter_is_one_line_error_and_writes_nothing(tmp_path, capl
     assert len(errors) == 1 and "\n" not in errors[0]
     assert errors[0].startswith("InvalidConfig: synth.")
     assert not out.exists()
+
+
+def test_synth_refuses_a_directory_holding_another_corpus_and_rewrites_its_own(tmp_path, caplog):
+    from test_synth import tree_hash
+
+    root = tmp_path / "corpus"
+    first = ["synth", "--out", str(root), "--classes", "4", "--per-class", "5", "--seed", "1"]
+    assert main(first) == 0
+    before = tree_hash(root), (root / "corpus_meta.json").read_bytes()
+    # Fewer samples per class: class_00/s0003.npy would survive into the smaller corpus.
+    assert main(["synth", "--out", str(root), "--classes", "2", "--per-class", "3", "--seed", "2"]) == 1
+    # Fewer classes only: class_02 and class_03 would survive.
+    assert main(["synth", "--out", str(root), "--classes", "2", "--per-class", "5", "--seed", "1"]) == 1
+    (root / "notes").mkdir()  # any other subdirectory would be read as a class
+    assert main(first) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 3 and not any("\n" in e for e in errors)
+    for error, entry in zip(errors, ("class_00/s0003.npy", "class_02", "notes")):
+        assert error.startswith(f"FileExistsError: {root / entry} is not part of this corpus")
+    assert (tree_hash(root), (root / "corpus_meta.json").read_bytes()) == before
+    (root / "notes").rmdir()
+    for f in root.rglob("*.npy"):  # as the benchmark empties a corpus before it writes it again
+        f.write_bytes(b"")
+    assert main(first) == 0
+    assert (tree_hash(root), (root / "corpus_meta.json").read_bytes()) == before
+
+
+@pytest.mark.parametrize("run_id", ["../x", "absolute", "a/b", ".", ".."])
+def test_run_id_that_is_not_one_plain_name_is_one_line_error_and_creates_nothing(
+    small_corpus, tmp_path, caplog, run_id
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    if run_id == "absolute":
+        run_id = str(tmp_path / "abs_escape")
+    cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=3))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["eval", "--config", cfg, "--out", str(out), "--run-id", run_id]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert errors[0].startswith("ValueError: --run-id must be one plain name")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("seed", ["-1", "-18446744073709551615"])

@@ -61,8 +61,8 @@ def mask_loop_protonet(support_emb, support_labels, query_emb, query_labels, n_w
 
 
 def balanced_support(rng, n_way, k, dim):
-    """K rows per class, labels in shuffled order, values across many magnitudes."""
-    labels = rng.permutation(np.repeat(np.arange(n_way), k))
+    """K rows per class in the sampler's class-major layout, values across many magnitudes."""
+    labels = np.repeat(np.arange(n_way), k)
     emb = rng.normal(size=(n_way * k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n_way * k, 1))
     return emb, labels
 
@@ -136,6 +136,7 @@ class TestPrototypes:
         [
             ([0, 0, 1, 1, 1, 2], 3),  # unequal counts
             ([0, 1, 2, 0, 1, 1], 3),  # unequal counts, shuffled
+            ([0, 1, 0, 1], 2),  # balanced but interleaved: not the class-major layout
             ([0, 0, 1, 1, 3, 3], 3),  # label n_way (the mask loop dropped these rows)
             ([0, 1, 2, 3], 3),  # an extra class beyond n_way
             ([-1, 0, 1, 2], 3),  # negative label

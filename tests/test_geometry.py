@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from geomshot.errors import DegenerateHand, InvalidKeypoints, ShapeError
 from geomshot.geometry import (
+    CHAIN_BASES,
     DEGENERATE_DISTANCE,
     DEGENERATE_NORM,
     FEATURE_DIMS,
-    FINGERTIPS,
     REPRESENTATIONS,
     SimilarityTransform,
     TRIPLET_CHILD,
@@ -26,7 +26,6 @@ from geomshot.geometry import (
     joint_angles,
     max_pairwise_distance,
     random_transform,
-    rotation_errors,
     rotation_from_quaternion,
     scale_normalize,
     wrist_center,
@@ -200,7 +199,7 @@ class TestTripletTable:
         assert (TRIPLET_PARENT[i], TRIPLET_PIVOT[i], TRIPLET_CHILD[i]) == (5, 6, 7)
 
     def test_no_fingertip_pivots(self):
-        assert not np.isin(TRIPLET_PIVOT, FINGERTIPS).any()
+        assert not np.isin(TRIPLET_PIVOT, np.add(CHAIN_BASES, 3)).any()
 
     def test_indices_valid_and_distinct(self):
         for ids in zip(TRIPLET_PARENT, TRIPLET_PIVOT, TRIPLET_CHILD):
@@ -487,12 +486,16 @@ def test_stacked_rotations_and_their_checks_match_per_quaternion_calls_bitwise(s
     rotation = rotation_from_quaternion(q)
     assert rotation.shape == (n, 3, 3)
     assert np.array_equal(rotation, np.array([rotation_from_quaternion(row) for row in q]))
-    orthogonality, determinant = rotation_errors(rotation)
-    assert orthogonality.shape == (n, 3, 3) and determinant.shape == (n,)
-    one_by_one = [rotation_errors(r) for r in rotation]
-    assert np.array_equal(orthogonality, [o for o, _ in one_by_one])
-    assert np.array_equal(determinant, [d for _, d in one_by_one])
     check_similarities(rotation, np.ones(n), np.zeros((n, 3)))
+    for r in rotation:  # each rotation alone gets the stack's verdict
+        check_similarities(r, 1.0, np.zeros(3))
+    reflected = rotation.copy()
+    reflected[-1, 0] *= -1.0  # a reflection: the stack and that rotation alone are refused alike
+    with pytest.raises(ShapeError, match="determinant") as stacked:
+        check_similarities(reflected, np.ones(n), np.zeros((n, 3)))
+    with pytest.raises(ShapeError) as alone:
+        check_similarities(reflected[-1], 1.0, np.zeros(3))
+    assert str(alone.value) == str(stacked.value)
     assert np.array_equal(rotation_from_quaternion(q.reshape(n, 1, 4)), rotation[:, None])
 
 

@@ -12,9 +12,7 @@ from geomshot.nnet import (
     EncoderConfig,
     MLPEncoder,
     ParamTensor,
-    clip_global_norm,
     cosine_lr,
-    global_grad_norm,
 )
 from geomshot.nnet.optim import _BLOCK
 
@@ -174,28 +172,30 @@ def test_optimizer_memory_is_two_buffers_plus_two_blocks():
 
 
 class TestClipping:
+    """AdamW.step returns the global norm before clipping and leaves the clipped gradient in the buffer."""
+
     def test_norm_ten_scaled_by_point_one(self):
         p = ParamTensor("w", np.zeros(4))
         p.grad[...] = [10.0, 0.0, 0.0, 0.0]
-        clip_global_norm(packed(p), 1.0, 10.0)
-        assert np.allclose(p.grad, [1.0, 0.0, 0.0, 0.0])
+        assert AdamW(packed(p), lr=1e-4, weight_decay=0.0, clip_norm=1.0).step() == 10.0
+        assert np.array_equal(p.grad, [1.0, 0.0, 0.0, 0.0])
 
     def test_global_norm_across_tensors(self):
         a = ParamTensor("a", np.zeros(1))
         b = ParamTensor("b", np.zeros(1))
         a.grad[...] = 3.0
         b.grad[...] = 4.0
-        buffer = packed(a, b)
-        assert global_grad_norm(buffer) == 5.0
-        clip_global_norm(buffer, 1.0, 5.0)
-        assert a.grad[0] == pytest.approx(0.6)
-        assert b.grad[0] == pytest.approx(0.8)
+        assert AdamW(packed(a, b), lr=1e-4, weight_decay=0.0, clip_norm=1.0).step() == 5.0
+        assert a.grad[0] == 3.0 * (1.0 / 5.0)
+        assert b.grad[0] == 4.0 * (1.0 / 5.0)
 
-    def test_below_threshold_untouched(self):
+    @pytest.mark.parametrize("clip_norm", [1.0, None])
+    def test_below_threshold_or_unclipped_untouched(self, clip_norm):
         p = ParamTensor("w", np.zeros(2))
-        p.grad[...] = [0.3, 0.4]
-        clip_global_norm(packed(p), 1.0, 0.5)
-        assert np.array_equal(p.grad, [0.3, 0.4])
+        p.grad[...] = [0.3, 0.4] if clip_norm else [30.0, 40.0]
+        norm = AdamW(packed(p), lr=1e-4, weight_decay=0.0, clip_norm=clip_norm).step()
+        assert norm == pytest.approx(0.5 if clip_norm else 50.0)
+        assert np.array_equal(p.grad, [0.3, 0.4] if clip_norm else [30.0, 40.0])
 
 
 class TestCosineLR:
