@@ -43,7 +43,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import write_atomic, write_document
-from .dataio import build_catalog, eligible_pool, load_split, save_split, split_pool, stratified_split
+from .dataio import build_catalog, load_split, save_split, split_pool, stratified_split
+from .episodes import eligible_pool
 from .errors import ConfigMismatch, GeomshotError, InvalidConfig
 from .evaluation import (ABLATION_SETTINGS, EvalReport, EvalSpec, ablation_normalization, episode_linear_baseline,
                          evaluate, full_data_linear, input_space_baseline, linear_classes, multi_seed, shared_episodes,
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        for flag in ("out", "data_root", "report", "config"):  # Path("") is the working directory
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag.replace('_', '-')} must be a non-empty path")
         return args.fn(args)
     except (GeomshotError, ValueError, OSError, MemoryError) as e:
         logger.error("%s: %s", type(e).__name__, e)

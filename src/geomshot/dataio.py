@@ -1,4 +1,4 @@
-"""Dataset catalogs, deterministic stratified splits, class eligibility.
+"""Dataset catalogs and deterministic stratified splits.
 
 On-disk layout: ``<root>/<class_name>/<sample>.npy`` with one (21, 3)
 keypoint file per sample. A catalog holds a dataset's usable files as
@@ -11,8 +11,7 @@ the sorted class directory names ``classes``) and ``keypoints (N, 21,
 that ``featurize`` cannot scale-normalize), so every representation sees
 the same rows. A catalog is built from one ``scandir`` listing of the root
 and of each class directory, and one read per file. ``split_pool`` takes
-one side's rows as a catalog of the same classes, and ``eligible_pool`` is
-where labels become the per-class row lists the episode sampler draws from.
+one side's rows as a catalog of the same classes.
 
 Split files are JSON documents
 ``{"seed": int, "fraction": float, "train": [paths], "test": [paths]}``
@@ -37,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import read_document, write_document
-from .errors import FormatError, InsufficientClasses, InvalidKeypoints, InvalidSplit
+from .errors import FormatError, InvalidKeypoints, InvalidSplit
 from .geometry import NUM_KEYPOINTS, degenerate_hands
 from .npyio import load_keypoints
 from .rng import STREAM_SPLIT, check_seed, is_seed, make_rng
@@ -216,16 +215,3 @@ def split_pool(catalog: DatasetCatalog, split: SplitFile, side: str) -> DatasetC
     wanted = set(split.train if side == "train" else split.test)
     rows = [i for i, path in enumerate(catalog.paths.tolist()) if path in wanted]
     return replace(catalog, paths=catalog.paths[rows], labels=catalog.labels[rows], keypoints=catalog.keypoints[rows])
-
-
-def eligible_pool(labels: np.ndarray, k_shot: int, q_query: int, n_way: int) -> dict[int, list[int]]:
-    """Row lists, in row order, of the classes with at least K+Q rows; raises if fewer than ``n_way``."""
-    if k_shot < 1 or q_query < 1:
-        raise ValueError("k_shot and q_query must be >= 1")
-    labels = np.asarray(labels)
-    eligible = np.flatnonzero(np.bincount(labels) >= k_shot + q_query).tolist()
-    if len(eligible) < n_way:
-        raise InsufficientClasses(
-            f"{len(eligible)} classes have >= {k_shot + q_query} samples, need {n_way}"
-        )
-    return {c: np.flatnonzero(labels == c).tolist() for c in eligible}

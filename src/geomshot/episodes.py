@@ -6,7 +6,8 @@ content/order and those two integers. The classes are
 ``Generator.choice(C, N, replace=False)`` over the sorted class ids, then
 each drawn class, in draw order, gives ``choice(n_c, K+Q, replace=False)``
 over its items, the first K forming the support set. Episode class labels
-are relabelled to 0..N-1 in class draw order.
+are relabelled to 0..N-1 in class draw order. ``draw_episodes`` draws
+every batch that a run trains on, monitors or scores.
 """
 
 from __future__ import annotations
@@ -122,3 +123,20 @@ def sample_episode(pool: Mapping[Any, Sequence], spec: EpisodeSpec, count: int |
         support_labels=support_labels,
         query_labels=query_labels,
     )
+
+
+def eligible_pool(labels: np.ndarray, k_shot: int, q_query: int, n_way: int) -> dict[int, list[int]]:
+    """Row lists, in row order, of the classes with at least K+Q rows; raises if fewer than ``n_way``."""
+    labels = np.asarray(labels)
+    eligible = np.flatnonzero(np.bincount(labels) >= k_shot + q_query).tolist()
+    if len(eligible) < n_way:
+        raise InsufficientClasses(
+            f"{len(eligible)} classes have >= {k_shot + q_query} samples, need {n_way}"
+        )
+    return {c: np.flatnonzero(labels == c).tolist() for c in eligible}
+
+
+def draw_episodes(labels: np.ndarray, shape, base_seed: int, count: int, first: int = 0) -> Episodes:
+    """``count`` episodes of ``base_seed`` from index ``first``, over eligible rows; ``shape`` has N, K and Q."""
+    spec = EpisodeSpec(shape.n_way, shape.k_shot, shape.q_query, base_seed, first)  # checks N/K/Q before the pool
+    return sample_episode(eligible_pool(labels, spec.k_shot, spec.q_query, spec.n_way), spec, count=count)

@@ -1,7 +1,7 @@
 """Episode evaluation, baselines, ablation, multi-seed aggregation.
 
 The protocol draws all of its seeded episodes first, as one ``Episodes``
-batch of row arrays (``draw_episodes``), embeds every row they touch once
+batch of row arrays (``episodes.draw_episodes``), embeds every row they touch once
 (one eval-mode forward over the union of their support and query rows),
 then scores the episodes in index order, ``PROTO_BLOCK`` episodes at a
 time: one stacked ``compute_prototypes`` and one screened ``classify``
@@ -37,8 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .config import TopLevelConfig, write_atomic
-from .dataio import eligible_pool
-from .episodes import Episodes, EpisodeSpec, sample_episode
+from .episodes import Episodes, draw_episodes
 from .errors import DegenerateProblem
 from .features import FeaturePool
 from .fewshot import classify, compute_prototypes
@@ -151,26 +150,19 @@ def embed_rows(model, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return emb
 
 
-def draw_episodes(labels: np.ndarray, spec: EvalSpec) -> Episodes:
-    """The spec's seeded episodes over the rows of the classes with at least K+Q rows."""
-    eligible = eligible_pool(labels, spec.k_shot, spec.q_query, spec.n_way)
-    first = EpisodeSpec(spec.n_way, spec.k_shot, spec.q_query, spec.base_seed, 0)
-    return sample_episode(eligible, first, count=spec.episodes)
-
-
 def _score_episodes(
     encoder: MLPEncoder | None,
     predict,
     fp: FeaturePool,
     spec: EvalSpec,
     episodes: Episodes,
-    config_echo: dict,
+    config_echo: dict | None = None,
 ) -> EvalReport:
     """Score ``predict(emb, episodes)``, the ``(E, N*Q)`` relabelled predictions.
 
     The per-class and confusion tallies are one ``bincount`` over
     ``true * C + pred``, with classes as positions in the pool's sorted
-    labels.
+    labels. The config's ``encoder`` ("none" or "mlp") yields to ``config_echo``.
     """
     emb = fp.X if encoder is None else embed_rows(encoder, fp.X, episode_rows(episodes))
     pred = predict(emb, episodes)
@@ -190,7 +182,8 @@ def _score_episodes(
     }
     confusion = {(classes[t], classes[p]): int(counts[t, p]) for t, p in zip(*np.nonzero(counts))}
     mean = float(np.mean(accuracies))
-    config = {**asdict(spec), "representation": fp.representation, "normalize": fp.normalize, **config_echo}
+    config = {**asdict(spec), "representation": fp.representation, "normalize": fp.normalize,
+              "encoder": "none" if encoder is None else "mlp", **(config_echo or {})}
     return EvalReport(accuracies, mean, ci95_halfwidth(accuracies), per_class_acc, confusion, config)
 
 
@@ -205,9 +198,8 @@ def evaluate(
     ``encoder=None`` evaluates directly in feature space; otherwise the
     embeddings come from one eval-mode forward over the episodes' rows.
     """
-    echo = dict(config_echo or {})
-    echo.setdefault("encoder", "none" if encoder is None else "mlp")
-    return _score_episodes(encoder, proto_predict, fp, spec, draw_episodes(fp.labels, spec), echo)
+    episodes = draw_episodes(fp.labels, spec, spec.base_seed, spec.episodes)
+    return _score_episodes(encoder, proto_predict, fp, spec, episodes, config_echo)
 
 
 def input_space_baseline(fp: FeaturePool, spec: EvalSpec, config_echo: dict | None = None) -> EvalReport:
@@ -300,17 +292,18 @@ def episode_linear_baseline(
             pred[block] = _linear_predict(W[block], b[block, None, :], emb[episodes.query[block]])
         return pred
 
-    echo = dict(config_echo or {})
-    echo.setdefault("encoder", "mlp")
-    echo.setdefault("classifier", "episode_linear")
-    return _score_episodes(encoder, predict, fp, spec, draw_episodes(fp.labels, spec), echo)
+    episodes = draw_episodes(fp.labels, spec, spec.base_seed, spec.episodes)
+    echo = {"classifier": "episode_linear", **(config_echo or {})}
+    return _score_episodes(encoder, predict, fp, spec, episodes, echo)
 
 
 def linear_classes(fp_train: FeaturePool, fp_test: FeaturePool) -> np.ndarray:
-    """The labels either pool holds, sorted; DegenerateProblem unless there are at least two."""
+    """The labels either pool holds, sorted; DegenerateProblem unless there are at least two and a test row."""
     classes = np.flatnonzero(np.bincount(np.concatenate([fp_train.labels, fp_test.labels])))
     if len(classes) < 2:
         raise DegenerateProblem("need at least two classes for a linear classifier")
+    if not len(fp_test.labels):
+        raise DegenerateProblem("the test split has no rows to score")
     return classes
 
 
@@ -337,10 +330,9 @@ def ablation_normalization(pools, ks: tuple[int, ...], spec: EvalSpec) -> list[d
     rows = {}
     for k in ks:
         k_spec = replace(spec, k_shot=k)
-        episodes = draw_episodes(fps[0].labels, k_spec)
+        episodes = draw_episodes(fps[0].labels, k_spec, spec.base_seed, spec.episodes)
         for (key, label, representation, normalize), fp in zip(ABLATION_SETTINGS, fps):
-            echo = {"encoder": "none", "ablation_setting": key}
-            report = _score_episodes(None, proto_predict, fp, k_spec, episodes, echo)
+            report = _score_episodes(None, proto_predict, fp, k_spec, episodes)
             rows[key, k] = {
                 "setting": key,
                 "label": label,

@@ -28,7 +28,9 @@ class AdamW:
     step() takes the global gradient norm as a sum of per-tensor sums. A
     non-finite gradient entry makes the norm non-finite, so only then does
     it scan the gradient, aborting without any mutation if an entry is not
-    finite. It clips by the norm, then runs over the buffer in blocks of
+    finite; if every entry is finite, the squares overflowed, and the norm
+    is taken again as ``m * sqrt(sum((g / m)**2))`` with ``m = max|g|``.
+    It clips by the norm, then runs over the buffer in blocks of
     16,384 values: the decay p *= 1 - lr*wd, then the bias-corrected Adam
     update. Every operation is elementwise, so the blocks give the bits of
     one pass over the whole buffer.
@@ -48,9 +50,13 @@ class AdamW:
         """One update; returns the global gradient norm before clipping."""
         buf = self.buffer
         # Per-tensor partial sums: one sum over the flat buffer can differ in the last bit.
-        norm = math.sqrt(sum(float((p.grad**2).sum()) for p in self.params))
-        if not math.isfinite(norm) and not np.isfinite(buf.grad).all():
-            raise NonFiniteGradient("gradient is not finite")
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(sum(float((p.grad**2).sum()) for p in self.params))
+        if not math.isfinite(norm):
+            if not np.isfinite(buf.grad).all():
+                raise NonFiniteGradient("gradient is not finite")
+            top = float(np.abs(buf.grad).max())  # finite entries whose squares overflowed: scale before squaring
+            norm = top * math.sqrt(float(((buf.grad / top) ** 2).sum()))
         if self.clip_norm is not None and norm > self.clip_norm:
             buf.grad *= self.clip_norm / norm
         self.step_count += 1

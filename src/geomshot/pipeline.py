@@ -28,8 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataio import eligible_pool
-from .episodes import Episodes, EpisodeSpec, sample_episode
+from .episodes import Episodes, draw_episodes
 from .errors import ConfigMismatch
 from .evaluation import embed_rows, episode_rows, proto_predict
 from .features import FeaturePool
@@ -90,10 +89,6 @@ def _monitor_accuracy(model, X: np.ndarray, episodes: Episodes, rows: np.ndarray
     return int((pred == episodes.query_labels).sum()) / pred.size
 
 
-def _draw(pool: dict[int, list[int]], cfg: TrainConfig, seed: int, first: int, count: int) -> Episodes:
-    return sample_episode(pool, EpisodeSpec(cfg.n_way, cfg.k_shot, cfg.q_query, seed, first), count=count)
-
-
 def _episode_step(
     model,
     optimizer: AdamW,
@@ -140,9 +135,9 @@ def _run_training(
     ``model`` is the encoder itself over the feature rows, with the cosine
     schedule, or its head over cached backbone features, at a constant rate.
     """
-    pool = eligible_pool(labels, cfg.k_shot, cfg.q_query, cfg.n_way)  # refuses before AdamW binds a gradient
+    # Drawn first, so too few eligible classes are refused before AdamW binds a gradient.
+    monitor = draw_episodes(labels, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, cfg.monitor_episodes)
     optimizer = AdamW(buffer, cfg.learning_rate, cfg.weight_decay, cfg.clip_norm)
-    monitor = _draw(pool, cfg, cfg.base_seed + MONITOR_SEED_OFFSET, 0, cfg.monitor_episodes)
     monitor_rows = episode_rows(monitor)
     # What training moves: the whole state (parameters, running statistics), or only the head's values.
     moving = encoder.state_array if model is encoder else buffer.values
@@ -155,7 +150,7 @@ def _run_training(
         lr = cosine_lr(cfg.learning_rate, epoch, cfg.max_epochs) if model is encoder else cfg.learning_rate
         optimizer.lr = lr
         first = epoch * cfg.episodes_per_epoch
-        batch = _draw(pool, cfg, cfg.base_seed, first, cfg.episodes_per_epoch)
+        batch = draw_episodes(labels, cfg, cfg.base_seed, cfg.episodes_per_epoch, first)
         steps = np.array([
             _episode_step(model, optimizer, X, batch, i, cfg, first + i) for i in range(cfg.episodes_per_epoch)
         ])  # (E, 3): nll, supcon, grad norm

@@ -900,6 +900,32 @@ def test_full_data_baseline_on_one_class_creates_no_run_dir(tmp_path, caplog):
     assert not (tmp_path / "f").exists()
 
 
+def test_full_data_baseline_with_an_empty_test_split_creates_no_run_dir(tmp_path, caplog):
+    root, split = tmp_path / "corpus", tmp_path / "split.json"
+    assert main(["synth", "--out", str(root), "--classes", "2", "--per-class", "1", "--seed", "9"]) == 0
+    assert main(["split", "--data-root", str(root), "--out", str(split)]) == 0  # one-sample classes go to train
+    cfg = write_yaml(tmp_path / "full.yaml", eval_doc({"root": root, "split_path": split}, episodes=3))
+    assert main(["baseline", "--kind", "full_data", "--config", cfg, "--out", str(tmp_path), "--run-id", "f"]) == 1
+    assert one_error(caplog) == "DegenerateProblem: the test split has no rows to score"
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--out", "", "--classes", "2", "--per-class", "2"], "--out"),
+    (["split", "--data-root", "", "--out", "split.json"], "--data-root"),
+    (["split", "--data-root", "corpus", "--out", ""], "--out"),
+    (["eval", "--config", "", "--out", "runs"], "--config"),
+    (["eval", "--config", "c.yaml", "--out", ""], "--out"),
+    (["export", "--report", "", "--out", "row.csv"], "--report"),
+    (["export", "--report", "report.json", "--out", ""], "--out"),
+])
+def test_an_empty_path_flag_is_one_line_error_and_writes_nothing(tmp_path, monkeypatch, caplog, argv, flag):
+    monkeypatch.chdir(tmp_path)  # Path("") is the working directory
+    assert main(argv) == 1
+    assert one_error(caplog) == f"ValueError: {flag} must be a non-empty path"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sidecar_manifests_record_when_the_command_started(small_corpus, tmp_path, monkeypatch):
     cfg = write_yaml(tmp_path / "eval.yaml", eval_doc(small_corpus, episodes=3))
     assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--run-id", "e"]) == 0

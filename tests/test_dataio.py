@@ -11,12 +11,12 @@ from support import write_half_then_fail
 
 from geomshot.dataio import (
     build_catalog,
-    eligible_pool,
     load_split,
     save_split,
     split_pool,
     stratified_split,
 )
+from geomshot.episodes import eligible_pool
 from geomshot.errors import InsufficientClasses, InvalidSplit
 from geomshot.features import build_feature_pool
 from geomshot.geometry import MAX_COORDINATE, REPRESENTATIONS

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomshot.dataio import eligible_pool
-from geomshot.episodes import Episodes, EpisodeSpec, sample_episode
+from geomshot.episodes import Episodes, EpisodeSpec, eligible_pool, sample_episode
 from geomshot.errors import InsufficientClasses, InsufficientSamples
 from geomshot.features import FeaturePool
 from geomshot.rng import episode_rng

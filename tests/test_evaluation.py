@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomshot.episodes import EpisodeSpec, sample_episode
+from geomshot.episodes import EpisodeSpec, draw_episodes, sample_episode
 from geomshot.errors import DegenerateProblem, InsufficientClasses
 from geomshot.evaluation import (
     ABLATION_SETTINGS,
@@ -18,7 +18,6 @@ from geomshot.evaluation import (
     EvalSpec,
     ablation_normalization,
     ci95_halfwidth,
-    draw_episodes,
     episode_linear_baseline,
     episode_rows,
     evaluate,
@@ -399,7 +398,7 @@ class TestEpisodeLinear:
         encoder.set_state(trained.state)
         spec = EvalSpec(3, 5, 15, 10, 21)
         fast = episode_linear_baseline(encoder, fp, spec)
-        episodes = draw_episodes(fp.labels, spec)
+        episodes = draw_episodes(fp.labels, spec, spec.base_seed, spec.episodes)
         emb = encoder.forward(fp.X, train=False)
         y = np.broadcast_to(episodes.support_labels, episodes.support.shape)
         W, b = fit_softmax_regression(emb[episodes.support], y, spec.n_way, iters=50_000, lr=0.01)

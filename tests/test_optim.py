@@ -189,6 +189,13 @@ class TestClipping:
         assert a.grad[0] == 3.0 * (1.0 / 5.0)
         assert b.grad[0] == 4.0 * (1.0 / 5.0)
 
+    def test_norm_whose_squares_overflow_still_clips(self):
+        p = ParamTensor("w", np.zeros(2))
+        p.grad[...] = [1e200, 1.0]
+        assert AdamW(packed(p), lr=1e-4, weight_decay=0.0, clip_norm=1.0).step() == 1e200
+        assert np.array_equal(p.grad, [1.0, 1e-200])
+        assert p.values[0] < 0.0 and p.values[1] < 0.0  # the step moved both values
+
     @pytest.mark.parametrize("clip_norm", [1.0, None])
     def test_below_threshold_or_unclipped_untouched(self, clip_norm):
         p = ParamTensor("w", np.zeros(2))
